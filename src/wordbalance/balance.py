@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .exactmat import RationalMatrix, invert, kernel_vector, integer_eigenvalues, mat_vec
 from .language import LanguageSample
 from .substitution import Substitution, incidence_matrix
-from .words import Alphabet, Symbol, Word, count_occurrences, sort_words
+from .words import Alphabet, Symbol, Word, sort_words
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,9 @@ def imbalance(
         cls = sort_words(by_length[length])
         class_best: Optional[Witness] = None
         if len(cls) >= 2 and factors:
-            counts = [
-                tuple(count_occurrences(w, v) for w in cls) for v in factors
-            ]
-            for v, row in zip(factors, counts):
+            tallies = [_tally(w.symbols, n) for w in cls]
+            for v in factors:
+                row = tuple(t.get(v.symbols, 0) for t in tallies)
                 hi, lo = max(row), min(row)
                 if class_best is None or hi - lo > class_best.imbalance:
                     class_best = Witness(
@@ -103,6 +102,15 @@ def imbalance(
         witness=best,
         curve=tuple(curve),
     )
+
+
+def _tally(symbols: Tuple[Symbol, ...], n: int) -> Dict[Tuple[Symbol, ...], int]:
+    """Occurrence count of every length-n factor of a symbol tuple."""
+    tally: Dict[Tuple[Symbol, ...], int] = {}
+    for i in range(len(symbols) - n + 1):
+        key = symbols[i : i + n]
+        tally[key] = tally.get(key, 0) + 1
+    return tally
 
 
 def balance_report(
@@ -164,8 +172,7 @@ def frequency_vector(
         longest = [w for w in sample.words if len(w) == top]
         total = Fraction(top * len(longest))
         values = tuple(
-            Fraction(sum(count_occurrences(w, Word((a,), sample.alphabet)) for w in longest))
-            / total
+            Fraction(sum(w.symbols.count(a) for w in longest)) / total
             for a in sample.alphabet.symbols
         )
         return FrequencyVector(sample.alphabet, values, mode="empirical")
@@ -207,15 +214,21 @@ def frequency_deviation(sample: LanguageSample, f: FrequencyVector) -> Fraction:
     """Exact max over sample words w and letters a of ||w|_a - f_a |w||."""
     if f.alphabet != sample.alphabet:
         raise ValueError("frequency vector alphabet does not match the sample")
-    worst = Fraction(0)
-    letters = [Word((a,), sample.alphabet) for a in sample.alphabet.symbols]
+    # |x - c| is convex in x, so per (length, letter) only the least and the
+    # largest count can attain the maximum.
+    extremes: Dict[Tuple[int, Symbol], Tuple[int, int]] = {}
     for w in sample.words:
-        if len(w) == 0:
+        length = len(w)
+        if length == 0:
             continue
-        for a_word in letters:
-            dev = abs(Fraction(count_occurrences(w, a_word)) - f[a_word.symbols[0]] * len(w))
-            if dev > worst:
-                worst = dev
+        for a in sample.alphabet.symbols:
+            c = w.symbols.count(a)
+            lo, hi = extremes.get((length, a), (c, c))
+            extremes[length, a] = (min(lo, c), max(hi, c))
+    worst = Fraction(0)
+    for (length, a), (lo, hi) in extremes.items():
+        target = f[a] * length
+        worst = max(worst, abs(Fraction(lo) - target), abs(Fraction(hi) - target))
     return worst
 
 

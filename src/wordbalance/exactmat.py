@@ -7,6 +7,7 @@ never silent reorders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -254,17 +255,19 @@ def kernel_vector(a: RationalMatrix) -> Optional[Vector]:
 def integer_eigenvalues(a: RationalMatrix, upper_bound: Optional[int] = None) -> Tuple[int, ...]:
     """All integers t with |t| <= bound and det(a - t*I) == 0, ascending.
 
-    For a nonnegative matrix the spectral radius (which bounds every
-    eigenvalue's absolute value) is at most the smaller of the maximal row
-    and column sums, which is the default bound.
+    The spectral radius, which bounds every eigenvalue's absolute value, is
+    at most the maximal absolute row sum and at most the maximal absolute
+    column sum (the infinity and 1 norms); the smaller one, rounded down,
+    is the default bound. For nonnegative matrices these are the plain row
+    and column sums.
     """
     if not a.is_square():
         raise ValueError("eigenvalues of a non-square matrix")
     n = a.shape[0]
     if upper_bound is None:
-        row_max = max((sum(r) for r in a.rows), default=Fraction(0))
-        col_max = max((sum(a.col(j)) for j in range(n)), default=Fraction(0))
-        upper_bound = int(min(row_max, col_max))
+        row_max = max((sum(map(abs, r)) for r in a.rows), default=Fraction(0))
+        col_max = max((sum(map(abs, a.col(j))) for j in range(n)), default=Fraction(0))
+        upper_bound = math.floor(min(row_max, col_max))
     found = []
     for t in range(-upper_bound, upper_bound + 1):
         shifted = RationalMatrix(

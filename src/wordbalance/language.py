@@ -335,26 +335,56 @@ def _default_depth(d: DirectiveSequence, k: int, max_length: int) -> int:
 def _exact_fixed_point_sample(
     d: DirectiveSequence, k: int, max_length: int, seed: Symbol, alphabet: Alphabet
 ) -> LanguageSample:
+    """The level language truncated to length N = max_length, as a fixed point.
+
+    The rounds are S_0 = {seed} and S_i = F_{<=N}(tau(S_{i-1})); they grow,
+    because seed occurs in tau(seed), and `meta.depth` is the first round i
+    with S_i == S_{i-1}. The map S -> F_{<=N}(tau(S)) distributes over
+    union, so S_i = S_{i-1} | F_{<=N}(tau(S_{i-1} - S_{i-2})): each round
+    images only the words that the round before added (semi-naive
+    evaluation). A factor of length <= N of tau(w) lies inside tau(u) for a
+    factor u of w with |u| <= ceil((N-1)/m) + 1, where m = min_a |tau(a)|.
+    Every S_i is factorial, so u was added in this round or an earlier one
+    and is imaged in its turn; longer words are skipped. Likewise, of tau(u)
+    only the factors that start in the image of u's first letter and end in
+    the image of its last are taken: every other factor lies inside the
+    image of a shorter factor of u. Words are strings of one character per
+    letter inside this function.
+    """
     tau = d.period[0]
-    current: set = {(seed,)} if max_length >= 1 else set()
+    symbols = alphabet.symbols
+    code = {a: chr(i) for i, a in enumerate(symbols)}
+    images = {code[a]: "".join(code[b] for b in tau.image(a).symbols) for a in symbols}
+    longest = -(-(max_length - 1) // min(map(len, images.values()))) + 1
+    current: set = {code[seed]} if max_length >= 1 else set()
+    new = current
     iterations = 0
     while True:
         iterations += 1
         if iterations > max_length + 64:
             raise ResourceLimitError("fixed-point sampling failed to stabilize")
-        nxt: set = set()
-        for syms in current:
-            image = tuple(s for b in syms for s in tau.image(b).symbols)
-            _factors_into(nxt, image, max_length)
-        if nxt == current:
+        found: set = set()
+        for w in new:
+            if len(w) > longest:
+                continue
+            image = "".join(map(images.__getitem__, w))
+            total = len(image)
+            last = total - len(images[w[-1]])
+            for i in range(len(images[w[0]])):
+                found.update(
+                    image[i:j] for j in range(max(i, last) + 1, min(i + max_length, total) + 1)
+                )
+        new = found - current
+        if not new:
             break
-        current = nxt
-    current.add(())
+        current |= new
+    words = {Word(tuple(symbols[ord(c)] for c in w), alphabet) for w in current}
+    words.add(Word((), alphabet))
     return LanguageSample(
         alphabet=alphabet,
         level=k,
         max_length=max_length,
-        words=frozenset(Word(s, alphabet) for s in current),
+        words=frozenset(words),
         meta=SampleMeta(depth=iterations, window=0, exact=True, saturated=True),
     )
 

@@ -11,9 +11,7 @@ all occur in the text).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .language import DirectiveSequence, ResourceLimitError
 from .substitution import Substitution
@@ -21,6 +19,11 @@ from .words import Alphabet, Symbol, Word
 
 MAX_TEXT_CHARS = 80_000_000
 _MAX_CODEC_SIZE = 200
+
+# numpy is imported inside the functions that use it, so that commands which
+# never scan a text (exact analyze, classify) do not pay for loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,8 @@ def count_overlapping(text: str, pattern: str) -> int:
 
 def _occurrence_indicator(text: str, pattern: str) -> np.ndarray:
     """indicator[i] == 1 iff text[i:i+len(pattern)] == pattern."""
+    import numpy as np
+
     data = np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
     pat = np.frombuffer(pattern.encode("latin-1"), dtype=np.uint8)
     m, t = len(pat), len(data)
@@ -135,6 +140,8 @@ def window_count_extrema(text: str, pattern: str, window_len: int) -> Optional[W
     Returns None when the text is shorter than the window. argmax/argmin are
     the smallest window start positions achieving the extrema.
     """
+    import numpy as np
+
     t, m = len(text), len(pattern)
     if window_len <= 0:
         raise ValueError("window length must be positive")
@@ -178,6 +185,8 @@ def window_imbalance_curve(
     result. Deterministic: texts and patterns are scanned in the given
     order, first achiever wins.
     """
+    import numpy as np
+
     prefixes: Dict[Tuple[int, str], np.ndarray] = {}
     for ti, text in enumerate(texts):
         for pattern in patterns:

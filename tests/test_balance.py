@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wordbalance.balance import (
     FrequencyVector,
@@ -88,6 +90,89 @@ class TestImbalance:
         assert rep.sample_size == len(small_sample)
         assert rep.exact and rep.saturated
         assert rep.max_length == 4
+
+
+def overlapping_count(text, pattern):
+    return sum(
+        1 for i in range(len(text) - len(pattern) + 1) if text[i : i + len(pattern)] == pattern
+    )
+
+
+def pairwise_imbalance(words, n, cap):
+    """Reference: every ordered pair (x, y) of a length class, x == y included,
+    in (factor, x, y) order, sorted by length then lexicographically; the first
+    strictly larger count difference wins, within a class and across classes.
+    Returns (value, curve, witness as a rendered tuple or None)."""
+    ordered = sorted(words, key=lambda w: (len(w), w))
+    factors = [w for w in ordered if len(w) == n]
+    best = None
+    curve = []
+    for length in sorted({len(w) for w in words if 0 < len(w) <= cap}):
+        cls = [w for w in ordered if len(w) == length]
+        class_best = None
+        if len(cls) >= 2:
+            for v in factors:
+                for x in cls:
+                    for y in cls:
+                        cx, cy = overlapping_count(x, v), overlapping_count(y, v)
+                        if class_best is None or cx - cy > class_best[0]:
+                            class_best = (cx - cy, x, y, v, cx, cy)
+        curve.append((length, class_best[0] if class_best else 0))
+        if class_best and (best is None or class_best[0] > best[0]):
+            best = class_best
+    return (best[0] if best else 0), tuple(curve), (best[1:] if best else None)
+
+
+@st.composite
+def small_factorial_samples(draw):
+    letters = draw(st.sampled_from(["01", "012"]))
+    texts = draw(st.lists(st.text(alphabet=letters, min_size=1, max_size=12), min_size=1, max_size=3))
+    alphabet = Alphabet.from_text(letters)
+    cap = draw(st.integers(1, 8))
+    return factorial_closure([Word.from_text(t, alphabet) for t in texts], cap)
+
+
+class TestBalanceAgainstBruteForce:
+    @given(small_factorial_samples(), st.integers(1, 3), st.one_of(st.none(), st.integers(1, 8)))
+    def test_imbalance_matches_pairwise_reference(self, sample, n, length_cap):
+        entry = imbalance(sample, n, length_cap)
+        cap = sample.max_length if length_cap is None else min(length_cap, sample.max_length)
+        value, curve, witness = pairwise_imbalance(
+            [w.render() for w in sample.words], n, cap
+        )
+        assert entry.empirical_c == value
+        assert entry.curve == curve
+        got = entry.witness
+        assert (
+            None
+            if got is None
+            else (got.high.render(), got.low.render(), got.factor.render(), got.count_high, got.count_low)
+        ) == witness
+
+    @given(small_factorial_samples(), st.lists(st.integers(0, 5), min_size=3, max_size=3))
+    def test_frequency_deviation_matches_every_word(self, sample, weights):
+        letters = sample.alphabet.symbols
+        weights = weights[: len(letters)]
+        if sum(weights) == 0:
+            weights[0] = 1
+        given_f = FrequencyVector(
+            sample.alphabet, tuple(Fraction(x, sum(weights)) for x in weights)
+        )
+        for f in (given_f, frequency_vector(sample)):
+            worst = Fraction(0)
+            for w in sample.words:
+                text = w.render()
+                for a in letters:
+                    worst = max(worst, abs(text.count(a) - f[a] * len(text)))
+            assert frequency_deviation(sample, f) == worst
+
+    @given(small_factorial_samples())
+    def test_empirical_frequency_matches_longest_words(self, sample):
+        top = max(len(w) for w in sample.words)
+        longest = [w.render() for w in sample.words if len(w) == top]
+        f = frequency_vector(sample)
+        for a in sample.alphabet.symbols:
+            assert f[a] == Fraction(sum(t.count(a) for t in longest), top * len(longest))
 
 
 class TestFrequency:

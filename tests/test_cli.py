@@ -1,9 +1,14 @@
 """End-to-end command-line behavior: reports, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wordbalance
 import wordbalance.verification as verification
 from wordbalance.cli import (
     EXHAUSTIVE_CAP,
@@ -242,3 +247,17 @@ class TestUsage:
         code, out, _ = run(capsys, "--help")
         assert code == EXIT_SUCCESS
         assert "analyze" in out
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_numpy(self):
+        # numpy is loaded only by the scan functions; importing the CLI must
+        # not pull it in, or every exact analyze pays for it.
+        src = str(Path(wordbalance.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, wordbalance.cli; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

@@ -1,8 +1,11 @@
 """Exact rational linear algebra: determinants, inverses, eigenpairs."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wordbalance.exactmat import (
     EigenpairClaim,
@@ -166,6 +169,41 @@ class TestEigen:
         assert integer_eigenvalues(M([[0, 1], [1, 0]])) == (-1, 1)
         assert integer_eigenvalues(M([[1, 1], [1, 1]])) == (0, 2)
         assert integer_eigenvalues(M([[1, 1], [0, 1]])) == (1,)
+
+    def test_integer_eigenvalues_negative_entries(self):
+        # Row sums are -3 and 1, so a signed-sum bound of 1 would miss -3.
+        assert integer_eigenvalues(M([[-3, 0], [0, 1]])) == (-3, 1)
+        assert integer_eigenvalues(M([[0, -2], [-2, 0]])) == (-2, 2)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_integer_eigenvalues_match_brute_force(self, rows):
+        n = len(rows)
+
+        def char_poly_at(t):
+            # Leibniz expansion of det(A - tI).
+            total = 0
+            for perm in permutations(range(n)):
+                sign = 1
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if perm[i] > perm[j]:
+                            sign = -sign
+                term = sign
+                for i in range(n):
+                    term *= rows[i][perm[i]] - (t if i == perm[i] else 0)
+                total += term
+            return total
+
+        # |eigenvalue| <= the sum of all absolute entries, a norm of A.
+        bound = sum(abs(x) for r in rows for x in r)
+        want = tuple(t for t in range(-bound, bound + 1) if char_poly_at(t) == 0)
+        assert integer_eigenvalues(M(rows)) == want
 
     def test_integer_eigenvalues_bound_override(self):
         assert integer_eigenvalues(M([[1, 1], [1, 1]]), upper_bound=1) == (0,)

@@ -1,6 +1,8 @@
 """Directive sequences, language sampling, and growth decisions."""
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from wordbalance.language import (
     DirectiveSequence,
@@ -147,6 +149,121 @@ class TestExactSampling:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             sample_level_language(parse_directive("|M"), 0, -1)
+
+
+def naive_fixed_point(tau, seed, cap):
+    """Reference: S_0 = {seed}, S_i = all factors of length 1..cap of tau(S_{i-1}),
+    every word re-imaged every round, until a round repeats. Returns the final
+    set (with the empty word) and the number of rounds."""
+    current = {(seed,)} if cap >= 1 else set()
+    rounds = 0
+    while True:
+        rounds += 1
+        nxt = set()
+        for w in current:
+            image = tuple(s for b in w for s in tau.image(b).symbols)
+            for i in range(len(image)):
+                for j in range(i + 1, min(i + cap, len(image)) + 1):
+                    nxt.add(image[i:j])
+        if nxt == current:
+            break
+        current = nxt
+    return current | {()}, rounds
+
+
+def first_admissible_seed(tau):
+    """First letter a (alphabet order) with a in tau(a) from which every letter
+    is reachable in the occurrence graph; None when there is none."""
+    letters = tau.domain.symbols
+    for a in letters:
+        if a not in tau.image(a).symbols:
+            continue
+        seen, todo = {a}, [a]
+        while todo:
+            for c in tau.image(todo.pop()).symbols:
+                if c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+        if len(seen) == len(letters):
+            return a
+    return None
+
+
+@st.composite
+def admissible_substitutions(draw):
+    letters = "012"[: draw(st.integers(2, 3))]
+    images = [draw(st.text(alphabet=letters, min_size=1, max_size=3)) for _ in letters]
+    tau = Substitution.from_text(";".join(f"{a}->{w}" for a, w in zip(letters, images)))
+    assume(first_admissible_seed(tau) is not None)
+    return tau
+
+
+def thue_morse_complexity(n):
+    """Factor complexity of the Thue-Morse word in closed form (Brlek 1989):
+    for n = 2^r + q + 1 with 0 < q <= 2^r, p(n) = 6*2^(r-1) + 4q when
+    q <= 2^(r-1), and 8*2^(r-1) + 2q otherwise."""
+    if n <= 2:
+        return (1, 2, 4)[n]
+    r = (n - 2).bit_length() - 1
+    q = n - 1 - 2**r
+    if 2 * q <= 2**r:
+        return 3 * 2**r + 4 * q
+    return 4 * 2**r + 2 * q
+
+
+class TestExactSamplerAgainstReference:
+    @given(admissible_substitutions(), st.integers(0, 12))
+    def test_matches_naive_fixed_point(self, tau, cap):
+        d = DirectiveSequence(period=(tau,))
+        sample = sample_level_language(d, 0, cap)
+        words, rounds = naive_fixed_point(tau, first_admissible_seed(tau), cap)
+        assert sample.meta.exact
+        assert {w.symbols for w in sample.words} == words
+        assert sample.meta.depth == rounds
+
+    @pytest.mark.parametrize("directive,cap", [("|M", 8), ("|M", 16), ("|L", 40), ("|R", 40)])
+    def test_pinned_directives_match_naive(self, directive, cap):
+        d = parse_directive(directive)
+        tau = d.period[0]
+        words, rounds = naive_fixed_point(tau, first_admissible_seed(tau), cap)
+        sample = sample_level_language(d, 0, cap)
+        assert {w.symbols for w in sample.words} == words
+        assert sample.meta.depth == rounds
+
+    def test_non_character_symbols(self):
+        ints = Alphabet((10, 20, 30))
+        tau = Substitution(
+            ints,
+            ints,
+            {
+                10: Word((10, 20), ints),
+                20: Word((30,), ints),
+                30: Word((20, 10, 10), ints),
+            },
+        )
+        sample = sample_level_language(DirectiveSequence(period=(tau,)), 0, 9)
+        words, rounds = naive_fixed_point(tau, 10, 9)
+        assert {w.symbols for w in sample.words} == words
+        assert sample.meta.depth == rounds
+
+    @pytest.mark.parametrize("cap,rounds", [(8, 6), (40, 9), (48, 9)])
+    def test_thue_morse_rounds_pinned(self, cap, rounds):
+        # Round counts of the naive every-word iteration at these caps.
+        assert sample_level_language(parse_directive("|M"), 0, cap).meta.depth == rounds
+
+    def test_thue_morse_complexity_closed_form(self):
+        d = parse_directive("|M")
+        for cap in range(1, 65):
+            sample = sample_level_language(d, 0, cap)
+            assert len(sample) == 1 + sum(thue_morse_complexity(n) for n in range(1, cap + 1)), cap
+        per_length = {}
+        for w in sample.words:
+            per_length[len(w)] = per_length.get(len(w), 0) + 1
+        assert per_length == {n: thue_morse_complexity(n) for n in range(65)}
+        # Every word occurs in the Thue-Morse word (binary digit-sum parity),
+        # so with the counts above the sample is exactly its factor set.
+        text = "".join(str(bin(i).count("1") % 2) for i in range(4096))
+        assert all(w.render() in text for w in sample.words)
 
 
 class TestWindowedSampling:
