@@ -64,12 +64,14 @@ def expand_text(
     if sub.domain != sub.codomain:
         raise ValueError("expand_text needs an endomorphism")
     codec = codec or TextCodec.for_alphabet(sub.domain)
-    images = {
-        codec.encode_symbol(a): codec.encode(sub.image(a)) for a in sub.domain.symbols
+    # str.translate writes the image directly; joining a generator would
+    # first list one reference per character (8 bytes each).
+    table = {
+        ord(codec.encode_symbol(a)): codec.encode(sub.image(a)) for a in sub.domain.symbols
     }
     cur = codec.encode_symbol(seed)
     for _ in range(depth):
-        cur = "".join(images[c] for c in cur)
+        cur = cur.translate(table)
         if len(cur) > max_chars:
             raise ResourceLimitError("expansion exceeds the text budget")
     return cur
@@ -214,8 +216,10 @@ def window_imbalance_curve(
                         prefix[span : span + (t - window_len + 1)]
                         - prefix[: t - window_len + 1]
                     )
-                    mx, mn = int(counts.max()), int(counts.min())
+                    # argmax/argmin return the first achiever, so reading the
+                    # extremes through them keeps the smallest-start rule.
                     am, an = int(counts.argmax()), int(counts.argmin())
+                    mx, mn = int(counts[am]), int(counts[an])
                 if hi is None or mx > hi[0]:
                     hi = (mx, ti, am)
                 if lo is None or mn < lo[0]:
@@ -257,12 +261,3 @@ def distinct_factors(text: str, max_len: int, min_len: int = 1) -> set:
             pool.add(text[i : i + length])
     return pool
 
-
-def factor_sets_stable(text_a: str, text_b: str, lengths: Iterable[int]) -> bool:
-    """Do two texts have identical factor sets at every given length?"""
-    for length in lengths:
-        set_a = {text_a[i : i + length] for i in range(len(text_a) - length + 1)}
-        set_b = {text_b[i : i + length] for i in range(len(text_b) - length + 1)}
-        if set_a != set_b:
-            return False
-    return True

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .language import DirectiveSequence, ResourceLimitError
 from .scan import (
     ScanWitness,
     TextCodec,
+    _occurrence_indicator,
     count_overlapping,
     distinct_factors,
     expand_text,
@@ -32,6 +33,9 @@ from .substitution import (
     induced_block_substitution,
 )
 from .words import Alphabet, Word, n_coding, recast
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BINARY = Alphabet.from_text("01")
 
@@ -430,6 +434,14 @@ def collect_factors(
     between consecutive depths (expansions are prefixes of each other, so
     the sets grow monotonically). Returns (factors, depth, stable).
     """
+    factors, _, depth, stable = _factors_and_text(max_len, max_depth)
+    return factors, depth, stable
+
+
+def _factors_and_text(
+    max_len: int, max_depth: int = 26
+) -> Tuple[frozenset, str, int, bool]:
+    """collect_factors, plus the expansion whose factors were collected."""
     depth = max(4, (16 * max_len).bit_length())
     text = expand_text(SUB_M, "0", depth)
     pool = distinct_factors(text, max_len)
@@ -438,9 +450,9 @@ def collect_factors(
         depth += 1
         bigger = distinct_factors(text, max_len)
         if bigger == pool:
-            return frozenset(pool), depth, True
+            return frozenset(pool), text, depth, True
         pool = bigger
-    return frozenset(pool), depth, False
+    return frozenset(pool), text, depth, False
 
 
 def _next_expansion(text: str) -> str:
@@ -487,6 +499,69 @@ def padded_compositions(depth: int) -> List[Tuple[str, Substitution]]:
     return out
 
 
+def image_pattern_counts(
+    sub: Substitution,
+    text: str,
+    starts: Sequence[int],
+    lengths: Sequence[int],
+    pattern: str = "011",
+) -> "np.ndarray":
+    """|sigma(w)|_{sigma(pattern)} for each factor w = text[p : p + n].
+
+    With P[j] = |sigma(text[:j])|, the image sigma(w) is exactly the
+    substring sigma(text)[P[p] : P[p + n]], so its occurrences of
+    sigma(pattern) are the occurrences in sigma(text) that start in
+    [P[p], P[p + n] - |sigma(pattern)|]. One occurrence prefix sum over
+    sigma(text) therefore answers every factor in O(1); the text is
+    translated once, not once per factor. The domain's symbols must be
+    single latin-1 characters, and sigma(pattern) must be nonempty.
+    """
+    import numpy as np
+
+    table = {ord(a): "".join(sub.image(a).symbols) for a in sub.domain.symbols}
+    image = text.translate(table)
+    target = pattern.translate(table)
+    ind = _occurrence_indicator(image, target)
+    occ = np.concatenate([[0], np.cumsum(ind)])  # occurrences starting before i
+    image_len = np.zeros(256, dtype=np.int64)
+    for a, img in table.items():
+        image_len[a] = len(img)
+    letters = np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+    offsets = np.concatenate([[0], np.cumsum(image_len[letters])])
+    starts = np.asarray(starts, dtype=np.int64)
+    # Clipping lo to len(ind) only touches images too short to hold target.
+    lo = np.minimum(offsets[starts], len(ind))
+    hi = offsets[starts + np.asarray(lengths, dtype=np.int64)] - len(target) + 1
+    return occ[np.maximum(lo, hi)] - occ[lo]
+
+
+def preservation_violations(
+    comps: Sequence[Tuple[str, Substitution]], factors: Sequence[str], text: str
+) -> Tuple[List[dict], int]:
+    """Factors w of text with |sigma(w)|_{sigma(011)} != |w|_{011}.
+
+    Image counts come from image_pattern_counts; the factor's own count
+    comes from count_overlapping, so the two sides share no counting code.
+    Functionally identical compositions are evaluated once and the result
+    reused for each expression naming them. Returns the violations, one
+    {"composition", "word"} entry per pair, and the number of distinct
+    substitutions evaluated.
+    """
+    import numpy as np
+
+    starts = np.array([text.find(w) for w in factors], dtype=np.int64)
+    lengths = np.array([len(w) for w in factors], dtype=np.int64)
+    expected = np.array([count_overlapping(w, "011") for w in factors], dtype=np.int64)
+    violations: List[dict] = []
+    cache: Dict[Substitution, List[str]] = {}
+    for name, sub in comps:
+        if sub not in cache:
+            got = image_pattern_counts(sub, text, starts, lengths)
+            cache[sub] = [factors[i] for i in np.flatnonzero(got != expected)]
+        violations.extend({"composition": name, "word": w} for w in cache[sub])
+    return violations, len(cache)
+
+
 def count_preservation_violations(
     max_word_len: int = 100, composition_depth: int = 3
 ) -> dict:
@@ -496,40 +571,25 @@ def count_preservation_violations(
     every occurrence of the image of 011 to align with an occurrence of
     011; this holds for every composition of the builtin family (identity
     slots included, via padded_compositions). Returns a summary with any
-    violations (expected none). Functionally identical compositions are
-    evaluated once and the result reused for each expression naming them.
+    violations (expected none); `checked` counts (expression, factor) pairs.
+
+    Every factor w is a substring of the Thue-Morse expansion T whose
+    factors were collected, say w = T[p : p + |w|]. Then sigma(w) is the
+    substring sigma(T)[P[p] : P[p + |w|]] with P[j] = |sigma(T[:j])|, so
+    |sigma(w)|_{sigma(011)} equals the number of occurrences of sigma(011)
+    in sigma(T) starting in [P[p], P[p + |w|] - |sigma(011)|], which a
+    prefix sum over sigma(T) gives directly (image_pattern_counts).
     """
-    factors, depth, stable = collect_factors(max_word_len)
+    factors, text, depth, stable = _factors_and_text(max_word_len)
     comps = padded_compositions(composition_depth)
-    violations = []
-    checked = 0
-    cache: Dict[Substitution, List[str]] = {}
-    for name, sub in comps:
-        if sub in cache:
-            bad_words = cache[sub]
-            checked += len(factors)
-        else:
-            table = {
-                ord("0"): "".join(sub.image("0").symbols),
-                ord("1"): "".join(sub.image("1").symbols),
-            }
-            pattern = "011".translate(table)
-            bad_words = []
-            for w in factors:
-                expected = count_overlapping(w, "011") if "011" in w else 0
-                got = count_overlapping(w.translate(table), pattern)
-                checked += 1
-                if got != expected:
-                    bad_words.append(w)
-            cache[sub] = bad_words
-        violations.extend({"composition": name, "word": w} for w in bad_words)
+    violations, distinct = preservation_violations(comps, list(factors), text)
     return {
         "compositions": len(comps),
-        "distinct_substitutions": len(cache),
+        "distinct_substitutions": distinct,
         "factors": len(factors),
         "factor_depth": depth,
         "factor_set_stable": stable,
-        "checked": checked,
+        "checked": len(comps) * len(factors),
         "violations": violations,
     }
 

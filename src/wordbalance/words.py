@@ -29,6 +29,7 @@ class Alphabet:
     _index: Mapping[Symbol, int] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
+    _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
 
     def __post_init__(self) -> None:
         symbols = tuple(self.symbols)
@@ -37,6 +38,12 @@ class Alphabet:
         if len(index) != len(symbols):
             raise AlphabetError(f"duplicate symbols in alphabet: {symbols!r}")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_hash", hash(symbols))
+
+    def __hash__(self) -> int:
+        # Cached: a block alphabet has up to 2^20 symbols, and every hash of
+        # a Word over it would otherwise re-hash them all.
+        return self._hash
 
     @classmethod
     def from_text(cls, text: str) -> "Alphabet":

@@ -3,14 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wordbalance.language import ResourceLimitError
 from wordbalance.scan import (
+    ScanWitness,
     TextCodec,
     count_overlapping,
     distinct_factors,
     expand_text,
-    factor_sets_stable,
     tower_letter_texts,
     window_count_extrema,
     window_imbalance,
@@ -156,6 +158,34 @@ class TestWindowImbalance:
             ) - count_overlapping(witness.low_window, witness.pattern)
             assert spread == witness.imbalance
 
+    @given(
+        st.lists(st.text(alphabet="01", max_size=12), min_size=1, max_size=3),
+        st.lists(st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=3),
+        st.lists(st.integers(1, 14), min_size=1, max_size=4),
+    )
+    def test_witnesses_are_first_achievers(self, texts, patterns, lens):
+        """Spread and witnesses against a pure-Python scan: the highest and
+        lowest window is the first achiever in text order, then by start."""
+        want = {}
+        for win in sorted(set(lens)):
+            best = None
+            for pat in patterns:
+                hi = lo = None
+                for ti, text in enumerate(texts):
+                    for i in range(len(text) - win + 1):
+                        c = brute_count(text[i : i + win], pat)
+                        if hi is None or c > hi[0]:
+                            hi = (c, text[i : i + win])
+                        if lo is None or c < lo[0]:
+                            lo = (c, text[i : i + win])
+                if hi is None:
+                    continue
+                if best is None or hi[0] - lo[0] > best.imbalance:
+                    best = ScanWitness(pat, win, hi[0] - lo[0], hi[1], lo[1])
+            if best is not None:
+                want[win] = best
+        assert window_imbalance_curve(texts, patterns, lens) == want
+
     def test_unfittable_lengths_omitted(self):
         curve = window_imbalance_curve(["0101"], ["0"], [2, 99])
         assert sorted(curve) == [2]
@@ -184,9 +214,3 @@ class TestFactorSets:
             for i in range(len(text) - n + 1)
         }
         assert distinct_factors(text, 3) == want
-
-    def test_stability_comparison(self):
-        a = expand_text(M, "0", 6)
-        b = expand_text(M, "0", 7)
-        assert factor_sets_stable(a, b, [1, 2, 3])
-        assert not factor_sets_stable("0101", "0011", [2])

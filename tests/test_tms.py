@@ -1,5 +1,7 @@
 """The builtin three-substitution family and its certified witness machinery."""
 
+import random
+
 import pytest
 
 from wordbalance.exactmat import EigenpairClaim, eigencheck
@@ -18,12 +20,14 @@ from wordbalance.tms import (
     compositions_upto,
     count_preservation_violations,
     eleven_count_range,
+    image_pattern_counts,
     imbalance_milestones,
     is_lmr_directive,
     is_primitive,
     level_scan_texts,
     padded_compositions,
     parse_directive,
+    preservation_violations,
     shared_image_tail,
     thue_morse_text,
     witness_closed_forms,
@@ -39,6 +43,14 @@ TM32 = "01101001100101101001011001101001"
 def m_step(s: str) -> str:
     """Independent one-step doubling expansion on plain strings."""
     return s.translate({ord("0"): "01", ord("1"): "10"})
+
+
+def tm_prefix(depth: int) -> str:
+    """M^depth(0), expanded independently of the package."""
+    text = "0"
+    for _ in range(depth):
+        text = m_step(text)
+    return text
 
 
 def blocks4(s: str) -> tuple:
@@ -331,6 +343,61 @@ class TestCompositions:
         assert summary["checked"] == 20 * summary["factors"]
         indep = len({sub.to_text() for _, sub in padded_compositions(2)})
         assert summary["distinct_substitutions"] == indep
+
+    @pytest.mark.parametrize("composition_depth", [2, 3])
+    def test_image_counts_match_direct_recount(self, composition_depth):
+        factors, depth, _ = collect_factors(30)
+        text = tm_prefix(depth)
+        words = sorted(factors)
+        starts = [text.find(w) for w in words]
+        lengths = [len(w) for w in words]
+        subs = {sub.to_text(): sub for _, sub in padded_compositions(composition_depth)}
+        assert len(subs) == count_preservation_violations(30, composition_depth)[
+            "distinct_substitutions"
+        ]
+        for sub in subs.values():
+            table = {ord(a): "".join(sub.image(a).symbols) for a in "01"}
+            pattern = "011".translate(table)
+            got = image_pattern_counts(sub, text, starts, lengths)
+            assert len(got) == len(words)
+            for w, g in zip(words, got):
+                assert g == count_overlapping(w.translate(table), pattern)
+                assert g == count_overlapping(w, "011")
+
+    def test_image_counts_at_every_span(self):
+        rng = random.Random(17)
+        text = "".join(rng.choice("01") for _ in range(40))
+        spans = [(p, n) for n in range(0, 9) for p in range(len(text) - n + 1)]
+        for rule in ("0->01;1->10", "0->0;1->10", "0->110;1->1", "0->1;1->1"):
+            sub = Substitution.from_text(rule)
+            table = {ord(a): "".join(sub.image(a).symbols) for a in "01"}
+            for pattern in ("011", "1", "10"):
+                got = image_pattern_counts(
+                    sub, text, [p for p, _ in spans], [n for _, n in spans], pattern
+                )
+                want = [
+                    count_overlapping(text[p : p + n].translate(table), pattern.translate(table))
+                    for p, n in spans
+                ]
+                assert list(got) == want
+
+    def test_identity_breaking_substitution_is_reported(self):
+        factors, depth, _ = collect_factors(30)
+        text = tm_prefix(depth)
+        words = sorted(factors)
+        ones = Substitution.from_text("0->1;1->1")  # sigma(011) = 111
+        violations, distinct = preservation_violations(
+            [("A", ones), ("B", ones)], words, text
+        )
+        assert distinct == 1
+        # sigma(w) = 1^|w| holds max(|w| - 2, 0) copies of 111.
+        bad = [w for w in words if max(len(w) - 2, 0) != count_overlapping(w, "011")]
+        assert bad
+        assert violations == [{"composition": "A", "word": w} for w in bad] + [
+            {"composition": "B", "word": w} for w in bad
+        ]
+        clean, _ = preservation_violations(padded_compositions(2), words, text)
+        assert clean == []
 
 
 class TestElevenCounts:

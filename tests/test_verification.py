@@ -36,3 +36,17 @@ class TestFullSuite:
             assert d["check_id"] == r.check_id
             assert isinstance(d["passed"], bool)
             json.dumps(d)  # JSON-safe details
+
+
+class TestWorkCounters:
+    def test_occurrence_preservation_work(self):
+        """The check's work is pinned, so a speed-up cannot come from less of it."""
+        (result,) = run_checks(only="occurrence-preservation")
+        assert result.passed
+        d = result.details
+        assert d["compositions"] == 84
+        assert d["distinct_substitutions"] == 40
+        assert d["factors"] == 15812
+        assert d["factor_depth"] == 12
+        assert d["checked"] == 1328208
+        assert d["violations"] == 0

@@ -47,6 +47,34 @@ class TestAlphabet:
         with pytest.raises(AlphabetError):
             BIN.index("x")
 
+    def test_hash_computed_once_per_alphabet(self):
+        calls = []
+
+        class Sym:
+            def __init__(self, name):
+                self.name = name
+
+            def __eq__(self, other):
+                return isinstance(other, Sym) and other.name == self.name
+
+            def __hash__(self):
+                calls.append(self.name)
+                return hash(self.name)
+
+        symbols = tuple(Sym(c) for c in "abcd")
+        a = Alphabet(symbols)
+        built = len(calls)
+        for _ in range(3):
+            hash(a)
+        assert len(calls) == built
+        w = Word(symbols[:1], a)
+        before = len(calls)
+        hash(w)
+        assert len(calls) == before + 1  # the word's own symbol, not the alphabet's
+        b = Alphabet(tuple(Sym(c) for c in "abcd"))
+        assert a == b and hash(a) == hash(b) == hash(symbols)
+        assert a != Alphabet(tuple(Sym(c) for c in "abdc"))
+
 
 class TestWord:
     def test_text_round_trip(self):
