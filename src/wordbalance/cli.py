@@ -224,6 +224,8 @@ def _scan_section(
     min_chars = 24 * max_length + 16
     texts, codec = level_scan_texts(d, min_chars=min_chars, clip=min_chars)
     grid = _window_grid(max_length)
+    # Codec text to rendered symbols, as codec.decode(...).render() would.
+    render = {ord(c): render_symbol(s) for c, s in zip(codec.chars, codec.alphabet.symbols)}
     curves: Dict[str, Any] = {}
     for n in range(1, nmax + 1):
         patterns = ["".join(p) for p in itertools.product(codec.chars, repeat=n)]
@@ -232,9 +234,9 @@ def _scan_section(
             {
                 "window": m,
                 "imbalance": w.imbalance,
-                "pattern": codec.decode(w.pattern).render(),
-                "high_window": codec.decode(w.high_window).render(),
-                "low_window": codec.decode(w.low_window).render(),
+                "pattern": w.pattern.translate(render),
+                "high_window": w.high_window.translate(render),
+                "low_window": w.low_window.translate(render),
             }
             for m, w in sorted(curve.items())
         ]

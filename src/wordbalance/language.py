@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from .limits import ResourceLimitError
 from .substitution import Substitution, SubstitutionError, compose
 from .words import Alphabet, Symbol, Word, sort_words
 
 MAX_SAMPLE_CHARS = 60_000_000
-
-
-class ResourceLimitError(RuntimeError):
-    """The request would exceed the configured memory/size budget."""
 
 
 class DirectiveSequence:

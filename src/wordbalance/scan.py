@@ -11,9 +11,10 @@ all occur in the text).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .language import DirectiveSequence, ResourceLimitError
+from .language import DirectiveSequence
+from .limits import check_budget
 from .substitution import Substitution
 from .words import Alphabet, Symbol, Word
 
@@ -36,8 +37,7 @@ class TextCodec:
     @staticmethod
     def for_alphabet(alphabet: Alphabet) -> "TextCodec":
         symbols = alphabet.symbols
-        if len(symbols) > _MAX_CODEC_SIZE:
-            raise ValueError("alphabet too large for text scanning")
+        check_budget("text codec", len(symbols), _MAX_CODEC_SIZE, "symbols")
         if all(isinstance(s, str) and len(s) == 1 and ord(s) < 256 for s in symbols):
             return TextCodec(alphabet, tuple(symbols))
         return TextCodec(alphabet, tuple(chr(33 + i) for i in range(len(symbols))))
@@ -53,6 +53,58 @@ class TextCodec:
         return Word(tuple(back[c] for c in text), self.alphabet)
 
 
+def _letter_lengths(
+    subs: Iterable[Substitution], alphabet: Alphabet
+) -> Iterator[Dict[Symbol, int]]:
+    """Letter-text lengths after each level of _tower_texts, with no text built.
+
+    |sigma_[0,j+1)(a)| is the sum of |sigma_[0,j)(b)| over the letters b of
+    sigma_j(a). Lazy, so a caller that stops at its first refusal never holds
+    an integer much larger than its budget.
+    """
+    lengths = dict.fromkeys(alphabet.symbols, 1)
+    for sig in subs:
+        lengths = {
+            a: sum(lengths[b] for b in sig.image(a).symbols) for a in sig.domain.symbols
+        }
+        yield lengths
+
+
+def _tower_texts(
+    subs: Iterable[Substitution], codec: TextCodec, clip: Optional[int] = None
+) -> Dict[Symbol, str]:
+    """Letter texts of subs[0] o subs[1] o ... o subs[-1] over the codec.
+
+    Level j+1's text of a letter a is the concatenation of level j's texts
+    of the letters of subs[j](a), so every level costs a few copies and no
+    per-character work. With `clip`, every text is cut to its first clip
+    characters, and only those are ever built: the clipped text of a is the
+    concatenation of the clipped texts of its image letters, cut at clip.
+    """
+    texts = dict(zip(codec.alphabet.symbols, codec.chars))
+    for sig in subs:
+        texts = {
+            a: _concat([texts[b] for b in sig.image(a).symbols], clip)
+            for a in sig.domain.symbols
+        }
+    return texts
+
+
+def _concat(parts: List[str], clip: Optional[int]) -> str:
+    """"".join(parts)[:clip] without copying the characters past clip."""
+    if clip is not None:
+        kept: List[str] = []
+        room = clip
+        for part in parts:
+            if len(part) >= room:
+                kept.append(part[:room])
+                break
+            kept.append(part)
+            room -= len(part)
+        parts = kept
+    return "".join(parts)
+
+
 def expand_text(
     sub: Substitution,
     seed: Symbol,
@@ -60,7 +112,12 @@ def expand_text(
     codec: Optional[TextCodec] = None,
     max_chars: int = MAX_TEXT_CHARS,
 ) -> str:
-    """The string sigma^depth(seed) for an endomorphism, in codec characters."""
+    """The string sigma^depth(seed) for an endomorphism, in codec characters.
+
+    Refused, before any text is built, when some sigma^j(seed) with
+    j <= depth has more than max_chars characters; the letter counts of
+    sigma^j(seed) give those lengths exactly.
+    """
     if sub.domain != sub.codomain:
         raise ValueError("expand_text needs an endomorphism")
     codec = codec or TextCodec.for_alphabet(sub.domain)
@@ -70,10 +127,16 @@ def expand_text(
         ord(codec.encode_symbol(a)): codec.encode(sub.image(a)) for a in sub.domain.symbols
     }
     cur = codec.encode_symbol(seed)
+    counts = {seed: 1}
+    for _ in range(depth):
+        step: Dict[Symbol, int] = {}
+        for a, c in counts.items():
+            for b in sub.image(a).symbols:
+                step[b] = step.get(b, 0) + c
+        check_budget("expansion", sum(step.values()), max_chars)
+        counts = step
     for _ in range(depth):
         cur = cur.translate(table)
-        if len(cur) > max_chars:
-            raise ResourceLimitError("expansion exceeds the text budget")
     return cur
 
 
@@ -83,18 +146,16 @@ def tower_letter_texts(
     depth: int,
     max_chars: int = MAX_TEXT_CHARS,
 ) -> Tuple[Dict[Symbol, str], TextCodec]:
-    """Letter images of sigma_[k,depth) as strings over the level-k codec."""
+    """Letter images of sigma_[k,depth) as strings over the level-k codec.
+
+    Refused, before any text is built, when the letter images of some
+    sigma_[k,j) with j <= depth hold more than max_chars characters in all.
+    """
     codec = TextCodec.for_alphabet(d.level_alphabet(k))
-    images = {a: codec.encode_symbol(a) for a in d.level_alphabet(k).symbols}
-    for j in range(k, depth):
-        sig = d.substitution_at(j)
-        images = {
-            a: "".join(images[b] for b in sig.image(a).symbols)
-            for a in sig.domain.symbols
-        }
-        if sum(map(len, images.values())) > max_chars:
-            raise ResourceLimitError("tower expansion exceeds the text budget")
-    return images, codec
+    subs = [d.substitution_at(j) for j in range(k, depth)]
+    for lengths in _letter_lengths(subs, codec.alphabet):
+        check_budget("tower expansion", sum(lengths.values()), max_chars)
+    return _tower_texts(subs, codec), codec
 
 
 def count_overlapping(text: str, pattern: str) -> int:
@@ -182,35 +243,39 @@ def window_imbalance_curve(
 ) -> Dict[int, ScanWitness]:
     """Largest count spread of any pattern, per window length, over all texts.
 
-    Occurrence prefix sums are built once per (text, pattern) and reused
-    across all window lengths. Lengths no text can fit are omitted from the
-    result. Deterministic: texts and patterns are scanned in the given
-    order, first achiever wins.
+    Runs pattern by pattern: one pattern's occurrence prefix sums (one per
+    text) are built, serve every window length, and are dropped before the
+    next pattern's. Lengths no text can fit are omitted from the result.
+    Deterministic: texts and patterns are scanned in the given order, first
+    achiever wins.
     """
     import numpy as np
 
-    prefixes: Dict[Tuple[int, str], np.ndarray] = {}
-    for ti, text in enumerate(texts):
-        for pattern in patterns:
+    lens = sorted(set(window_lens))
+    if lens and lens[0] <= 0:
+        raise ValueError("window length must be positive")
+    best: Dict[int, ScanWitness] = {}
+    for pattern in patterns:
+        m = len(pattern)
+        # int32 halves the memory traffic of the window subtractions below;
+        # a count never exceeds its text's length.
+        prefixes = []
+        for text in texts:
             ind = _occurrence_indicator(text, pattern)
-            prefixes[ti, pattern] = np.concatenate([[0], np.cumsum(ind)])
-    out: Dict[int, ScanWitness] = {}
-    for window_len in sorted(set(window_lens)):
-        if window_len <= 0:
-            raise ValueError("window length must be positive")
-        best: Optional[ScanWitness] = None
-        for pattern in patterns:
-            m = len(pattern)
+            dtype = np.int32 if len(text) < 2**31 else np.int64
+            prefix = np.zeros(len(ind) + 1, dtype=dtype)
+            np.cumsum(ind, out=prefix[1:])
+            prefixes.append(prefix)
+        for window_len in lens:
             hi: Optional[Tuple[int, int, int]] = None
             lo: Optional[Tuple[int, int, int]] = None
-            for ti, text in enumerate(texts):
+            for ti, (text, prefix) in enumerate(zip(texts, prefixes)):
                 t = len(text)
                 if t < window_len:
                     continue
                 if window_len < m:
                     mx = mn = am = an = 0
                 else:
-                    prefix = prefixes[ti, pattern]
                     span = window_len - m + 1
                     counts = (
                         prefix[span : span + (t - window_len + 1)]
@@ -227,17 +292,17 @@ def window_imbalance_curve(
             if hi is None or lo is None:
                 continue
             spread = hi[0] - lo[0]
-            if best is None or spread > best.imbalance:
-                best = ScanWitness(
+            # Patterns arrive in order, so a strict improvement keeps the
+            # first pattern achieving the largest spread.
+            if window_len not in best or spread > best[window_len].imbalance:
+                best[window_len] = ScanWitness(
                     pattern=pattern,
                     window_len=window_len,
                     imbalance=spread,
                     high_window=texts[hi[1]][hi[2] : hi[2] + window_len],
                     low_window=texts[lo[1]][lo[2] : lo[2] + window_len],
                 )
-        if best is not None:
-            out[window_len] = best
-    return out
+    return {m: best[m] for m in lens if m in best}
 
 
 def window_imbalance(

@@ -10,19 +10,24 @@ equal-length witness pairs whose length-2 block counts drift apart linearly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .language import DirectiveSequence, ResourceLimitError
+from .language import DirectiveSequence
+from .limits import ResourceLimitError, check_budget
 from .scan import (
+    MAX_TEXT_CHARS,
     ScanWitness,
     TextCodec,
+    _letter_lengths,
     _occurrence_indicator,
+    _tower_texts,
     count_overlapping,
     distinct_factors,
     expand_text,
-    tower_letter_texts,
     window_imbalance,
     window_imbalance_curve,
 )
@@ -44,9 +49,11 @@ SUB_M = Substitution.from_text("0->01;1->10")
 SUB_R = Substitution.from_text("0->01;1->1")
 
 _M_STEP = {ord("0"): "01", ord("1"): "10"}
+_FLIP = str.maketrans("01", "10")
 _BLOCK_PATTERNS = ("00", "01", "10", "11")
 
 MAX_WITNESS_CHARS = 45_000_000
+_FACTOR_MAX_DEPTH = 26
 
 
 def builtin_registry() -> Dict[str, Substitution]:
@@ -176,21 +183,50 @@ def shared_image_tail(prefix_names: str) -> Word:
     return tail01
 
 
+def _thue_morse_depth(min_chars: int) -> int:
+    """Smallest d >= 1 with 2^d >= min_chars."""
+    return max(1, (min_chars - 1).bit_length())
+
+
 def thue_morse_text(min_chars: int, max_chars: int = MAX_WITNESS_CHARS) -> str:
-    """A prefix 2^d-expansion of the doubling fixed point with >= min_chars."""
-    depth = 1
-    while (1 << depth) < min_chars:
-        depth += 1
-    return expand_text(SUB_M, "0", depth, max_chars=max_chars)
+    """A prefix 2^d-expansion of the doubling fixed point with >= min_chars.
+
+    The length 2^d is checked against max_chars before anything is built.
+    Built by doubling: M^(k+1)(0) = M^k(0) . M^k(1), and M^k(1) is M^k(0)
+    with 0 and 1 swapped, a one-to-one translate.
+    """
+    depth = _thue_morse_depth(min_chars)
+    check_budget("Thue-Morse text", 1 << depth, max_chars)
+    text = "0"
+    for _ in range(depth):
+        text += text.translate(_FLIP)
+    return text
 
 
 def block_abelianization(word: str) -> Tuple[int, int, int, int]:
-    """Counts of the four length-2 blocks (00, 01, 10, 11), overlaps included."""
-    return tuple(count_overlapping(word, p) for p in _BLOCK_PATTERNS)
+    """Counts of the four length-2 blocks (00, 01, 10, 11) of a binary word.
+
+    01 and 10 cannot overlap themselves, so str.count finds them all; every
+    other block is read off the letters that start a block: a 0 starts
+    either 00 or 01, a 1 either 10 or 11.
+    """
+    if word.count("0") + word.count("1") != len(word):
+        raise ValueError("block counts need a word over 0 and 1")
+    starts = max(len(word) - 1, 0)
+    zeros = word.count("0", 0, starts)
+    n01, n10 = word.count("01"), word.count("10")
+    return (zeros - n01, n01, n10, starts - zeros - n10)
 
 
 def _double_step(s: str) -> str:
     return s.translate(_M_STEP).translate(_M_STEP)
+
+
+def _witness_length(index: int) -> int:
+    """Length (4^index + 2) / 3 of both words of the index witness pair."""
+    if index < 1:
+        raise ValueError("witness index must be >= 1")
+    return (4**index + 2) // 3
 
 
 def witness_strings(index: int) -> Tuple[str, str]:
@@ -202,11 +238,8 @@ def witness_strings(index: int) -> Tuple[str, str]:
     equals w'_next followed by 01 (odd) or 10 (even). Both words have
     length (4^index + 2) / 3 and lie in the Thue-Morse language.
     """
-    if index < 1:
-        raise ValueError("witness index must be >= 1")
-    expected_len = (4**index + 2) // 3
-    if expected_len > MAX_WITNESS_CHARS:
-        raise ResourceLimitError("witness pair exceeds the character budget")
+    expected_len = _witness_length(index)
+    check_budget("witness pair", expected_len, MAX_WITNESS_CHARS)
     w, wp = "00", "01"
     for k in range(1, index):
         border = "0" if k % 2 == 1 else "1"
@@ -246,9 +279,15 @@ class WitnessPair:
 
 
 def witness_pair(index: int, max_chars: int = MAX_WITNESS_CHARS) -> WitnessPair:
-    """Witness pair with membership certificates in a doubling expansion."""
+    """Witness pair with membership certificates in a doubling expansion.
+
+    The certification text's length follows from the closed-form word
+    length, so an oversized request is refused before either is built.
+    """
+    min_chars = 24 * _witness_length(index) + 16
+    check_budget("certification text", 1 << _thue_morse_depth(min_chars), max_chars)
     w, wp = witness_strings(index)
-    text = thue_morse_text(min_chars=24 * len(w) + 16, max_chars=max_chars)
+    text = thue_morse_text(min_chars=min_chars, max_chars=max_chars)
     depth = len(text).bit_length() - 1
     pos, posp = text.find(w), text.find(wp)
     if pos < 0 or posp < 0:
@@ -409,24 +448,43 @@ def level_scan_texts(
     a level-0 language member by definition, so any equal-length window
     pair drawn from these texts certifies an imbalance lower bound. Depth
     grows geometrically (x1.5, not x2: doubling the depth can square the
-    text length and blow the scan budget) until the longest letter text
-    reaches min_chars or the depth cap; each text is clipped to `clip`.
+    text length) until the longest letter text reaches min_chars or the
+    depth cap; each text is clipped to `clip`. The depth is chosen from
+    the text lengths alone, and then each text is built once, and only its
+    first clip characters.
     """
     if min_chars < 1 or clip < 1:
         raise ValueError("min_chars and clip must be positive")
-    q = max(1, d.period_length)
-    depth = max(8, d.prefix_length + q)
+    codec = TextCodec.for_alphabet(d.level_alphabet(0))
+    depth = _scan_depth(d, codec.alphabet, min_chars, clip, max_depth)
+    subs = [d.substitution_at(j) for j in range(depth)]
+    texts = _tower_texts(subs, codec, clip=clip)
+    return [t for t in texts.values() if t], codec
+
+
+def _scan_depth(
+    d: DirectiveSequence, alphabet: Alphabet, min_chars: int, clip: int, max_depth: int
+) -> int:
+    """The depth level_scan_texts builds, from letter-text lengths only.
+
+    Refused when some level up to that depth would keep more than
+    MAX_TEXT_CHARS characters, counting each letter text up to clip.
+    """
+    sizes = _letter_lengths(map(d.substitution_at, itertools.count()), alphabet)
+    level = 0
+    depth = max(8, d.prefix_length + max(1, d.period_length))
     while True:
-        texts, codec = tower_letter_texts(d, 0, depth)
-        if max(len(t) for t in texts.values()) >= min_chars or depth >= max_depth:
-            break
+        for lengths in itertools.islice(sizes, depth - level):
+            kept = sum(min(n, clip) for n in lengths.values())
+            check_budget("scan expansion", kept, MAX_TEXT_CHARS)
+        level = depth
+        if max(lengths.values()) >= min_chars or depth >= max_depth:
+            return depth
         depth = min(max_depth, depth + max(1, depth // 2))
-    clipped = [t[:clip] for t in texts.values() if t]
-    return clipped, codec
 
 
 def collect_factors(
-    max_len: int, max_depth: int = 26
+    max_len: int, max_depth: int = _FACTOR_MAX_DEPTH
 ) -> Tuple[frozenset, int, bool]:
     """Distinct Thue-Morse factors up to max_len, with a stability flag.
 
@@ -438,25 +496,23 @@ def collect_factors(
     return factors, depth, stable
 
 
-def _factors_and_text(
-    max_len: int, max_depth: int = 26
-) -> Tuple[frozenset, str, int, bool]:
-    """collect_factors, plus the expansion whose factors were collected."""
+@functools.lru_cache(maxsize=None)
+def _factors_and_text(max_len: int, max_depth: int) -> Tuple[frozenset, str, int, bool]:
+    """collect_factors, plus the expansion whose factors were collected.
+
+    Memoised: every value returned is immutable, and verify asks twice.
+    """
     depth = max(4, (16 * max_len).bit_length())
     text = expand_text(SUB_M, "0", depth)
     pool = distinct_factors(text, max_len)
     while depth < max_depth:
-        text = _next_expansion(text)
+        text += text.translate(_FLIP)
         depth += 1
         bigger = distinct_factors(text, max_len)
         if bigger == pool:
             return frozenset(pool), text, depth, True
         pool = bigger
     return frozenset(pool), text, depth, False
-
-
-def _next_expansion(text: str) -> str:
-    return text.translate(_M_STEP)
 
 
 def compositions_upto(depth: int) -> List[Tuple[str, Substitution]]:
@@ -580,7 +636,7 @@ def count_preservation_violations(
     in sigma(T) starting in [P[p], P[p + |w|] - |sigma(011)|], which a
     prefix sum over sigma(T) gives directly (image_pattern_counts).
     """
-    factors, text, depth, stable = _factors_and_text(max_word_len)
+    factors, text, depth, stable = _factors_and_text(max_word_len, _FACTOR_MAX_DEPTH)
     comps = padded_compositions(composition_depth)
     violations, distinct = preservation_violations(comps, list(factors), text)
     return {

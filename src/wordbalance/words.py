@@ -12,6 +12,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Hashable, Iterable, Iterator, Mapping, Tuple, Union
 
+from .limits import check_budget
+
 Symbol = Hashable
 
 MAX_BLOCK_ALPHABET = 1 << 20
@@ -172,8 +174,7 @@ def block_alphabet(alphabet: Alphabet, n: int) -> Alphabet:
     """Alphabet of all n-tuples over `alphabet`, in lexicographic order."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    if len(alphabet) ** n > MAX_BLOCK_ALPHABET:
-        raise ValueError(f"block alphabet of size {len(alphabet)}^{n} exceeds limit")
+    check_budget("block alphabet", len(alphabet) ** n, MAX_BLOCK_ALPHABET, "symbols")
     return Alphabet(tuple(product(alphabet.symbols, repeat=n)))
 
 

@@ -119,6 +119,20 @@ class TestAnalyze:
         assert "2" in scan["curves"]
         assert_no_floats(rep)
 
+    def test_scan_renders_symbols_outside_latin1(self, capsys):
+        # Symbols past latin-1 get stand-in codec characters for the scan;
+        # the report must show the symbols themselves.
+        rep = run_json(
+            capsys, "analyze", "--directive", "|S", "--register", "S=\u0100->\u0100\u0101;\u0101->\u0100",
+            "--max-length", str(EXHAUSTIVE_CAP + 38), "--nmax", "2",
+        )
+        entries = [e for curve in rep["results"]["scan"]["curves"].values() for e in curve]
+        assert entries
+        for e in entries:
+            for key in ("pattern", "high_window", "low_window"):
+                assert set(e[key]) <= {"\u0100", "\u0101"}
+            assert len(e["high_window"]) == len(e["low_window"]) == e["window"]
+
     def test_unknown_substitution_fails_usage(self, capsys):
         code, _, err = run(capsys, "analyze", "--directive", "|Q")
         assert code == EXIT_USAGE
@@ -199,6 +213,38 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "--n", "15")
         assert code == EXIT_RESOURCE_LIMIT
         assert "error" in err
+
+    @pytest.mark.parametrize("n", range(11, 16))
+    def test_oversized_refusal_names_the_limit(self, capsys, n):
+        code, out, err = run(capsys, "witness", "--n", str(n))
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: certification text needs ")
+        assert err.endswith(" characters, limit 45000000\n")
+
+
+class TestSizeGuards:
+    def test_text_codec_guard_exits_3(self, capsys):
+        # Q adds 199 letters to {0, 1}, and P maps them back to 0, so the
+        # level-0 alphabet has 201 symbols while the sampled language stays
+        # binary; the scan past the exhaustive cap needs a 201-symbol codec.
+        extra = [chr(0x100 + i) for i in range(199)]
+        q = "0->0" + "".join(extra) + ";1->1"
+        p = "0->0;1->1;" + ";".join(f"{x}->0" for x in extra)
+        code, out, err = run(
+            capsys, "analyze", "--directive", "PQ|M", "--register", f"P={p}",
+            "--register", f"Q={q}", "--max-length", str(EXHAUSTIVE_CAP + 1),
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == "error: text codec needs 201 symbols, limit 200\n"
+
+    def test_scan_beyond_the_old_tower_budget_is_served(self, capsys):
+        rep = run_json(
+            capsys, "analyze", "--directive", "|RLR", "--max-length", "20000", "--nmax", "1"
+        )
+        assert rep["results"]["scan"]["text_chars"] == [480016, 480016]
 
 
 class TestVerify:

@@ -1,11 +1,13 @@
 """String-level scanning: codecs, expansion, and sliding-window counts."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wordbalance import scan
 from wordbalance.language import ResourceLimitError
 from wordbalance.scan import (
     ScanWitness,
@@ -51,7 +53,7 @@ class TestTextCodec:
         assert codec.decode('"$#') == coded
 
     def test_alphabet_size_limit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ResourceLimitError, match="needs 256 symbols, limit 200"):
             TextCodec.for_alphabet(block_alphabet(BIN, 8))  # 256 symbols
 
 
@@ -79,6 +81,57 @@ class TestExpansion:
     def test_tower_budget(self):
         with pytest.raises(ResourceLimitError):
             tower_letter_texts(parse_directive("|M"), 0, 30, max_chars=100)
+
+    def test_refusals_name_the_limit(self):
+        # The first too-long step is named: |M^10(0)| = 1024, and the two
+        # letter texts of sigma_[0,6) hold 2 * 64 characters.
+        with pytest.raises(ResourceLimitError, match="^expansion needs 1024 characters, limit 1000$"):
+            expand_text(M, "0", 40, max_chars=1000)
+        with pytest.raises(ResourceLimitError, match="^tower expansion needs 128 characters, limit 100$"):
+            tower_letter_texts(parse_directive("|M"), 0, 30, max_chars=100)
+
+    def test_budget_applies_to_every_step(self):
+        # 0 -> 11, 1 -> (erased): sigma(0) = 11 is over budget although
+        # sigma^2(0) is empty, so the request is refused as before.
+        erasing = Substitution.from_text("0->11;1->")
+        assert expand_text(erasing, "0", 2) == ""
+        with pytest.raises(ResourceLimitError, match="needs 2 characters, limit 1"):
+            expand_text(erasing, "0", 2, max_chars=1)
+
+    def test_tower_refused_before_any_text_is_built(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a text was built")
+
+        monkeypatch.setattr(scan, "_tower_texts", boom)
+        with pytest.raises(ResourceLimitError):
+            tower_letter_texts(parse_directive("|M"), 0, 30, max_chars=100)
+
+    def test_expansion_refused_before_any_text_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                expand_text(M, "0", 20, max_chars=2**19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Building M^19(0) on the way to the refusal would take 2^19 bytes.
+        assert peak < 2**16
+
+    @given(
+        st.lists(st.text(alphabet="012", max_size=3), min_size=3, max_size=3),
+        st.sampled_from("012"),
+        st.integers(0, 7),
+    )
+    def test_expansion_matches_stepwise_translate(self, images, seed, depth):
+        sub = Substitution.from_text(";".join(f"{a}->{w}" for a, w in zip("012", images)))
+        table = {ord(a): w for a, w in zip("012", images)}
+        want = seed
+        for _ in range(depth):
+            want = want.translate(table)
+        assert expand_text(sub, seed, depth) == want
+        if len(want) > 1:
+            with pytest.raises(ResourceLimitError):
+                expand_text(sub, seed, depth, max_chars=len(want) - 1)
 
 
 class TestCounting:

@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from wordbalance import tms
 from wordbalance.exactmat import EigenpairClaim, eigencheck
 from wordbalance.language import ResourceLimitError
-from wordbalance.scan import count_overlapping, distinct_factors
+from wordbalance.scan import count_overlapping, distinct_factors, expand_text
 from wordbalance.substitution import Substitution, compose, incidence_matrix
 from wordbalance.tms import (
     BLOCK_EIGENPAIRS,
+    SUB_M,
     block_abelianization,
     block_recursion_checks,
     block_substitution,
@@ -35,6 +39,7 @@ from wordbalance.tms import (
     witness_pair,
     witness_strings,
 )
+from wordbalance.verification import run_checks
 from wordbalance.words import Word
 
 TM32 = "01101001100101101001011001101001"
@@ -51,6 +56,31 @@ def tm_prefix(depth: int) -> str:
     for _ in range(depth):
         text = m_step(text)
     return text
+
+
+def reference_scan_texts(d, min_chars: int, clip: int, max_depth: int):
+    """Depth and texts of level_scan_texts, by full builds, then clipped.
+
+    Walks the same x1.5 depth schedule, but expands every letter text in
+    full at each visited depth and only then cuts it to clip.
+    """
+
+    def full_texts(depth):
+        texts = {a: a for a in d.level_alphabet(0).symbols}
+        for j in range(depth):
+            sig = d.substitution_at(j)
+            texts = {
+                a: "".join(texts[b] for b in sig.image(a).symbols)
+                for a in sig.domain.symbols
+            }
+        return texts
+
+    depth = max(8, d.prefix_length + max(1, d.period_length))
+    while True:
+        texts = full_texts(depth)
+        if max(map(len, texts.values())) >= min_chars or depth >= max_depth:
+            return depth, [t[:clip] for t in texts.values() if t]
+        depth = min(max_depth, depth + max(1, depth // 2))
 
 
 def blocks4(s: str) -> tuple:
@@ -153,6 +183,34 @@ class TestThueMorseText:
         t = thue_morse_text(128)
         assert m_step(t)[: len(t)] == t  # fixed-point prefix property
 
+    @pytest.mark.parametrize("depth", range(1, 17))
+    def test_doubling_matches_expansion_and_digit_sums(self, depth):
+        text = thue_morse_text(1 << depth)
+        assert text == expand_text(SUB_M, "0", depth)
+        # t(i) is the parity of the binary digit sum of i.
+        assert text == "".join("01"[bin(i).count("1") & 1] for i in range(1 << depth))
+
+    def test_budget_names_the_limit(self):
+        with pytest.raises(ResourceLimitError, match="^Thue-Morse text needs 2048 characters, limit 2000$"):
+            thue_morse_text(1500, max_chars=2000)
+        assert len(thue_morse_text(1500, max_chars=2048)) == 2048
+
+
+class TestBlockAbelianization:
+    @given(st.text(alphabet="01", max_size=64))
+    @example("")
+    @example("0")
+    @example("1")
+    def test_matches_overlapping_counts(self, word):
+        assert block_abelianization(word) == tuple(
+            count_overlapping(word, p) for p in ("00", "01", "10", "11")
+        )
+        assert block_abelianization(word) == blocks4(word)
+
+    def test_non_binary_word_rejected(self):
+        with pytest.raises(ValueError):
+            block_abelianization("0a1")
+
 
 class TestWitnessStrings:
     def test_base_pair(self):
@@ -240,6 +298,20 @@ class TestWitnessPair:
             assert p.block_counts == blocks4(p.word)
             assert p.block_counts_prime == blocks4(p.word_prime)
 
+    def test_oversized_refused_before_the_words_are_built(self, monkeypatch):
+        def boom(index):
+            raise AssertionError("witness_strings was called")
+
+        monkeypatch.setattr(tms, "witness_strings", boom)
+        # 24 * (4^11 + 2) / 3 + 16 characters need a 2^26 expansion.
+        with pytest.raises(
+            ResourceLimitError,
+            match="^certification text needs 67108864 characters, limit 45000000$",
+        ):
+            witness_pair(11)
+        with pytest.raises(ValueError):
+            witness_pair(0)
+
 
 class TestBlockStructure:
     def test_eigenpairs_against_incidence(self):
@@ -298,6 +370,41 @@ class TestScanHelpers:
             level_scan_texts(parse_directive("|M"), 0, 10)
         with pytest.raises(ValueError):
             level_scan_texts(parse_directive("|M"), 10, 0)
+
+    def test_level_scan_keeps_only_the_clipped_prefix(self):
+        # At depth 27 the longest text has 191,861 characters, so the
+        # schedule goes on to depth 40, where the two letter texts hold
+        # 80,198,051 in all; only the first 480,016 of each are built.
+        texts, codec = level_scan_texts(parse_directive("|RLR"), 480016, 480016)
+        assert [len(t) for t in texts] == [480016, 480016]
+        assert codec.chars == ("0", "1")
+
+    def test_level_scan_budget_counts_kept_characters(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a text was built")
+
+        monkeypatch.setattr(tms, "_tower_texts", boom)
+        # |M reaches 10^8 characters at depth 27; two letter texts of 2^27
+        # characters exceed the 80M budget when nothing is clipped away.
+        with pytest.raises(ResourceLimitError, match="^scan expansion needs 134217728 characters"):
+            level_scan_texts(parse_directive("|M"), 10**8, 10**12)
+
+    @given(
+        st.text(alphabet="LMR", max_size=3),
+        st.text(alphabet="LMR", min_size=1, max_size=3),
+        st.integers(1, 3000),
+        st.integers(1, 5000),
+        st.integers(1, 60),
+    )
+    def test_level_scan_matches_full_build_then_clip(
+        self, prefix, period, min_chars, clip, max_depth
+    ):
+        d = parse_directive(f"{prefix}|{period}")
+        depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
+        texts, codec = level_scan_texts(d, min_chars, clip, max_depth)
+        assert codec.chars == ("0", "1")
+        assert tms._scan_depth(d, codec.alphabet, min_chars, clip, max_depth) == depth
+        assert texts == want
 
     def test_collect_factors(self):
         factors, depth, stable = collect_factors(8)
@@ -398,6 +505,17 @@ class TestCompositions:
         ]
         clean, _ = preservation_violations(padded_compositions(2), words, text)
         assert clean == []
+
+
+class TestFactorMemo:
+    def test_verify_collects_the_factor_set_once(self):
+        tms._factors_and_text.cache_clear()
+        results = run_checks(only="occurrence-preservation") + run_checks(
+            only="eleven-count-window"
+        )
+        assert all(r.passed for r in results)
+        info = tms._factors_and_text.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestElevenCounts:

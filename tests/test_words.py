@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wordbalance.limits import ResourceLimitError
 from wordbalance.words import (
     Alphabet,
     AlphabetError,
@@ -187,7 +188,7 @@ class TestBlockCoding:
     def test_block_alphabet_guards(self):
         with pytest.raises(ValueError):
             block_alphabet(BIN, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ResourceLimitError, match="needs 2097152 symbols, limit 1048576"):
             block_alphabet(BIN, 21)  # 2**21 exceeds the size limit
 
     def test_coding_windows_in_order(self):
