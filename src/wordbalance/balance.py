@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exactmat import RationalMatrix, invert, kernel_vector, integer_eigenvalues, mat_vec
+from .exactmat import RationalMatrix, integer_eigenvalues, invert, kernel_basis, mat_vec
 from .language import LanguageSample
 from .substitution import Substitution, incidence_matrix
 from .words import Alphabet, Symbol, Word, sort_words
@@ -68,17 +68,29 @@ def imbalance(
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    cap = sample.max_length if length_cap is None else min(length_cap, sample.max_length)
-    factors = sample.words_of_length(n)
-    by_length: Dict[int, List[Word]] = {}
-    for w in sample.words:
-        if 0 < len(w) <= cap:
-            by_length.setdefault(len(w), []).append(w)
+    return _imbalance(_length_classes(sample), n, _length_cap(sample, length_cap))
 
+
+def _length_cap(sample: LanguageSample, length_cap: Optional[int]) -> int:
+    return sample.max_length if length_cap is None else min(length_cap, sample.max_length)
+
+
+def _length_classes(sample: LanguageSample) -> Dict[int, List[Word]]:
+    """Nonempty sample words by length, in increasing length, each class in
+    sort_words order. One sort serves every factor length."""
+    classes: Dict[int, List[Word]] = {}
+    for w in sample.nonempty_words():
+        classes.setdefault(len(w), []).append(w)
+    return classes
+
+
+def _imbalance(classes: Dict[int, List[Word]], n: int, cap: int) -> BalanceEntry:
+    factors = classes.get(n, [])
     best: Optional[Witness] = None
     curve: List[Tuple[int, int]] = []
-    for length in sorted(by_length):
-        cls = sort_words(by_length[length])
+    for length, cls in classes.items():
+        if length > cap:
+            break
         class_best: Optional[Witness] = None
         if len(cls) >= 2 and factors:
             tallies = [_tally(w.symbols, n) for w in cls]
@@ -116,7 +128,9 @@ def _tally(symbols: Tuple[Symbol, ...], n: int) -> Dict[Tuple[Symbol, ...], int]
 def balance_report(
     sample: LanguageSample, n_max: int, length_cap: Optional[int] = None
 ) -> BalanceReport:
-    entries = tuple(imbalance(sample, n, length_cap) for n in range(1, n_max + 1))
+    classes = _length_classes(sample)
+    cap = _length_cap(sample, length_cap)
+    entries = tuple(_imbalance(classes, n, cap) for n in range(1, n_max + 1))
     return BalanceReport(
         level=sample.level,
         max_length=sample.max_length,
@@ -162,7 +176,8 @@ def frequency_vector(
     perron: normalized kernel vector of (M - lambda I) for the largest
     integer eigenvalue lambda of the substitution's incidence matrix;
     requires a substitution whose incidence is square with an integer
-    dominant eigenvalue and a nonnegative eigenvector.
+    dominant eigenvalue whose eigenspace is spanned by one nonnegative
+    eigenvector.
     """
     if mode == "empirical":
         lengths = [len(w) for w in sample.words if len(w) > 0]
@@ -184,7 +199,12 @@ def frequency_vector(
 
 
 def perron_frequency(substitution: Substitution) -> FrequencyVector:
-    """Dominant-eigenvector frequencies of a substitution's incidence matrix."""
+    """Dominant-eigenvector frequencies of a substitution's incidence matrix.
+
+    Refused (ValueError) unless the dominant eigenspace is one-dimensional:
+    otherwise no single eigenvector, hence no single frequency vector, is
+    determined by the matrix.
+    """
     m = incidence_matrix(substitution)
     if not m.is_square():
         raise ValueError("perron frequencies need an endomorphism")
@@ -198,9 +218,12 @@ def perron_frequency(substitution: Substitution) -> FrequencyVector:
             for i in range(m.shape[0])
         ]
     )
-    kern = kernel_vector(shifted)
-    if kern is None:
+    basis = kernel_basis(shifted)
+    if not basis:
         raise ValueError("dominant eigenvalue has trivial kernel")
+    if len(basis) > 1:
+        raise ValueError(f"dominant eigenspace has dimension {len(basis)}: frequencies not unique")
+    kern = basis[0]
     total = sum(kern, Fraction(0))
     if total == 0:
         raise ValueError("dominant eigenvector sums to zero")

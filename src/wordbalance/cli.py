@@ -30,6 +30,7 @@ from .language import (
     is_everywhere_growing,
     sample_level_language,
 )
+from .limits import check_budget
 from .report import FORMATS, build_report, rational_str, render_report
 from .scan import window_imbalance_curve
 from .substitution import Substitution, incidence_matrix
@@ -40,7 +41,7 @@ from .tms import (
     witness_growth_curve,
     witness_pair,
 )
-from .words import render_symbol
+from .words import MAX_BLOCK_ALPHABET, render_symbol
 
 EXIT_SUCCESS = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -221,6 +222,9 @@ def _witness_dict(w) -> Dict[str, Any]:
 def _scan_section(
     d: DirectiveSequence, max_length: int, nmax: int
 ) -> Dict[str, Any]:
+    # A pattern is a block of nmax letters, so the block-alphabet cap bounds
+    # the patterns scanned; those absent from the texts cost almost nothing.
+    check_budget("window scan", len(d.level_alphabet(0)) ** nmax, MAX_BLOCK_ALPHABET, "patterns")
     min_chars = 24 * max_length + 16
     texts, codec = level_scan_texts(d, min_chars=min_chars, clip=min_chars)
     grid = _window_grid(max_length)

@@ -220,8 +220,8 @@ def eigencheck(a: RationalMatrix, claim: EigenpairClaim) -> bool:
     return mat_vec(a, claim.vector) == vec_scale(claim.eigenvalue, claim.vector)
 
 
-def kernel_vector(a: RationalMatrix) -> Optional[Vector]:
-    """A nonzero rational solution of a*x = 0, or None if the kernel is trivial."""
+def kernel_basis(a: RationalMatrix) -> Tuple[Vector, ...]:
+    """A basis of the rational solutions of a*x = 0, one vector per free column."""
     n, m = a.shape
     rows = [list(r) for r in a.rows]
     pivots = []
@@ -241,15 +241,19 @@ def kernel_vector(a: RationalMatrix) -> Optional[Vector]:
         r += 1
         if r == n:
             break
-    free = [c for c in range(m) if c not in pivots]
-    if not free:
-        return None
-    c0 = free[0]
-    x = [Fraction(0)] * m
-    x[c0] = Fraction(1)
-    for i, c in enumerate(pivots):
-        x[c] = -rows[i][c0]
-    return tuple(x)
+    basis = []
+    for c0 in (c for c in range(m) if c not in pivots):
+        x = [Fraction(0)] * m
+        x[c0] = Fraction(1)
+        for i, c in enumerate(pivots):
+            x[c] = -rows[i][c0]
+        basis.append(tuple(x))
+    return tuple(basis)
+
+
+def kernel_vector(a: RationalMatrix) -> Optional[Vector]:
+    """A nonzero rational solution of a*x = 0, or None if the kernel is trivial."""
+    return next(iter(kernel_basis(a)), None)
 
 
 def integer_eigenvalues(a: RationalMatrix, upper_bound: Optional[int] = None) -> Tuple[int, ...]:

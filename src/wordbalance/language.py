@@ -148,11 +148,32 @@ def is_factorial(sample: LanguageSample) -> bool:
     return True
 
 
-def _factors_into(pool: set, syms: Tuple[Symbol, ...], max_length: int) -> None:
-    n = len(syms)
-    for length in range(1, min(n, max_length) + 1):
-        for i in range(n - length + 1):
-            pool.add(syms[i : i + length])
+def _letter_codes(alphabet: Alphabet) -> Dict[Symbol, str]:
+    """One character per letter, in alphabet order: the samplers' word form."""
+    return {a: chr(i) for i, a in enumerate(alphabet.symbols)}
+
+
+def _decode_words(strings: Iterable[str], alphabet: Alphabet) -> frozenset:
+    """The Words spelled by letter-code strings, plus the empty word."""
+    symbols = alphabet.symbols
+    words = {Word(tuple(symbols[ord(c)] for c in w), alphabet) for w in strings}
+    words.add(Word((), alphabet))
+    return frozenset(words)
+
+
+def _short_factors(texts: Iterable[str], max_length: int) -> set:
+    """Nonempty factors of length <= max_length of the texts.
+
+    They are the prefixes of the distinct windows text[i : i + max_length]
+    (cut short at the end of a text). A language of linear factor
+    complexity has few distinct windows, however long its texts.
+    """
+    if max_length < 1:
+        return set()
+    windows: set = set()
+    for s in texts:
+        windows.update(s[i : i + max_length] for i in range(len(s)))
+    return {w[:j] for w in windows for j in range(1, len(w) + 1)}
 
 
 def factorial_closure(
@@ -167,32 +188,17 @@ def factorial_closure(
         if not words:
             raise ValueError("need an alphabet when no words are given")
         alphabet = words[0].alphabet
-    pool: set = {()}
-    for w in words:
-        if w.alphabet != alphabet:
-            raise ValueError("mixed alphabets in factorial closure")
-        _factors_into(pool, w.symbols, max_length)
+    if any(w.alphabet != alphabet for w in words):
+        raise ValueError("mixed alphabets in factorial closure")
+    code = _letter_codes(alphabet)
+    texts = ("".join(map(code.__getitem__, w.symbols)) for w in words)
     return LanguageSample(
         alphabet=alphabet,
         level=level,
         max_length=max_length,
-        words=frozenset(Word(s, alphabet) for s in pool),
+        words=_decode_words(_short_factors(texts, max_length), alphabet),
         meta=SampleMeta(depth=0, window=0, exact=True, saturated=True),
     )
-
-
-def _tower_images(d: DirectiveSequence, k: int, n: int) -> Dict[Symbol, Tuple[Symbol, ...]]:
-    """Letter images of sigma_[k,n) as raw symbol tuples (fast path)."""
-    images = {a: (a,) for a in d.level_alphabet(k).symbols}
-    for j in range(k, n):
-        sig = d.substitution_at(j)
-        images = {
-            a: tuple(
-                s for b in sig.image(a).symbols for s in images[b]
-            )
-            for a in sig.domain.symbols
-        }
-    return images
 
 
 def _min_image_lengths(d: DirectiveSequence, k: int, up_to: int) -> list:
@@ -282,31 +288,27 @@ def sample_level_language(
 
     factor_sets = []
     budget = 0
-    images = _tower_images(d, k, depth)
-    for n in range(depth, deepest + 1):
-        pool: set = set()
-        for syms in images.values():
-            budget += len(syms)
+    images = _letter_codes(alphabet)
+    for n in range(k, deepest + 1):
+        if n >= depth:
+            budget += sum(map(len, images.values()))
             if budget > MAX_SAMPLE_CHARS:
                 raise ResourceLimitError("sample window exceeds the size budget")
-            _factors_into(pool, syms, max_length)
-        factor_sets.append(pool)
+            factor_sets.append(_short_factors(images.values(), max_length))
         if n < deepest:
             sig = d.substitution_at(n)
             images = {
-                a: tuple(s for b in sig.image(a).symbols for s in images[b])
+                a: "".join(images[b] for b in sig.image(a).symbols)
                 for a in sig.domain.symbols
             }
 
     core = set.intersection(*factor_sets[: window + 1])
     shifted = set.intersection(*factor_sets[step : step + window + 1])
-    core.add(())
-    shifted.add(())
     return LanguageSample(
         alphabet=alphabet,
         level=k,
         max_length=max_length,
-        words=frozenset(Word(s, alphabet) for s in core),
+        words=_decode_words(core, alphabet),
         meta=SampleMeta(depth=depth, window=window, exact=False, saturated=core == shifted),
     )
 
@@ -349,9 +351,8 @@ def _exact_fixed_point_sample(
     letter inside this function.
     """
     tau = d.period[0]
-    symbols = alphabet.symbols
-    code = {a: chr(i) for i, a in enumerate(symbols)}
-    images = {code[a]: "".join(code[b] for b in tau.image(a).symbols) for a in symbols}
+    code = _letter_codes(alphabet)
+    images = {code[a]: "".join(code[b] for b in tau.image(a).symbols) for a in alphabet.symbols}
     longest = -(-(max_length - 1) // min(map(len, images.values()))) + 1
     current: set = {code[seed]} if max_length >= 1 else set()
     new = current
@@ -375,13 +376,11 @@ def _exact_fixed_point_sample(
         if not new:
             break
         current |= new
-    words = {Word(tuple(symbols[ord(c)] for c in w), alphabet) for w in current}
-    words.add(Word((), alphabet))
     return LanguageSample(
         alphabet=alphabet,
         level=k,
         max_length=max_length,
-        words=frozenset(words),
+        words=_decode_words(current, alphabet),
         meta=SampleMeta(depth=iterations, window=0, exact=True, saturated=True),
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .language import DirectiveSequence
+from .language import DirectiveSequence, _short_factors
 from .limits import check_budget
 from .substitution import Substitution
 from .words import Alphabet, Symbol, Word
@@ -171,60 +171,18 @@ def count_overlapping(text: str, pattern: str) -> int:
 
 
 def _occurrence_indicator(text: str, pattern: str) -> np.ndarray:
-    """indicator[i] == 1 iff text[i:i+len(pattern)] == pattern."""
+    """indicator[i] is True iff text[i:i+len(pattern)] == pattern."""
     import numpy as np
 
     data = np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
     pat = np.frombuffer(pattern.encode("latin-1"), dtype=np.uint8)
     m, t = len(pat), len(data)
     if m == 0 or t < m:
-        return np.zeros(max(t - m + 1, 0), dtype=np.int64)
+        return np.zeros(max(t - m + 1, 0), dtype=bool)
     match = data[: t - m + 1] == pat[0]
     for j in range(1, m):
         match &= data[j : t - m + 1 + j] == pat[j]
-    return match.astype(np.int64)
-
-
-@dataclass(frozen=True)
-class WindowExtrema:
-    """Sliding-window occurrence extrema of one pattern in one text."""
-
-    pattern: str
-    window_len: int
-    max_count: int
-    min_count: int
-    argmax: int
-    argmin: int
-
-
-def window_count_extrema(text: str, pattern: str, window_len: int) -> Optional[WindowExtrema]:
-    """Extrema of pattern counts over all windows of window_len in text.
-
-    Returns None when the text is shorter than the window. argmax/argmin are
-    the smallest window start positions achieving the extrema.
-    """
-    import numpy as np
-
-    t, m = len(text), len(pattern)
-    if window_len <= 0:
-        raise ValueError("window length must be positive")
-    if t < window_len:
-        return None
-    if window_len < m:
-        zeros = t - window_len + 1
-        return WindowExtrema(pattern, window_len, 0, 0, 0, 0) if zeros else None
-    ind = _occurrence_indicator(text, pattern)
-    prefix = np.concatenate([[0], np.cumsum(ind)])
-    span = window_len - m + 1
-    counts = prefix[span : span + (t - window_len + 1)] - prefix[: t - window_len + 1]
-    return WindowExtrema(
-        pattern=pattern,
-        window_len=window_len,
-        max_count=int(counts.max()),
-        min_count=int(counts.min()),
-        argmax=int(counts.argmax()),
-        argmin=int(counts.argmin()),
-    )
+    return match
 
 
 @dataclass(frozen=True)
@@ -245,7 +203,8 @@ def window_imbalance_curve(
 
     Runs pattern by pattern: one pattern's occurrence prefix sums (one per
     text) are built, serve every window length, and are dropped before the
-    next pattern's. Lengths no text can fit are omitted from the result.
+    next pattern's. A text without the pattern gets none: its counts are
+    all zero. Lengths no text can fit are omitted from the result.
     Deterministic: texts and patterns are scanned in the given order, first
     achiever wins.
     """
@@ -254,17 +213,28 @@ def window_imbalance_curve(
     lens = sorted(set(window_lens))
     if lens and lens[0] <= 0:
         raise ValueError("window length must be positive")
+    # A window's count is at most its length, so prefix sums kept modulo
+    # 2^16 (or 2^32) still give every window count exactly, with a quarter
+    # (or half) of the memory traffic of int64.
+    top = lens[-1] if lens else 0
+    dtype = np.uint16 if top < 2**16 else np.uint32 if top < 2**32 else np.uint64
+    buf = np.empty(max(map(len, texts), default=0), dtype=dtype)
     best: Dict[int, ScanWitness] = {}
     for pattern in patterns:
         m = len(pattern)
-        # int32 halves the memory traffic of the window subtractions below;
-        # a count never exceeds its text's length.
+        present = [pattern in text for text in texts]
+        # A pattern that occurs nowhere has spread 0 at every length, which
+        # never beats a witness already found (after the first pattern, every
+        # length some text fits has one).
+        if best and not any(present):
+            continue
         prefixes = []
-        for text in texts:
-            ind = _occurrence_indicator(text, pattern)
-            dtype = np.int32 if len(text) < 2**31 else np.int64
-            prefix = np.zeros(len(ind) + 1, dtype=dtype)
-            np.cumsum(ind, out=prefix[1:])
+        for text, here in zip(texts, present):
+            prefix = None
+            if here:
+                ind = _occurrence_indicator(text, pattern)
+                prefix = np.zeros(len(ind) + 1, dtype=dtype)
+                np.cumsum(ind, dtype=dtype, out=prefix[1:])
             prefixes.append(prefix)
         for window_len in lens:
             hi: Optional[Tuple[int, int, int]] = None
@@ -273,13 +243,13 @@ def window_imbalance_curve(
                 t = len(text)
                 if t < window_len:
                     continue
-                if window_len < m:
+                if prefix is None or window_len < m:
                     mx = mn = am = an = 0
                 else:
                     span = window_len - m + 1
-                    counts = (
-                        prefix[span : span + (t - window_len + 1)]
-                        - prefix[: t - window_len + 1]
+                    starts = t - window_len + 1
+                    counts = np.subtract(
+                        prefix[span : span + starts], prefix[:starts], out=buf[:starts]
                     )
                     # argmax/argmin return the first achiever, so reading the
                     # extremes through them keeps the smallest-start rule.
@@ -318,11 +288,6 @@ def window_imbalance(
 
 
 def distinct_factors(text: str, max_len: int, min_len: int = 1) -> set:
-    """All distinct substrings of text with lengths in [min_len, max_len]."""
-    pool: set = set()
-    t = len(text)
-    for length in range(min_len, max_len + 1):
-        for i in range(t - length + 1):
-            pool.add(text[i : i + length])
-    return pool
+    """All distinct nonempty substrings of text with lengths in [min_len, max_len]."""
+    return {w for w in _short_factors([text], max_len) if len(w) >= min_len}
 

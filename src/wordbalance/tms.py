@@ -578,7 +578,8 @@ def image_pattern_counts(
     image = text.translate(table)
     target = pattern.translate(table)
     ind = _occurrence_indicator(image, target)
-    occ = np.concatenate([[0], np.cumsum(ind)])  # occurrences starting before i
+    occ = np.zeros(len(ind) + 1, dtype=np.int64)  # occurrences starting before i
+    np.cumsum(ind, dtype=np.int64, out=occ[1:])
     image_len = np.zeros(256, dtype=np.int64)
     for a, img in table.items():
         image_len[a] = len(img)

@@ -23,8 +23,9 @@ from wordbalance.balance import (
     perron_frequency,
 )
 from wordbalance.exactmat import NotInvertibleError
+from wordbalance import language
 from wordbalance.language import factorial_closure
-from wordbalance.substitution import Substitution
+from wordbalance.substitution import Substitution, incidence_matrix
 from wordbalance.words import Alphabet, Word, count_occurrences
 
 BIN = Alphabet.from_text("01")
@@ -50,6 +51,13 @@ class TestImbalance:
         assert w.factor.render() == "0"
         assert (w.count_high, w.count_low) == (2, 0)
         assert w.imbalance == 2
+
+    def test_report_sorts_the_sample_once(self, tm_sample, monkeypatch):
+        calls = []
+        real = language.sort_words
+        monkeypatch.setattr(language, "sort_words", lambda ws: calls.append(1) or real(ws))
+        balance_report(tm_sample, 6)
+        assert len(calls) == 1
 
     def test_length_two_entry(self, small_sample):
         entry = imbalance(small_sample, 2)
@@ -149,6 +157,13 @@ class TestBalanceAgainstBruteForce:
             else (got.high.render(), got.low.render(), got.factor.render(), got.count_high, got.count_low)
         ) == witness
 
+    @given(small_factorial_samples(), st.integers(1, 4), st.one_of(st.none(), st.integers(1, 8)))
+    def test_report_entries_are_imbalances(self, sample, n_max, length_cap):
+        report = balance_report(sample, n_max, length_cap)
+        assert report.entries == tuple(
+            imbalance(sample, n, length_cap) for n in range(1, n_max + 1)
+        )
+
     @given(small_factorial_samples(), st.lists(st.integers(0, 5), min_size=3, max_size=3))
     def test_frequency_deviation_matches_every_word(self, sample, weights):
         letters = sample.alphabet.symbols
@@ -211,6 +226,18 @@ class TestFrequency:
     )
     def test_perron_values(self, sub, want):
         assert perron_frequency(sub).values == want
+
+    def test_perron_refuses_a_plane_of_eigenvectors(self):
+        with pytest.raises(ValueError, match="eigenspace has dimension 2"):
+            perron_frequency(Substitution.from_text("0->00;1->11"))
+        with pytest.raises(ValueError, match="eigenspace has dimension 2"):
+            perron_frequency(Substitution.from_text("0->00;1->11;2->2"))
+
+    def test_perron_accepts_a_jordan_block(self):
+        # L's incidence [[1,1],[0,1]] has the double eigenvalue 1 but a
+        # one-dimensional eigenspace, so its frequencies are unique.
+        assert incidence_matrix(L).rows == ((1, 1), (0, 1))
+        assert perron_frequency(L).values == (Fraction(1), Fraction(0))
 
     def test_perron_needs_endomorphism(self):
         widening = Substitution.from_text("0->012;1->01")

@@ -10,6 +10,7 @@ import pytest
 
 import wordbalance
 import wordbalance.verification as verification
+from wordbalance import scan
 from wordbalance.cli import (
     EXHAUSTIVE_CAP,
     EXIT_RESOURCE_LIMIT,
@@ -64,6 +65,15 @@ class TestAnalyze:
         assert res["growth"]["growing"] is True
         assert "scan" not in res  # cap is below the exhaustive threshold
         assert_no_floats(rep)
+
+    def test_perron_omitted_when_not_unique(self, capsys):
+        # 0->00, 1->11 has incidence 2I: every vector is a dominant
+        # eigenvector, so no frequency vector is reported as the Perron one.
+        rep = run_json(
+            capsys, "analyze", "--directive", "|S", "--register", "S=0->00;1->11",
+            "--max-length", "8",
+        )
+        assert set(rep["results"]["frequency"]) == {"empirical", "empirical_deviation"}
 
     def test_letter_balance_of_left_directive(self, capsys):
         rep = run_json(capsys, "analyze", "--directive", "|L", "--max-length", "20")
@@ -239,6 +249,41 @@ class TestSizeGuards:
         assert code == EXIT_RESOURCE_LIMIT
         assert out == ""
         assert err == "error: text codec needs 201 symbols, limit 200\n"
+
+    @staticmethod
+    def _wide_directive(extra_letters):
+        extra = [chr(0x100 + i) for i in range(extra_letters)]
+        q = "0->0" + "".join(extra) + ";1->1"
+        p = "0->0;1->1;" + ";".join(f"{x}->0" for x in extra)
+        return ["--directive", "PQ|M", "--register", f"P={p}", "--register", f"Q={q}"]
+
+    def test_scan_pattern_guard_exits_3(self, capsys):
+        # 200 level-0 symbols: 200^3 patterns of length 3 are past the
+        # block-alphabet cap of 2^20.
+        code, out, err = run(
+            capsys, "analyze", *self._wide_directive(198),
+            "--max-length", str(EXHAUSTIVE_CAP + 1), "--nmax", "3",
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == "error: window scan needs 8000000 patterns, limit 1048576\n"
+
+    def test_scan_builds_indicators_only_for_occurring_patterns(self, capsys, monkeypatch):
+        calls = []
+        real = scan._occurrence_indicator
+        monkeypatch.setattr(
+            scan, "_occurrence_indicator", lambda t, p: calls.append(p) or real(t, p)
+        )
+        rep = run_json(
+            capsys, "analyze", *self._wide_directive(198),
+            "--max-length", str(EXHAUSTIVE_CAP + 1), "--nmax", "2",
+        )
+        # 40,200 patterns over 200 symbols, but the scanned texts spell only
+        # 0 and 1 (codec characters "!" and '"', as the symbols are not all
+        # latin-1): one indicator per binary pattern and text.
+        a, b = "!", '"'
+        assert len(rep["results"]["scan"]["text_chars"]) == 2
+        assert sorted(calls) == sorted([a, b, a + a, a + b, b + a, b + b] * 2)
 
     def test_scan_beyond_the_old_tower_budget_is_served(self, capsys):
         rep = run_json(

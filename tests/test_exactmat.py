@@ -16,6 +16,7 @@ from wordbalance.exactmat import (
     eigencheck,
     integer_eigenvalues,
     invert,
+    kernel_basis,
     kernel_vector,
     mat_mul,
     mat_pow,
@@ -163,6 +164,15 @@ class TestEigen:
         assert k is not None and any(x != 0 for x in k)
         assert mat_vec(M([[1, 2], [2, 4]]), k) == (Fraction(0), Fraction(0))
         assert kernel_vector(M([[1, 0], [0, 1]])) is None
+
+    def test_kernel_basis(self):
+        assert kernel_basis(M([[1, 0], [0, 1]])) == ()
+        assert kernel_basis(M([[0, 0], [0, 0]])) == ((1, 0), (0, 1))
+        a = M([[1, 2, 3], [2, 4, 6]])
+        basis = kernel_basis(a)
+        assert len(basis) == 2
+        assert all(mat_vec(a, v) == (0, 0) for v in basis)
+        assert basis[0] == kernel_vector(a)
 
     def test_integer_eigenvalues_include_negatives(self):
         # det(A - tI) = t^2 - 1 for the exchange matrix: eigenvalues -1 and 1.

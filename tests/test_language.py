@@ -1,12 +1,16 @@
 """Directive sequences, language sampling, and growth decisions."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from wordbalance import language
 from wordbalance.language import (
     DirectiveSequence,
     LanguageSample,
+    ResourceLimitError,
     SampleMeta,
     factorial_closure,
     is_everywhere_growing,
@@ -16,7 +20,7 @@ from wordbalance.language import (
 )
 from wordbalance.substitution import Substitution, SubstitutionError
 from wordbalance.tms import parse_directive
-from wordbalance.words import Alphabet, Word
+from wordbalance.words import Alphabet, Word, block_alphabet, n_coding
 
 BIN = Alphabet.from_text("01")
 
@@ -101,6 +105,20 @@ class TestFactorialClosure:
             factorial_closure(
                 [Word.from_text("0", BIN), Word.from_text("a", other)], 3
             )
+
+    def test_block_letters(self):
+        blocks = block_alphabet(BIN, 2)
+        coded = [n_coding(Word.from_text(t, BIN), 2) for t in ("0110100110", "00111")]
+        for cap in (0, 1, 3, 9, 20):
+            sample = factorial_closure(coded, cap)
+            want = {()} | {
+                w.symbols[i:j]
+                for w in coded
+                for i in range(len(w))
+                for j in range(i + 1, min(i + cap, len(w)) + 1)
+            }
+            assert {w.symbols for w in sample.words} == want
+            assert sample.alphabet == blocks and sample.max_length == cap
 
     def test_is_factorial_detects_gaps(self):
         words = frozenset(
@@ -295,6 +313,91 @@ class TestWindowedSampling:
     def test_finite_directive_too_short(self):
         with pytest.raises(ValueError):
             sample_level_language(parse_directive("ML|"), 0, 4, depth=1, window=5)
+
+
+def tuple_windowed_sample(d, k, max_length, depth, window, limit):
+    """Reference windowed sampler on symbol tuples: every factor of length
+    1..max_length of every letter image, level by level, with the image
+    lengths charged to one budget before each image is factored. Returns
+    the word tuples and the meta fields, or raises like the sampler."""
+    step = max(1, d.period_length)
+    deepest = depth + window + step
+    images = {a: (a,) for a in d.level_alphabet(k).symbols}
+    factor_sets = []
+    budget = 0
+    for n in range(k, deepest + 1):
+        if n >= depth:
+            pool = set()
+            for syms in images.values():
+                budget += len(syms)
+                if budget > limit:
+                    raise ResourceLimitError("sample window exceeds the size budget")
+                for length in range(1, min(len(syms), max_length) + 1):
+                    for i in range(len(syms) - length + 1):
+                        pool.add(syms[i : i + length])
+            factor_sets.append(pool)
+        if n < deepest:
+            sig = d.substitution_at(n)
+            images = {
+                a: tuple(s for b in sig.image(a).symbols for s in images[b])
+                for a in sig.domain.symbols
+            }
+    core = set.intersection(*factor_sets[: window + 1]) | {()}
+    shifted = set.intersection(*factor_sets[step : step + window + 1]) | {()}
+    return core, SampleMeta(depth=depth, window=window, exact=False, saturated=core == shifted), budget
+
+
+TUPLES = Alphabet(((0,), (1,), (2,)))
+
+
+@st.composite
+def windowed_requests(draw):
+    """A directive E·prefix|period with E mapping the binary letters to tuple
+    symbols (images may be empty), a prefix over {L, M, R, Z} where Z is a
+    drawn binary substitution with an erasing image, and a period over
+    {L, M, R}; plus a cap, a depth and a window."""
+    e_images = {
+        a: Word(tuple(draw(st.lists(st.sampled_from(TUPLES.symbols), max_size=3))), TUPLES)
+        for a in "01"
+    }
+    erasing = draw(st.sampled_from("01"))
+    z_images = {a: "" if a == erasing else draw(st.text(alphabet="01", max_size=3)) for a in "01"}
+    registry = {
+        "E": Substitution(BIN, TUPLES, e_images),
+        "Z": Substitution.from_text(f"0->{z_images['0']};1->{z_images['1']}", BIN),
+    }
+    prefix = "E" + draw(st.text(alphabet="LMRZ", max_size=3))
+    period = draw(st.text(alphabet="LMR", min_size=1, max_size=3))
+    d = parse_directive(f"{prefix}|{period}", registry)
+    depth = draw(st.integers(1, len(prefix) + 5))
+    return d, draw(st.integers(0, 9)), depth, draw(st.integers(1, 3))
+
+
+class TestWindowedSamplerAgainstReference:
+    @given(windowed_requests(), st.integers(0, 3))
+    def test_matches_tuple_reference(self, drawn, slack):
+        d, cap, depth, window = drawn
+        used = tuple_windowed_sample(d, 0, cap, depth, window, float("inf"))[2]
+        # Served exactly at the budget the reference used, refused one below.
+        for limit in (used + slack, used - 1):
+            with mock.patch.object(language, "MAX_SAMPLE_CHARS", limit):
+                try:
+                    want = tuple_windowed_sample(d, 0, cap, depth, window, limit)[:2]
+                except ResourceLimitError as exc:
+                    with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+                        sample_level_language(d, 0, cap, depth=depth, window=window)
+                    continue
+                sample = sample_level_language(d, 0, cap, depth=depth, window=window)
+                assert ({w.symbols for w in sample.words}, sample.meta) == want
+                assert sample.alphabet == TUPLES
+                assert all(w.alphabet == TUPLES for w in sample.words)
+
+    def test_pinned_directives_match_reference(self):
+        for name, cap in [("LMR|ML", 12), ("|RLR", 10), ("RL|LR", 8)]:
+            d = parse_directive(name)
+            sample = sample_level_language(d, 0, cap, depth=6, window=3)
+            words, meta, _ = tuple_windowed_sample(d, 0, cap, 6, 3, float("inf"))
+            assert ({w.symbols for w in sample.words}, sample.meta) == (words, meta)
 
 
 class TestGrowthDecision:

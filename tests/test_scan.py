@@ -16,7 +16,6 @@ from wordbalance.scan import (
     distinct_factors,
     expand_text,
     tower_letter_texts,
-    window_count_extrema,
     window_imbalance,
     window_imbalance_curve,
 )
@@ -153,34 +152,37 @@ class TestCounting:
             assert count_overlapping(text, pat) == brute_count(text, pat)
 
 
-class TestWindowExtrema:
+class TestOnePatternCurve:
+    """window_imbalance_curve on one text and one pattern: the spread of the
+    pattern's window counts, with the first highest and lowest window."""
+
     def test_matches_brute_force(self):
         rng = random.Random(505)
         for _ in range(80):
             text = "".join(rng.choice("01") for _ in range(rng.randint(1, 40)))
             pat = "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
             win = rng.randint(1, 12)
-            got = window_count_extrema(text, pat, win)
+            got = window_imbalance_curve([text], [pat], [win])
             if len(text) < win:
-                assert got is None
+                assert got == {}
                 continue
             counts = [
                 brute_count(text[i : i + win], pat)
                 for i in range(len(text) - win + 1)
             ]
-            assert got.max_count == max(counts)
-            assert got.min_count == min(counts)
-            assert got.argmax == counts.index(max(counts))
-            assert got.argmin == counts.index(min(counts))
+            hi, lo = counts.index(max(counts)), counts.index(min(counts))
+            assert got[win] == ScanWitness(
+                pat, win, max(counts) - min(counts), text[hi : hi + win], text[lo : lo + win]
+            )
 
     def test_window_shorter_than_pattern(self):
-        got = window_count_extrema("010101", "0101", 2)
-        assert got.max_count == 0 and got.min_count == 0
+        got = window_imbalance_curve(["010101"], ["0101"], [2])
+        assert got[2] == ScanWitness("0101", 2, 0, "01", "01")
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            window_count_extrema("01", "0", 0)
-        assert window_count_extrema("01", "0", 5) is None
+            window_imbalance_curve(["01"], ["0"], [0])
+        assert window_imbalance_curve(["01"], ["0"], [5]) == {}
 
 
 class TestWindowImbalance:
@@ -253,6 +255,99 @@ class TestWindowImbalance:
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ValueError):
             window_imbalance_curve(["01"], ["0"], [1, 0])
+
+
+def python_curve(texts, patterns, lens):
+    """Pure-Python window scan with Python-int prefix sums: per length, the
+    first pattern with the largest spread, its highest and lowest window the
+    first achievers in text order, then by start."""
+    prefixes = {}
+    for pat in patterns:
+        for ti, text in enumerate(texts):
+            acc = [0]
+            for i in range(len(text)):
+                acc.append(acc[-1] + text.startswith(pat, i))
+            prefixes[pat, ti] = acc
+    want = {}
+    for win in sorted(set(lens)):
+        best = None
+        for pat in patterns:
+            hi = lo = None
+            for ti, text in enumerate(texts):
+                acc = prefixes[pat, ti]
+                for i in range(len(text) - win + 1):
+                    # Occurrences that start in [i, i + win - |pat|].
+                    end = max(i, i + win - len(pat) + 1)
+                    c = acc[end] - acc[i]
+                    if hi is None or c > hi[0]:
+                        hi = (c, text[i : i + win])
+                    if lo is None or c < lo[0]:
+                        lo = (c, text[i : i + win])
+            if hi is not None and (best is None or hi[0] - lo[0] > best.imbalance):
+                best = ScanWitness(pat, win, hi[0] - lo[0], hi[1], lo[1])
+        if best is not None:
+            want[win] = best
+    return want
+
+
+class TestWindowKernel:
+    def test_sixteen_bit_prefix_wraps(self):
+        # "0" occurs about 71,000 times, so its prefix sums pass 2^16 and
+        # wrap; every window is shorter than 2^16, so counts are 16-bit.
+        # The run of "1"s takes the counts of the 40,000-windows from about
+        # 38,000 down to about 15,000, across 2^15.
+        rng = random.Random(707)
+        text = "".join("1" if rng.random() < 0.05 else "0" for _ in range(75_000)) + "1" * 25_000
+        lens = [1, 300, 40_000, 2**16 - 1]
+        curve = window_imbalance_curve([text], ["0", "01"], lens)
+        assert curve == python_curve([text], ["0", "01"], lens)
+        assert curve[40_000].imbalance > 20_000
+
+    def test_window_of_two_to_the_sixteen(self):
+        # Counts of "0" reach 2^16, past any 16-bit count.
+        text = "0" * 70_000 + "1" * 10 + "0" * 100
+        lens = [2**16, 2**16 + 50]
+        curve = window_imbalance_curve([text], ["0"], lens)
+        assert curve == python_curve([text], ["0"], lens)
+        assert curve[2**16].imbalance == 10
+
+    def test_pattern_absent_from_one_text(self):
+        # "11" fills every window of the first text and never occurs in the
+        # second, so the lowest window is the second text's first one.
+        texts = ["1" * 12, "0" * 12, "0110" * 3]
+        lens = [1, 2, 3, 5, 12]
+        curve = window_imbalance_curve(texts, ["11", "0"], lens)
+        assert curve == python_curve(texts, ["11", "0"], lens)
+        assert window_imbalance_curve(texts, ["11"], [5]) == {
+            5: ScanWitness("11", 5, 4, "11111", "00000")
+        }
+
+    def test_all_spreads_zero(self):
+        # No pattern varies at any length; the witness is the first pattern,
+        # absent everywhere, at the start of the first text long enough.
+        texts = ["0", "0000"]
+        patterns = ["2", "00", "0"]
+        lens = [1, 2]
+        curve = window_imbalance_curve(texts, patterns, lens)
+        assert curve == python_curve(texts, patterns, lens)
+        assert curve == {
+            1: ScanWitness("2", 1, 0, "0", "0"),
+            2: ScanWitness("2", 2, 0, "00", "00"),
+        }
+        assert window_imbalance_curve(["0000"], ["1", "0"], [2]) == {
+            2: ScanWitness("1", 2, 0, "00", "00")
+        }
+
+    def test_indicators_only_for_present_patterns(self, monkeypatch):
+        calls = []
+        real = scan._occurrence_indicator
+        monkeypatch.setattr(
+            scan, "_occurrence_indicator", lambda t, p: calls.append((t, p)) or real(t, p)
+        )
+        texts = ["0110", "0000"]
+        curve = window_imbalance_curve(texts, ["2", "11", "22", "0"], [1, 3])
+        assert curve == python_curve(texts, ["2", "11", "22", "0"], [1, 3])
+        assert calls == [("0110", "11"), ("0110", "0"), ("0000", "0")]
 
 
 class TestFactorSets:
