@@ -6,250 +6,12 @@ codings and their induced substitutions, exact imbalance measurements with
 equal-length witness pairs, rational letter frequencies with exact lifting,
 a balancedness classifier for the builtin binary family {L, M, R}, and a
 self-verification suite behind the `wordbalance` command-line tool.
+
+The top level holds the quickstart entry points; everything else is
+imported from its module, for example `wordbalance.balance`.
 """
 
-from .balance import (
-    BalanceEntry,
-    BalanceReport,
-    FrequencyVector,
-    ImageDecomposition,
-    LiftedFrequency,
-    NotRepresentable,
-    Witness,
-    balance_report,
-    coarsening_bound,
-    decompose_in_image,
-    decompose_pair_in_image,
-    frequency_deviation,
-    frequency_vector,
-    image_letter_bound,
-    image_window_bound_constant,
-    imbalance,
-    lift_frequency,
-    pair_tail_bound,
-    perron_frequency,
-)
-from .exactmat import (
-    EigenpairClaim,
-    NotInvertibleError,
-    RationalMatrix,
-    det,
-    eigencheck,
-    integer_eigenvalues,
-    invert,
-    kernel_vector,
-    mat_mul,
-    mat_pow,
-    mat_vec,
-)
-from .language import (
-    DirectiveSequence,
-    GrowthReport,
-    LanguageSample,
-    ResourceLimitError,
-    SampleMeta,
-    factorial_closure,
-    is_everywhere_growing,
-    is_factorial,
-    sample_level_language,
-    substitution_tower,
-)
-from .report import (
-    FORMATS,
-    SCHEMA_VERSION,
-    build_report,
-    from_csv,
-    from_json,
-    parse_rational,
-    rational_str,
-    render_report,
-    to_csv,
-    to_json,
-    to_text,
-)
-from .scan import (
-    ScanWitness,
-    TextCodec,
-    count_overlapping,
-    distinct_factors,
-    expand_text,
-    tower_letter_texts,
-    window_imbalance,
-    window_imbalance_curve,
-)
-from .substitution import (
-    BlockCodingError,
-    BlockSubstitution,
-    PropernessProfile,
-    Substitution,
-    SubstitutionError,
-    coding_identity_sides,
-    compose,
-    incidence_matrix,
-    induced_block_substitution,
-    properness_profile,
-    window_bound,
-)
-from .tms import (
-    BINARY,
-    BLOCK_EIGENPAIRS,
-    SUB_L,
-    SUB_M,
-    SUB_R,
-    Classification,
-    WitnessPair,
-    block_abelianization,
-    block_recursion_checks,
-    block_substitution,
-    builtin,
-    builtin_registry,
-    classify,
-    collect_factors,
-    count_preservation_violations,
-    eleven_count_range,
-    imbalance_milestones,
-    is_lmr_directive,
-    is_primitive,
-    level_scan_texts,
-    padded_compositions,
-    parse_directive,
-    shared_image_tail,
-    thue_morse_text,
-    witness_closed_forms,
-    witness_growth_curve,
-    witness_pair,
-    witness_strings,
-)
-from .verification import CheckResult, check_ids, run_checks
-from .words import (
-    Alphabet,
-    AlphabetError,
-    OccurrenceVector,
-    Word,
-    block_alphabet,
-    count_occurrences,
-    factor_set,
-    n_coding,
-    occurrence_vector,
-    recast,
-    render_symbol,
-    sort_words,
-)
+from .language import sample_level_language
+from .tms import parse_directive
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "Alphabet",
-    "AlphabetError",
-    "BINARY",
-    "BLOCK_EIGENPAIRS",
-    "BalanceEntry",
-    "BalanceReport",
-    "BlockCodingError",
-    "BlockSubstitution",
-    "CheckResult",
-    "Classification",
-    "DirectiveSequence",
-    "EigenpairClaim",
-    "FORMATS",
-    "FrequencyVector",
-    "GrowthReport",
-    "ImageDecomposition",
-    "LanguageSample",
-    "LiftedFrequency",
-    "NotInvertibleError",
-    "NotRepresentable",
-    "OccurrenceVector",
-    "PropernessProfile",
-    "RationalMatrix",
-    "ResourceLimitError",
-    "SCHEMA_VERSION",
-    "SUB_L",
-    "SUB_M",
-    "SUB_R",
-    "SampleMeta",
-    "ScanWitness",
-    "Substitution",
-    "SubstitutionError",
-    "TextCodec",
-    "Witness",
-    "WitnessPair",
-    "Word",
-    "balance_report",
-    "block_abelianization",
-    "block_alphabet",
-    "block_recursion_checks",
-    "block_substitution",
-    "build_report",
-    "builtin",
-    "builtin_registry",
-    "check_ids",
-    "classify",
-    "coarsening_bound",
-    "coding_identity_sides",
-    "collect_factors",
-    "compose",
-    "count_occurrences",
-    "count_overlapping",
-    "count_preservation_violations",
-    "decompose_in_image",
-    "decompose_pair_in_image",
-    "det",
-    "distinct_factors",
-    "eigencheck",
-    "eleven_count_range",
-    "expand_text",
-    "factor_set",
-    "factorial_closure",
-    "frequency_deviation",
-    "frequency_vector",
-    "from_csv",
-    "from_json",
-    "imbalance",
-    "imbalance_milestones",
-    "image_letter_bound",
-    "image_window_bound_constant",
-    "incidence_matrix",
-    "induced_block_substitution",
-    "integer_eigenvalues",
-    "invert",
-    "is_everywhere_growing",
-    "is_factorial",
-    "is_lmr_directive",
-    "is_primitive",
-    "kernel_vector",
-    "level_scan_texts",
-    "lift_frequency",
-    "mat_mul",
-    "mat_pow",
-    "mat_vec",
-    "n_coding",
-    "occurrence_vector",
-    "padded_compositions",
-    "pair_tail_bound",
-    "parse_directive",
-    "parse_rational",
-    "perron_frequency",
-    "properness_profile",
-    "rational_str",
-    "recast",
-    "render_report",
-    "render_symbol",
-    "run_checks",
-    "sample_level_language",
-    "shared_image_tail",
-    "sort_words",
-    "substitution_tower",
-    "thue_morse_text",
-    "to_csv",
-    "to_json",
-    "to_text",
-    "tower_letter_texts",
-    "window_bound",
-    "window_imbalance",
-    "window_imbalance_curve",
-    "witness_closed_forms",
-    "witness_growth_curve",
-    "witness_pair",
-    "witness_strings",
-]
+__all__ = ["parse_directive", "sample_level_language"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exactmat import RationalMatrix, integer_eigenvalues, invert, kernel_basis, mat_vec
 from .language import LanguageSample

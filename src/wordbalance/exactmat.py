@@ -251,11 +251,6 @@ def kernel_basis(a: RationalMatrix) -> Tuple[Vector, ...]:
     return tuple(basis)
 
 
-def kernel_vector(a: RationalMatrix) -> Optional[Vector]:
-    """A nonzero rational solution of a*x = 0, or None if the kernel is trivial."""
-    return next(iter(kernel_basis(a)), None)
-
-
 def integer_eigenvalues(a: RationalMatrix, upper_bound: Optional[int] = None) -> Tuple[int, ...]:
     """All integers t with |t| <= bound and det(a - t*I) == 0, ascending.
 

@@ -9,14 +9,18 @@ truncation, `saturated` marks a window-stable approximation.
 
 from __future__ import annotations
 
+import itertools
+import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .limits import ResourceLimitError
-from .substitution import Substitution, SubstitutionError, compose
+from .limits import ResourceLimitError, check_budget
+from .substitution import Substitution, SubstitutionError
 from .words import Alphabet, Symbol, Word, sort_words
 
 MAX_SAMPLE_CHARS = 60_000_000
+# Levels the default sampling depth may walk down before giving up.
+MAX_DEPTH_LEVELS = 4096
 
 
 class DirectiveSequence:
@@ -97,10 +101,61 @@ def substitution_tower(d: DirectiveSequence, k: int, n: int) -> Substitution:
     """Composition sigma_k . sigma_{k+1} ... sigma_{n-1}; identity when n == k."""
     if n < k:
         raise ValueError("tower needs n >= k")
-    acc = Substitution.identity(d.level_alphabet(n))
-    for j in range(n - 1, k - 1, -1):
-        acc = compose(d.substitution_at(j), acc)
-    return acc
+    alphabet = d.level_alphabet(k)
+    levels = _tower_texts(map(d.substitution_at, range(k, n)), _letter_codes(alphabet))
+    texts = next(itertools.islice(levels, n - k, None))
+    symbols = alphabet.symbols
+    images = {a: Word(tuple(symbols[ord(c)] for c in t), alphabet) for a, t in texts.items()}
+    return Substitution(d.level_alphabet(n), alphabet, images)
+
+
+def _tower_lengths(
+    subs: Iterable[Substitution], alphabet: Alphabet
+) -> Iterator[Dict[Symbol, int]]:
+    """Letter-text lengths of every level of _tower_texts, with no text built.
+
+    Yields |sigma_[0,j)(a)| for j = 0, 1, ..., where sigma_j is the j-th of
+    subs: level j+1's length of a letter a is the sum of level j's lengths
+    of the letters of sigma_j(a). Lazy, so a caller that stops at its first
+    refusal never holds an integer much larger than its budget.
+    """
+    lengths = dict.fromkeys(alphabet.symbols, 1)
+    yield lengths
+    for sig in subs:
+        lengths = {
+            a: sum(lengths[b] for b in sig.image(a).symbols) for a in sig.domain.symbols
+        }
+        yield lengths
+
+
+def _tower_texts(
+    subs: Iterable[Substitution], chars: Mapping[Symbol, str], clip: Optional[int] = None
+) -> Iterator[Dict[Symbol, str]]:
+    """Letter texts sigma_[0,j)(a) for j = 0, 1, ..., one character per letter.
+
+    Level 0 maps each letter to its character in `chars`; level j+1's text
+    of a letter a is the concatenation of level j's texts of the letters of
+    sigma_j(a), so every level costs a few copies and no per-character work.
+    With `clip`, every text is cut to its first clip characters, and only
+    those are ever built: the clipped text of a is the concatenation of the
+    clipped texts of its image letters, cut at clip.
+    """
+    texts = dict(chars)
+    yield texts
+    room_for_all = sys.maxsize if clip is None else clip
+    for sig in subs:
+        step = {}
+        for a in sig.domain.symbols:
+            parts, room = [], room_for_all
+            for b in sig.image(a).symbols:
+                if room <= 0:
+                    break
+                # A slice that keeps the whole text is the text itself, uncopied.
+                parts.append(texts[b][:room])
+                room -= len(parts[-1])
+            step[a] = "".join(parts)
+        texts = step
+        yield texts
 
 
 @dataclass(frozen=True)
@@ -201,20 +256,6 @@ def factorial_closure(
     )
 
 
-def _min_image_lengths(d: DirectiveSequence, k: int, up_to: int) -> list:
-    """Curve j -> min_a |sigma_[k,k+j)(a)| for j = 0..up_to, via length vectors."""
-    lengths = {a: 1 for a in d.level_alphabet(k).symbols}
-    curve = [1]
-    for j in range(k, k + up_to):
-        sig = d.substitution_at(j)
-        lengths = {
-            a: sum(lengths[b] for b in sig.image(a).symbols)
-            for a in sig.domain.symbols
-        }
-        curve.append(min(lengths.values()) if lengths else 0)
-    return curve
-
-
 def _exact_mode_letter(d: DirectiveSequence, k: int) -> Optional[Symbol]:
     """Seed letter for the provably exact fixed-point sampler, if admissible.
 
@@ -286,21 +327,13 @@ def sample_level_language(
     if top is not None and deepest > top:
         raise ValueError("finite directive too short for the requested window")
 
-    factor_sets = []
-    budget = 0
-    images = _letter_codes(alphabet)
-    for n in range(k, deepest + 1):
-        if n >= depth:
-            budget += sum(map(len, images.values()))
-            if budget > MAX_SAMPLE_CHARS:
-                raise ResourceLimitError("sample window exceeds the size budget")
-            factor_sets.append(_short_factors(images.values(), max_length))
-        if n < deepest:
-            sig = d.substitution_at(n)
-            images = {
-                a: "".join(images[b] for b in sig.image(a).symbols)
-                for a in sig.domain.symbols
-            }
+    # Levels depth..deepest are charged, all of them before any text exists.
+    subs = [d.substitution_at(n) for n in range(k, deepest)]
+    charged = itertools.islice(_tower_lengths(subs, alphabet), depth - k, None)
+    window_chars = sum(sum(lengths.values()) for lengths in charged)
+    check_budget("sample window", window_chars, MAX_SAMPLE_CHARS)
+    levels = itertools.islice(_tower_texts(subs, _letter_codes(alphabet)), depth - k, None)
+    factor_sets = [_short_factors(texts.values(), max_length) for texts in levels]
 
     core = set.intersection(*factor_sets[: window + 1])
     shifted = set.intersection(*factor_sets[step : step + window + 1])
@@ -314,21 +347,20 @@ def sample_level_language(
 
 
 def _default_depth(d: DirectiveSequence, k: int, max_length: int) -> int:
-    growth = is_everywhere_growing(d)
-    if growth.growing:
-        lengths = {a: 1 for a in d.level_alphabet(k).symbols}
-        j = k
-        while j < k + 4096:
-            if lengths and min(lengths.values()) >= max(max_length, 1):
-                return max(j, k + 1)
-            sig = d.substitution_at(j)
-            lengths = {
-                a: sum(lengths[b] for b in sig.image(a).symbols)
-                for a in sig.domain.symbols
-            }
-            j += 1
-        raise ResourceLimitError("growth too slow to reach the requested sample cap")
-    return k + 12
+    """k + j for the first j where every letter image of sigma_[k,k+j) has
+    at least max(max_length, 1) characters, and at least k + 1; k + 12 when
+    the directive is not everywhere growing."""
+    if not is_everywhere_growing(d).growing:
+        return k + 12
+    subs = map(d.substitution_at, itertools.count(k))
+    walk = _tower_lengths(subs, d.level_alphabet(k))
+    for j, lengths in enumerate(itertools.islice(walk, MAX_DEPTH_LEVELS)):
+        if lengths and min(lengths.values()) >= max(max_length, 1):
+            return k + max(j, 1)
+    raise ResourceLimitError(
+        f"growth too slow: sample depth needs more than {MAX_DEPTH_LEVELS} levels, "
+        f"limit {MAX_DEPTH_LEVELS}"
+    )
 
 
 def _exact_fixed_point_sample(
@@ -413,7 +445,8 @@ def is_everywhere_growing(
     Finite directives get an empirical report at the horizon.
     """
     if d.period is None:
-        curve = _min_image_lengths(d, 0, min(horizon, len(d.prefix)))
+        walk = _tower_lengths(d.prefix[:horizon], d.level_alphabet(0))
+        curve = [min(lengths.values(), default=0) for lengths in walk]
         growing = bool(curve) and curve[-1] >= threshold
         return GrowthReport(
             growing=growing,

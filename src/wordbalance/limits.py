@@ -14,4 +14,8 @@ class ResourceLimitError(RuntimeError):
 def check_budget(resource: str, requested: int, limit: int, unit: str = "characters") -> None:
     """Raise ResourceLimitError when `requested` exceeds `limit`."""
     if requested > limit:
-        raise ResourceLimitError(f"{resource} needs {requested} {unit}, limit {limit}")
+        try:
+            size = str(requested)
+        except ValueError:  # more digits than Python converts to a string
+            size = f"more than 2^{requested.bit_length() - 1}"
+        raise ResourceLimitError(f"{resource} needs {size} {unit}, limit {limit}")

@@ -10,10 +10,11 @@ all occur in the text).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
-from .language import DirectiveSequence, _short_factors
+from .language import _short_factors, _tower_lengths
 from .limits import check_budget
 from .substitution import Substitution
 from .words import Alphabet, Symbol, Word
@@ -53,58 +54,6 @@ class TextCodec:
         return Word(tuple(back[c] for c in text), self.alphabet)
 
 
-def _letter_lengths(
-    subs: Iterable[Substitution], alphabet: Alphabet
-) -> Iterator[Dict[Symbol, int]]:
-    """Letter-text lengths after each level of _tower_texts, with no text built.
-
-    |sigma_[0,j+1)(a)| is the sum of |sigma_[0,j)(b)| over the letters b of
-    sigma_j(a). Lazy, so a caller that stops at its first refusal never holds
-    an integer much larger than its budget.
-    """
-    lengths = dict.fromkeys(alphabet.symbols, 1)
-    for sig in subs:
-        lengths = {
-            a: sum(lengths[b] for b in sig.image(a).symbols) for a in sig.domain.symbols
-        }
-        yield lengths
-
-
-def _tower_texts(
-    subs: Iterable[Substitution], codec: TextCodec, clip: Optional[int] = None
-) -> Dict[Symbol, str]:
-    """Letter texts of subs[0] o subs[1] o ... o subs[-1] over the codec.
-
-    Level j+1's text of a letter a is the concatenation of level j's texts
-    of the letters of subs[j](a), so every level costs a few copies and no
-    per-character work. With `clip`, every text is cut to its first clip
-    characters, and only those are ever built: the clipped text of a is the
-    concatenation of the clipped texts of its image letters, cut at clip.
-    """
-    texts = dict(zip(codec.alphabet.symbols, codec.chars))
-    for sig in subs:
-        texts = {
-            a: _concat([texts[b] for b in sig.image(a).symbols], clip)
-            for a in sig.domain.symbols
-        }
-    return texts
-
-
-def _concat(parts: List[str], clip: Optional[int]) -> str:
-    """"".join(parts)[:clip] without copying the characters past clip."""
-    if clip is not None:
-        kept: List[str] = []
-        room = clip
-        for part in parts:
-            if len(part) >= room:
-                kept.append(part[:room])
-                break
-            kept.append(part)
-            room -= len(part)
-        parts = kept
-    return "".join(parts)
-
-
 def expand_text(
     sub: Substitution,
     seed: Symbol,
@@ -115,8 +64,8 @@ def expand_text(
     """The string sigma^depth(seed) for an endomorphism, in codec characters.
 
     Refused, before any text is built, when some sigma^j(seed) with
-    j <= depth has more than max_chars characters; the letter counts of
-    sigma^j(seed) give those lengths exactly.
+    1 <= j <= depth has more than max_chars characters; the tower's
+    lengths walk gives those lengths exactly.
     """
     if sub.domain != sub.codomain:
         raise ValueError("expand_text needs an endomorphism")
@@ -126,36 +75,13 @@ def expand_text(
     table = {
         ord(codec.encode_symbol(a)): codec.encode(sub.image(a)) for a in sub.domain.symbols
     }
+    walk = _tower_lengths(itertools.repeat(sub, depth), sub.domain)
+    for lengths in itertools.islice(walk, 1, None):
+        check_budget("expansion", lengths[seed], max_chars)
     cur = codec.encode_symbol(seed)
-    counts = {seed: 1}
-    for _ in range(depth):
-        step: Dict[Symbol, int] = {}
-        for a, c in counts.items():
-            for b in sub.image(a).symbols:
-                step[b] = step.get(b, 0) + c
-        check_budget("expansion", sum(step.values()), max_chars)
-        counts = step
     for _ in range(depth):
         cur = cur.translate(table)
     return cur
-
-
-def tower_letter_texts(
-    d: DirectiveSequence,
-    k: int,
-    depth: int,
-    max_chars: int = MAX_TEXT_CHARS,
-) -> Tuple[Dict[Symbol, str], TextCodec]:
-    """Letter images of sigma_[k,depth) as strings over the level-k codec.
-
-    Refused, before any text is built, when the letter images of some
-    sigma_[k,j) with j <= depth hold more than max_chars characters in all.
-    """
-    codec = TextCodec.for_alphabet(d.level_alphabet(k))
-    subs = [d.substitution_at(j) for j in range(k, depth)]
-    for lengths in _letter_lengths(subs, codec.alphabet):
-        check_budget("tower expansion", sum(lengths.values()), max_chars)
-    return _tower_texts(subs, codec), codec
 
 
 def count_overlapping(text: str, pattern: str) -> int:
@@ -273,18 +199,6 @@ def window_imbalance_curve(
                     low_window=texts[lo[1]][lo[2] : lo[2] + window_len],
                 )
     return {m: best[m] for m in lens if m in best}
-
-
-def window_imbalance(
-    texts: Sequence[str], patterns: Sequence[str], window_len: int
-) -> Optional[ScanWitness]:
-    """Largest count spread of any pattern over equal-length windows.
-
-    Maxima and minima are taken across all windows of all texts; the result
-    carries the extremal windows themselves, which are factors of the texts.
-    Returns None when no text fits the window.
-    """
-    return window_imbalance_curve(texts, patterns, [window_len]).get(window_len)
 
 
 def distinct_factors(text: str, max_len: int, min_len: int = 1) -> set:

@@ -16,19 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .language import DirectiveSequence
+from .language import DirectiveSequence, _tower_lengths, _tower_texts
 from .limits import ResourceLimitError, check_budget
 from .scan import (
     MAX_TEXT_CHARS,
     ScanWitness,
     TextCodec,
-    _letter_lengths,
     _occurrence_indicator,
-    _tower_texts,
     count_overlapping,
     distinct_factors,
     expand_text,
-    window_imbalance,
     window_imbalance_curve,
 )
 from .substitution import (
@@ -457,8 +454,9 @@ def level_scan_texts(
         raise ValueError("min_chars and clip must be positive")
     codec = TextCodec.for_alphabet(d.level_alphabet(0))
     depth = _scan_depth(d, codec.alphabet, min_chars, clip, max_depth)
-    subs = [d.substitution_at(j) for j in range(depth)]
-    texts = _tower_texts(subs, codec, clip=clip)
+    chars = dict(zip(codec.alphabet.symbols, codec.chars))
+    levels = _tower_texts(map(d.substitution_at, range(depth)), chars, clip)
+    texts = next(itertools.islice(levels, depth, None))
     return [t for t in texts.values() if t], codec
 
 
@@ -470,14 +468,13 @@ def _scan_depth(
     Refused when some level up to that depth would keep more than
     MAX_TEXT_CHARS characters, counting each letter text up to clip.
     """
-    sizes = _letter_lengths(map(d.substitution_at, itertools.count()), alphabet)
-    level = 0
     depth = max(8, d.prefix_length + max(1, d.period_length))
-    while True:
-        for lengths in itertools.islice(sizes, depth - level):
-            kept = sum(min(n, clip) for n in lengths.values())
-            check_budget("scan expansion", kept, MAX_TEXT_CHARS)
-        level = depth
+    walk = _tower_lengths(map(d.substitution_at, itertools.count()), alphabet)
+    for level, lengths in enumerate(walk):
+        kept = sum(min(n, clip) for n in lengths.values())
+        check_budget("scan expansion", kept, MAX_TEXT_CHARS)
+        if level < depth:
+            continue
         if max(lengths.values()) >= min_chars or depth >= max_depth:
             return depth
         depth = min(max_depth, depth + max(1, depth // 2))

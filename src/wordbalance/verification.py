@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import report as report_mod
 from .balance import (
@@ -821,10 +821,6 @@ CHECKS: Tuple[Tuple[str, Callable[[], CheckResult]], ...] = (
     ("perron-frequencies", check_perron_frequencies),
     ("report-round-trip", check_report_round_trip),
 )
-
-
-def check_ids() -> Tuple[str, ...]:
-    return tuple(check_id for check_id, _ in CHECKS)
 
 
 def run_checks(only: Optional[str] = None) -> List[CheckResult]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Hashable, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Tuple
 
 from .limits import check_budget
 
@@ -147,16 +147,6 @@ def count_occurrences(w: Word, v: Word) -> int:
     return sum(1 for i in range(len(ws) - m + 1) if ws[i : i + m] == vs)
 
 
-def factor_set(w: Word, n: int) -> frozenset:
-    """All length-n factors of w (empty set when n > |w|)."""
-    if n < 0:
-        raise ValueError("factor length must be >= 0")
-    ws = w.symbols
-    return frozenset(
-        Word(ws[i : i + n], w.alphabet) for i in range(len(ws) - n + 1)
-    )
-
-
 def prefix(w: Word, n: int) -> Word:
     if not 0 <= n <= len(w):
         raise ValueError(f"prefix length {n} out of range for word of length {len(w)}")
@@ -194,52 +184,6 @@ def n_coding(w: Word, n: int) -> Word:
 def recast(w: Word, alphabet: Alphabet) -> Word:
     """Same symbol sequence as a word over another alphabet containing them."""
     return Word(w.symbols, alphabet)
-
-
-@dataclass(frozen=True)
-class OccurrenceVector:
-    """Counts of every length-n word over the alphabet inside a fixed word.
-
-    Entries are keyed by the n-tuple (block letter) and listed in lexicographic
-    order; the counts sum to max(|w| - n + 1, 0).
-    """
-
-    alphabet: Alphabet
-    factor_length: int
-    counts: Tuple[Tuple[Symbol, int], ...]
-
-    def __getitem__(self, key: Union[Word, Tuple[Symbol, ...], str]) -> int:
-        if isinstance(key, Word):
-            key = key.symbols
-        elif isinstance(key, str):
-            key = tuple(key)
-        for sym, c in self.counts:
-            if sym == key:
-                return c
-        raise KeyError(key)
-
-    def vector(self) -> Tuple[int, ...]:
-        return tuple(c for _, c in self.counts)
-
-    def labels(self) -> Tuple[Symbol, ...]:
-        return tuple(s for s, _ in self.counts)
-
-    def total(self) -> int:
-        return sum(self.vector())
-
-
-def occurrence_vector(w: Word, n: int) -> OccurrenceVector:
-    """Occurrence counts of all length-n words over w's alphabet, in lex order."""
-    blocks = block_alphabet(w.alphabet, n)
-    ws = w.symbols
-    tally = {sym: 0 for sym in blocks.symbols}
-    for i in range(len(ws) - n + 1):
-        tally[ws[i : i + n]] += 1
-    return OccurrenceVector(
-        alphabet=w.alphabet,
-        factor_length=n,
-        counts=tuple((sym, tally[sym]) for sym in blocks.symbols),
-    )
 
 
 def sort_words(words: Iterable[Word]) -> list:

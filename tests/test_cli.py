@@ -250,6 +250,25 @@ class TestSizeGuards:
         assert out == ""
         assert err == "error: text codec needs 201 symbols, limit 200\n"
 
+    def test_sample_window_guard_exits_3(self, capsys):
+        # Levels 26..31 of |MM hold two letter texts of 2^n characters each.
+        code, out, err = run(
+            capsys, "analyze", "--directive", "|MM", "--max-length", "8", "--depth", "26"
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == f"error: sample window needs {2 * 63 * 2**26} characters, limit 60000000\n"
+
+    def test_size_too_long_to_print_exits_3(self, capsys):
+        # 2 * 63 * 2^20000 characters has more digits than Python converts
+        # to a string.
+        code, out, err = run(
+            capsys, "analyze", "--directive", "|MM", "--max-length", "8", "--depth", "20000"
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == "error: sample window needs more than 2^20006 characters, limit 60000000\n"
+
     @staticmethod
     def _wide_directive(extra_letters):
         extra = [chr(0x100 + i) for i in range(extra_letters)]

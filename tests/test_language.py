@@ -1,5 +1,6 @@
 """Directive sequences, language sampling, and growth decisions."""
 
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from wordbalance import language
 from wordbalance.language import (
     DirectiveSequence,
+    GrowthReport,
     LanguageSample,
     ResourceLimitError,
     SampleMeta,
@@ -18,7 +20,7 @@ from wordbalance.language import (
     sample_level_language,
     substitution_tower,
 )
-from wordbalance.substitution import Substitution, SubstitutionError
+from wordbalance.substitution import Substitution, SubstitutionError, compose
 from wordbalance.tms import parse_directive
 from wordbalance.words import Alphabet, Word, block_alphabet, n_coding
 
@@ -318,8 +320,8 @@ class TestWindowedSampling:
 def tuple_windowed_sample(d, k, max_length, depth, window, limit):
     """Reference windowed sampler on symbol tuples: every factor of length
     1..max_length of every letter image, level by level, with the image
-    lengths charged to one budget before each image is factored. Returns
-    the word tuples and the meta fields, or raises like the sampler."""
+    lengths of the whole window charged to one budget. Returns the word
+    tuples, the meta fields and the charge, or raises like the sampler."""
     step = max(1, d.period_length)
     deepest = depth + window + step
     images = {a: (a,) for a in d.level_alphabet(k).symbols}
@@ -330,8 +332,6 @@ def tuple_windowed_sample(d, k, max_length, depth, window, limit):
             pool = set()
             for syms in images.values():
                 budget += len(syms)
-                if budget > limit:
-                    raise ResourceLimitError("sample window exceeds the size budget")
                 for length in range(1, min(len(syms), max_length) + 1):
                     for i in range(len(syms) - length + 1):
                         pool.add(syms[i : i + length])
@@ -342,6 +342,8 @@ def tuple_windowed_sample(d, k, max_length, depth, window, limit):
                 a: tuple(s for b in sig.image(a).symbols for s in images[b])
                 for a in sig.domain.symbols
             }
+    if budget > limit:
+        raise ResourceLimitError(f"sample window needs {budget} characters, limit {limit}")
     core = set.intersection(*factor_sets[: window + 1]) | {()}
     shifted = set.intersection(*factor_sets[step : step + window + 1]) | {()}
     return core, SampleMeta(depth=depth, window=window, exact=False, saturated=core == shifted), budget
@@ -398,6 +400,72 @@ class TestWindowedSamplerAgainstReference:
             sample = sample_level_language(d, 0, cap, depth=6, window=3)
             words, meta, _ = tuple_windowed_sample(d, 0, cap, 6, 3, float("inf"))
             assert ({w.symbols for w in sample.words}, sample.meta) == (words, meta)
+
+
+class TestWindowRefusal:
+    # |MM at depth 26 charges levels 26..31: two letter texts of 2^n each.
+    REFUSAL = f"^sample window needs {2 * 63 * 2**26} characters, limit 60000000$"
+
+    def test_refused_before_any_text_is_built(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a text was built")
+
+        monkeypatch.setattr(language, "_tower_texts", boom)
+        with pytest.raises(ResourceLimitError, match=self.REFUSAL):
+            sample_level_language(parse_directive("|MM"), 0, 8, depth=26)
+
+    def test_refusal_allocates_almost_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=self.REFUSAL):
+                sample_level_language(parse_directive("|MM"), 0, 8, depth=26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Building level 26 alone would take 2 * 2^26 bytes.
+        assert peak < 16 * 2**20
+
+    def test_default_depth_level_limit(self, monkeypatch):
+        # Under 4094 L's the letter 0 keeps length 1; the M below them makes
+        # every image at least 2 long at level 4095, the last level walked.
+        assert language._default_depth(parse_directive("L" * 4094 + "|M"), 0, 2) == 4095
+        # L|L is not growing (0 -> 0 keeps length 1); claimed growing, the
+        # default depth walks its whole level budget and gives up.
+        claimed = GrowthReport(growing=True, exact=False, certificate={})
+        monkeypatch.setattr(language, "is_everywhere_growing", lambda d: claimed)
+        with pytest.raises(
+            ResourceLimitError,
+            match="^growth too slow: sample depth needs more than 4096 levels, limit 4096$",
+        ):
+            sample_level_language(parse_directive("L|L"), 0, 8)
+
+
+class TestTowerWalk:
+    def test_doubling_texts(self):
+        M = Substitution.from_text("0->01;1->10")
+        *_, texts = language._tower_texts([M] * 3, {"0": "0", "1": "1"})
+        assert texts == {"0": "01101001", "1": "10010110"}
+
+    @given(windowed_requests(), st.integers(1, 12))
+    def test_lengths_and_clipped_texts_follow_the_full_texts(self, drawn, clip):
+        d, _, depth, window = drawn
+        subs = [d.substitution_at(j) for j in range(depth + window)]
+        alphabet = d.level_alphabet(0)
+        chars = language._letter_codes(alphabet)
+        full = list(language._tower_texts(subs, chars))
+        assert len(full) == len(subs) + 1
+        tower = Substitution.identity(alphabet)
+        for texts, sig in zip(full, subs + [None]):
+            # Oracle: the tower composed one substitution at a time.
+            assert texts == {
+                a: "".join(chars[s] for s in tower.image(a).symbols) for a in tower.domain.symbols
+            }
+            if sig is not None:
+                tower = compose(tower, sig)
+        lengths = list(language._tower_lengths(subs, alphabet))
+        assert lengths == [{a: len(t) for a, t in texts.items()} for texts in full]
+        clipped = list(language._tower_texts(subs, chars, clip))
+        assert clipped == [{a: t[:clip] for a, t in texts.items()} for texts in full]
 
 
 class TestGrowthDecision:

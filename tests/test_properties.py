@@ -35,7 +35,6 @@ from wordbalance.words import (
     Word,
     count_occurrences,
     n_coding,
-    occurrence_vector,
 )
 
 BIN = Alphabet.from_text("01")
@@ -78,12 +77,6 @@ class TestCountingProperties:
         w = Word.from_text(text, BIN)
         v = Word.from_text(pat, BIN)
         assert count_occurrences(w, v) == brute_count(text, pat)
-
-    @given(binary_text, st.integers(1, 5))
-    def test_occurrence_vector_total(self, text, n):
-        w = Word.from_text(text, BIN)
-        vec = occurrence_vector(w, n)
-        assert vec.total() == max(len(w) - n + 1, 0)
 
     @given(binary_text, st.integers(1, 4), patterns)
     def test_coding_transfers_counts(self, text, n, pat):

@@ -15,12 +15,9 @@ from wordbalance.scan import (
     count_overlapping,
     distinct_factors,
     expand_text,
-    tower_letter_texts,
-    window_imbalance,
     window_imbalance_curve,
 )
 from wordbalance.substitution import Substitution
-from wordbalance.tms import parse_directive
 from wordbalance.words import Alphabet, Word, block_alphabet, n_coding
 
 BIN = Alphabet.from_text("01")
@@ -72,22 +69,10 @@ class TestExpansion:
         with pytest.raises(ResourceLimitError):
             expand_text(M, "0", 40, max_chars=1000)
 
-    def test_tower_letter_texts(self):
-        texts, codec = tower_letter_texts(parse_directive("|M"), 0, 3)
-        assert texts == {"0": "01101001", "1": "10010110"}
-        assert codec.chars == ("0", "1")
-
-    def test_tower_budget(self):
-        with pytest.raises(ResourceLimitError):
-            tower_letter_texts(parse_directive("|M"), 0, 30, max_chars=100)
-
     def test_refusals_name_the_limit(self):
-        # The first too-long step is named: |M^10(0)| = 1024, and the two
-        # letter texts of sigma_[0,6) hold 2 * 64 characters.
+        # The first too-long step is named: |M^10(0)| = 1024.
         with pytest.raises(ResourceLimitError, match="^expansion needs 1024 characters, limit 1000$"):
             expand_text(M, "0", 40, max_chars=1000)
-        with pytest.raises(ResourceLimitError, match="^tower expansion needs 128 characters, limit 100$"):
-            tower_letter_texts(parse_directive("|M"), 0, 30, max_chars=100)
 
     def test_budget_applies_to_every_step(self):
         # 0 -> 11, 1 -> (erased): sigma(0) = 11 is over budget although
@@ -96,14 +81,6 @@ class TestExpansion:
         assert expand_text(erasing, "0", 2) == ""
         with pytest.raises(ResourceLimitError, match="needs 2 characters, limit 1"):
             expand_text(erasing, "0", 2, max_chars=1)
-
-    def test_tower_refused_before_any_text_is_built(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("a text was built")
-
-        monkeypatch.setattr(scan, "_tower_texts", boom)
-        with pytest.raises(ResourceLimitError):
-            tower_letter_texts(parse_directive("|M"), 0, 30, max_chars=100)
 
     def test_expansion_refused_before_any_text_is_built(self):
         tracemalloc.start()
@@ -244,7 +221,7 @@ class TestWindowImbalance:
     def test_unfittable_lengths_omitted(self):
         curve = window_imbalance_curve(["0101"], ["0"], [2, 99])
         assert sorted(curve) == [2]
-        assert window_imbalance(["0101"], ["0"], 99) is None
+        assert window_imbalance_curve(["0101"], ["0"], [99]) == {}
 
     def test_deterministic(self):
         texts = [expand_text(M, "0", 5)]

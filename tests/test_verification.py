@@ -5,12 +5,12 @@ import re
 
 import pytest
 
-from wordbalance.verification import check_ids, run_checks
+from wordbalance.verification import CHECKS, run_checks
 
 
 class TestSuiteMetadata:
     def test_ids_unique_and_slug_like(self):
-        ids = check_ids()
+        ids = [check_id for check_id, _ in CHECKS]
         assert len(ids) == len(set(ids))
         assert all(re.fullmatch(r"[a-z0-9]+(-[a-z0-9]+)*", i) for i in ids)
         assert len(ids) >= 20
@@ -30,7 +30,7 @@ class TestFullSuite:
         results = run_checks()
         failed = [r.check_id for r in results if not r.passed]
         assert failed == []
-        assert len(results) == len(check_ids())
+        assert len(results) == len(CHECKS)
         for r in results:
             d = r.as_dict()
             assert d["check_id"] == r.check_id

@@ -11,9 +11,7 @@ from wordbalance.words import (
     Word,
     block_alphabet,
     count_occurrences,
-    factor_set,
     n_coding,
-    occurrence_vector,
     prefix,
     recast,
     render_symbol,
@@ -137,36 +135,8 @@ class TestCounting:
             got = count_occurrences(Word.from_text(text, BIN), Word.from_text(pat, BIN))
             assert got == brute_count(text, pat)
 
-    def test_occurrence_vector_totals_and_lookup(self):
-        w = Word.from_text("011010", BIN)
-        ov = occurrence_vector(w, 2)
-        assert ov.factor_length == 2
-        assert ov.labels() == (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
-        assert ov.total() == len(w) - 2 + 1
-        assert ov["01"] == brute_count("011010", "01")
-        assert ov[Word.from_text("10", BIN)] == brute_count("011010", "10")
-        assert ov[("1", "1")] == brute_count("011010", "11")
-        with pytest.raises(KeyError):
-            ov["0"]
-
-    def test_occurrence_vector_short_word(self):
-        assert occurrence_vector(Word.from_text("0", BIN), 2).total() == 0
-
 
 class TestFactors:
-    def test_factor_set_matches_oracle(self):
-        w = Word.from_text("011010", BIN)
-        got = {f.render() for f in factor_set(w, 2)}
-        want = {"011010"[i : i + 2] for i in range(5)}
-        assert got == want
-
-    def test_factor_set_bounds(self):
-        w = Word.from_text("01", BIN)
-        assert factor_set(w, 3) == frozenset()
-        assert factor_set(w, 0) == frozenset({Word.empty(BIN)})
-        with pytest.raises(ValueError):
-            factor_set(w, -1)
-
     def test_prefix_suffix(self):
         w = Word.from_text("0110", BIN)
         assert prefix(w, 2).render() == "01"
