@@ -11,12 +11,13 @@ and lifts frequencies backwards through invertible incidence matrices.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exactmat import RationalMatrix, integer_eigenvalues, invert, kernel_basis, mat_vec
-from .language import LanguageSample
+from .language import LanguageSample, _decode
 from .substitution import Substitution, incidence_matrix
 from .words import Alphabet, Symbol, Word, sort_words
 
@@ -68,61 +69,54 @@ def imbalance(
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    return _imbalance(_length_classes(sample), n, _length_cap(sample, length_cap))
+    return _imbalance(sample, _length_classes(sample), n, _length_cap(sample, length_cap))
 
 
 def _length_cap(sample: LanguageSample, length_cap: Optional[int]) -> int:
     return sample.max_length if length_cap is None else min(length_cap, sample.max_length)
 
 
-def _length_classes(sample: LanguageSample) -> Dict[int, List[Word]]:
-    """Nonempty sample words by length, in increasing length, each class in
+def _length_classes(sample: LanguageSample) -> Dict[int, List[str]]:
+    """Nonempty sample codes by length, in increasing length, each class in
     sort_words order. One sort serves every factor length."""
-    classes: Dict[int, List[Word]] = {}
-    for w in sample.nonempty_words():
-        classes.setdefault(len(w), []).append(w)
+    classes: Dict[int, List[str]] = {}
+    for s in sorted(sample.codes, key=lambda s: (len(s), s)):
+        if s:
+            classes.setdefault(len(s), []).append(s)
     return classes
 
 
-def _imbalance(classes: Dict[int, List[Word]], n: int, cap: int) -> BalanceEntry:
+def _imbalance(
+    sample: LanguageSample, classes: Dict[int, List[str]], n: int, cap: int
+) -> BalanceEntry:
     factors = classes.get(n, [])
-    best: Optional[Witness] = None
+    # (imbalance, high, low, factor, count_high, count_low), words as codes.
+    best: Optional[tuple] = None
     curve: List[Tuple[int, int]] = []
     for length, cls in classes.items():
         if length > cap:
             break
-        class_best: Optional[Witness] = None
+        class_best: Optional[tuple] = None
         if len(cls) >= 2 and factors:
-            tallies = [_tally(w.symbols, n) for w in cls]
+            tallies = [Counter(s[i : i + n] for i in range(length - n + 1)) for s in cls]
             for v in factors:
-                row = tuple(t.get(v.symbols, 0) for t in tallies)
+                row = [t.get(v, 0) for t in tallies]
                 hi, lo = max(row), min(row)
-                if class_best is None or hi - lo > class_best.imbalance:
-                    class_best = Witness(
-                        high=cls[row.index(hi)],
-                        low=cls[row.index(lo)],
-                        factor=v,
-                        count_high=hi,
-                        count_low=lo,
-                    )
-        curve.append((length, class_best.imbalance if class_best else 0))
-        if class_best and (best is None or class_best.imbalance > best.imbalance):
+                if class_best is None or hi - lo > class_best[0]:
+                    class_best = (hi - lo, cls[row.index(hi)], cls[row.index(lo)], v, hi, lo)
+        curve.append((length, class_best[0] if class_best else 0))
+        if class_best and (best is None or class_best[0] > best[0]):
             best = class_best
+    witness = None
+    if best is not None:
+        high, low, factor = (_decode(s, sample.alphabet) for s in best[1:4])
+        witness = Witness(high, low, factor, best[4], best[5])
     return BalanceEntry(
         factor_length=n,
-        empirical_c=best.imbalance if best else 0,
-        witness=best,
+        empirical_c=best[0] if best else 0,
+        witness=witness,
         curve=tuple(curve),
     )
-
-
-def _tally(symbols: Tuple[Symbol, ...], n: int) -> Dict[Tuple[Symbol, ...], int]:
-    """Occurrence count of every length-n factor of a symbol tuple."""
-    tally: Dict[Tuple[Symbol, ...], int] = {}
-    for i in range(len(symbols) - n + 1):
-        key = symbols[i : i + n]
-        tally[key] = tally.get(key, 0) + 1
-    return tally
 
 
 def balance_report(
@@ -130,11 +124,11 @@ def balance_report(
 ) -> BalanceReport:
     classes = _length_classes(sample)
     cap = _length_cap(sample, length_cap)
-    entries = tuple(_imbalance(classes, n, cap) for n in range(1, n_max + 1))
+    entries = tuple(_imbalance(sample, classes, n, cap) for n in range(1, n_max + 1))
     return BalanceReport(
         level=sample.level,
         max_length=sample.max_length,
-        sample_size=len(sample.words),
+        sample_size=len(sample),
         exact=sample.meta.exact,
         saturated=sample.meta.saturated,
         entries=entries,
@@ -180,16 +174,12 @@ def frequency_vector(
     eigenvector.
     """
     if mode == "empirical":
-        lengths = [len(w) for w in sample.words if len(w) > 0]
-        if not lengths:
+        top = max(map(len, sample.codes), default=0)
+        if top == 0:
             raise ValueError("sample has no nonempty words")
-        top = max(lengths)
-        longest = [w for w in sample.words if len(w) == top]
-        total = Fraction(top * len(longest))
-        values = tuple(
-            Fraction(sum(w.symbols.count(a) for w in longest)) / total
-            for a in sample.alphabet.symbols
-        )
+        text = "".join(s for s in sample.codes if len(s) == top)
+        total = Fraction(len(text))
+        values = tuple(Fraction(text.count(chr(i))) / total for i in range(len(sample.alphabet)))
         return FrequencyVector(sample.alphabet, values, mode="empirical")
     if mode == "perron":
         if substitution is None:
@@ -239,18 +229,19 @@ def frequency_deviation(sample: LanguageSample, f: FrequencyVector) -> Fraction:
         raise ValueError("frequency vector alphabet does not match the sample")
     # |x - c| is convex in x, so per (length, letter) only the least and the
     # largest count can attain the maximum.
-    extremes: Dict[Tuple[int, Symbol], Tuple[int, int]] = {}
-    for w in sample.words:
-        length = len(w)
+    extremes: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    letters = [chr(i) for i in range(len(sample.alphabet))]
+    for s in sample.codes:
+        length = len(s)
         if length == 0:
             continue
-        for a in sample.alphabet.symbols:
-            c = w.symbols.count(a)
-            lo, hi = extremes.get((length, a), (c, c))
-            extremes[length, a] = (min(lo, c), max(hi, c))
+        for i, a in enumerate(letters):
+            c = s.count(a)
+            lo, hi = extremes.get((length, i), (c, c))
+            extremes[length, i] = (min(lo, c), max(hi, c))
     worst = Fraction(0)
-    for (length, a), (lo, hi) in extremes.items():
-        target = f[a] * length
+    for (length, i), (lo, hi) in extremes.items():
+        target = f.values[i] * length
         worst = max(worst, abs(Fraction(lo) - target), abs(Fraction(hi) - target))
     return worst
 

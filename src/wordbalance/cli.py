@@ -222,9 +222,6 @@ def _witness_dict(w) -> Dict[str, Any]:
 def _scan_section(
     d: DirectiveSequence, max_length: int, nmax: int
 ) -> Dict[str, Any]:
-    # A pattern is a block of nmax letters, so the block-alphabet cap bounds
-    # the patterns scanned; those absent from the texts cost almost nothing.
-    check_budget("window scan", len(d.level_alphabet(0)) ** nmax, MAX_BLOCK_ALPHABET, "patterns")
     min_chars = 24 * max_length + 16
     texts, codec = level_scan_texts(d, min_chars=min_chars, clip=min_chars)
     grid = _window_grid(max_length)
@@ -260,6 +257,11 @@ def _cmd_analyze(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
     registry = _parse_registry(args.register)
     d = parse_directive(args.directive, registry)
     cap = min(args.max_length, EXHAUSTIVE_CAP)
+    if args.max_length > cap:
+        # A scan pattern is a block of nmax letters, so the block-alphabet cap
+        # bounds the patterns; it is checked before the sample is drawn.
+        patterns = len(d.level_alphabet(0)) ** args.nmax
+        check_budget("window scan", patterns, MAX_BLOCK_ALPHABET, "patterns")
     sample = sample_level_language(d, 0, cap, depth=args.depth, window=args.window)
     bal = balance_report(sample, args.nmax)
 

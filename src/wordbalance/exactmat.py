@@ -38,18 +38,6 @@ def vec(values: Sequence) -> Vector:
     return tuple(_frac(v) for v in values)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, v: Vector) -> Vector:
     c = _frac(c)
     return tuple(c * a for a in v)
@@ -102,14 +90,6 @@ class RationalMatrix:
     def is_square(self) -> bool:
         n, m = self.shape
         return n == m
-
-    def transpose(self) -> "RationalMatrix":
-        n, m = self.shape
-        return RationalMatrix(
-            tuple(tuple(self.rows[i][j] for i in range(n)) for j in range(m)),
-            self.col_labels,
-            self.row_labels,
-        )
 
 
 def _check_inner_labels(a: RationalMatrix, b_labels) -> None:

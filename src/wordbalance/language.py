@@ -9,6 +9,7 @@ truncation, `saturated` marks a window-stable approximation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import dataclass
@@ -104,8 +105,7 @@ def substitution_tower(d: DirectiveSequence, k: int, n: int) -> Substitution:
     alphabet = d.level_alphabet(k)
     levels = _tower_texts(map(d.substitution_at, range(k, n)), _letter_codes(alphabet))
     texts = next(itertools.islice(levels, n - k, None))
-    symbols = alphabet.symbols
-    images = {a: Word(tuple(symbols[ord(c)] for c in t), alphabet) for a, t in texts.items()}
+    images = {a: _decode(t, alphabet) for a, t in texts.items()}
     return Substitution(d.level_alphabet(n), alphabet, images)
 
 
@@ -168,16 +168,23 @@ class SampleMeta:
 
 @dataclass(frozen=True)
 class LanguageSample:
-    """Finite factorial truncation of a language: all words up to max_length."""
+    """Finite factorial truncation of a language: all words up to max_length.
+
+    The words are kept as `codes`, strings of one character per letter where
+    chr(i) is the i-th alphabet letter, the empty string included. Ordering
+    strings by (length, string) is then the sort_words order. `words` holds
+    the same words as Words, decoded on first use.
+    """
 
     alphabet: Alphabet
     level: int
     max_length: int
-    words: frozenset
+    codes: frozenset
     meta: SampleMeta
 
-    def words_of_length(self, n: int) -> list:
-        return sort_words(w for w in self.words if len(w) == n)
+    @functools.cached_property
+    def words(self) -> frozenset:
+        return frozenset(_decode(s, self.alphabet) for s in self.codes)
 
     def nonempty_words(self) -> list:
         return sort_words(w for w in self.words if len(w) > 0)
@@ -186,21 +193,15 @@ class LanguageSample:
         return w in self.words
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.codes)
 
 
 def is_factorial(sample: LanguageSample) -> bool:
     """Every factor of every member is a member (and epsilon is present)."""
-    pool = {w.symbols for w in sample.words}
-    if () not in pool:
-        return False
-    for syms in pool:
-        n = len(syms)
-        for i in range(n):
-            for j in range(i, n + 1):
-                if syms[i:j] not in pool:
-                    return False
-    return True
+    pool = sample.codes
+    return "" in pool and all(
+        s[i:j] in pool for s in pool for i in range(len(s)) for j in range(i + 1, len(s) + 1)
+    )
 
 
 def _letter_codes(alphabet: Alphabet) -> Dict[Symbol, str]:
@@ -208,12 +209,10 @@ def _letter_codes(alphabet: Alphabet) -> Dict[Symbol, str]:
     return {a: chr(i) for i, a in enumerate(alphabet.symbols)}
 
 
-def _decode_words(strings: Iterable[str], alphabet: Alphabet) -> frozenset:
-    """The Words spelled by letter-code strings, plus the empty word."""
+def _decode(code: str, alphabet: Alphabet) -> Word:
+    """The Word spelled by a letter-code string."""
     symbols = alphabet.symbols
-    words = {Word(tuple(symbols[ord(c)] for c in w), alphabet) for w in strings}
-    words.add(Word((), alphabet))
-    return frozenset(words)
+    return Word(tuple(symbols[ord(c)] for c in code), alphabet)
 
 
 def _short_factors(texts: Iterable[str], max_length: int) -> set:
@@ -251,7 +250,7 @@ def factorial_closure(
         alphabet=alphabet,
         level=level,
         max_length=max_length,
-        words=_decode_words(_short_factors(texts, max_length), alphabet),
+        codes=frozenset(_short_factors(texts, max_length) | {""}),
         meta=SampleMeta(depth=0, window=0, exact=True, saturated=True),
     )
 
@@ -341,7 +340,7 @@ def sample_level_language(
         alphabet=alphabet,
         level=k,
         max_length=max_length,
-        words=_decode_words(core, alphabet),
+        codes=frozenset(core | {""}),
         meta=SampleMeta(depth=depth, window=window, exact=False, saturated=core == shifted),
     )
 
@@ -379,8 +378,7 @@ def _exact_fixed_point_sample(
     and is imaged in its turn; longer words are skipped. Likewise, of tau(u)
     only the factors that start in the image of u's first letter and end in
     the image of its last are taken: every other factor lies inside the
-    image of a shorter factor of u. Words are strings of one character per
-    letter inside this function.
+    image of a shorter factor of u.
     """
     tau = d.period[0]
     code = _letter_codes(alphabet)
@@ -412,7 +410,7 @@ def _exact_fixed_point_sample(
         alphabet=alphabet,
         level=k,
         max_length=max_length,
-        words=_decode_words(current, alphabet),
+        codes=frozenset(current | {""}),
         meta=SampleMeta(depth=iterations, window=0, exact=True, saturated=True),
     )
 

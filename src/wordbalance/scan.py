@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
-from .language import _short_factors, _tower_lengths
+from .language import _tower_lengths
 from .limits import check_budget
 from .substitution import Substitution
 from .words import Alphabet, Symbol, Word
@@ -58,7 +58,6 @@ def expand_text(
     sub: Substitution,
     seed: Symbol,
     depth: int,
-    codec: Optional[TextCodec] = None,
     max_chars: int = MAX_TEXT_CHARS,
 ) -> str:
     """The string sigma^depth(seed) for an endomorphism, in codec characters.
@@ -69,7 +68,7 @@ def expand_text(
     """
     if sub.domain != sub.codomain:
         raise ValueError("expand_text needs an endomorphism")
-    codec = codec or TextCodec.for_alphabet(sub.domain)
+    codec = TextCodec.for_alphabet(sub.domain)
     # str.translate writes the image directly; joining a generator would
     # first list one reference per character (8 bytes each).
     table = {
@@ -199,9 +198,3 @@ def window_imbalance_curve(
                     low_window=texts[lo[1]][lo[2] : lo[2] + window_len],
                 )
     return {m: best[m] for m in lens if m in best}
-
-
-def distinct_factors(text: str, max_len: int, min_len: int = 1) -> set:
-    """All distinct nonempty substrings of text with lengths in [min_len, max_len]."""
-    return {w for w in _short_factors([text], max_len) if len(w) >= min_len}
-

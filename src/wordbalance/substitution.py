@@ -19,7 +19,6 @@ from .words import (
     Symbol,
     Word,
     block_alphabet,
-    count_occurrences,
     n_coding,
     prefix,
     render_symbol,
@@ -209,10 +208,7 @@ def incidence_matrix(sigma: Substitution) -> RationalMatrix:
     matrix product: incidence(outer . inner) = incidence(outer) * incidence(inner).
     """
     rows = tuple(
-        tuple(
-            count_occurrences(sigma.image(a), Word((b,), sigma.codomain))
-            for a in sigma.domain.symbols
-        )
+        tuple(sigma.image(a).symbols.count(b) for a in sigma.domain.symbols)
         for b in sigma.codomain.symbols
     )
     return RationalMatrix(rows, sigma.codomain.symbols, sigma.domain.symbols)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .language import DirectiveSequence, _tower_lengths, _tower_texts
+from .language import DirectiveSequence, _short_factors, _tower_lengths, _tower_texts
 from .limits import ResourceLimitError, check_budget
 from .scan import (
     MAX_TEXT_CHARS,
@@ -24,7 +24,6 @@ from .scan import (
     TextCodec,
     _occurrence_indicator,
     count_overlapping,
-    distinct_factors,
     expand_text,
     window_imbalance_curve,
 )
@@ -501,34 +500,15 @@ def _factors_and_text(max_len: int, max_depth: int) -> Tuple[frozenset, str, int
     """
     depth = max(4, (16 * max_len).bit_length())
     text = expand_text(SUB_M, "0", depth)
-    pool = distinct_factors(text, max_len)
+    pool = _short_factors([text], max_len)
     while depth < max_depth:
         text += text.translate(_FLIP)
         depth += 1
-        bigger = distinct_factors(text, max_len)
+        bigger = _short_factors([text], max_len)
         if bigger == pool:
             return frozenset(pool), text, depth, True
         pool = bigger
     return frozenset(pool), text, depth, False
-
-
-def compositions_upto(depth: int) -> List[Tuple[str, Substitution]]:
-    """All compositions of {L, M, R} of length <= depth, with their names.
-
-    The empty composition is the identity. Names follow directive order:
-    'LM' denotes the tower L o M (M applied first, then L).
-    """
-    reg = builtin_registry()
-    out: List[Tuple[str, Substitution]] = [("", Substitution.identity(BINARY))]
-    frontier = out
-    for _ in range(depth):
-        nxt = []
-        for name, sub in frontier:
-            for letter in "LMR":
-                nxt.append((name + letter, compose(sub, reg[letter]) if name else reg[letter]))
-        out.extend(nxt)
-        frontier = nxt
-    return out
 
 
 def padded_compositions(depth: int) -> List[Tuple[str, Substitution]]:

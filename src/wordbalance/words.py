@@ -1,4 +1,4 @@
-"""Finite words over ordered alphabets, occurrence counting, and block codings.
+"""Finite words over ordered alphabets, and block codings.
 
 Symbols are opaque hashable tokens ordered by their alphabet position. Letters
 of a block alphabet are n-tuples of base symbols, ordered lexicographically by
@@ -130,21 +130,6 @@ def render_symbol(symbol: Symbol) -> str:
     if isinstance(symbol, tuple):
         return "(" + "".join(render_symbol(s) for s in symbol) + ")"
     return str(symbol)
-
-
-def _require_same_alphabet(w: Word, v: Word) -> None:
-    if w.alphabet != v.alphabet:
-        raise AlphabetError("words over different alphabets")
-
-
-def count_occurrences(w: Word, v: Word) -> int:
-    """Number of (possibly overlapping) occurrences of v in w; v must be nonempty."""
-    _require_same_alphabet(w, v)
-    m = len(v)
-    if m == 0:
-        raise ValueError("occurrence counting requires a nonempty factor")
-    ws, vs = w.symbols, v.symbols
-    return sum(1 for i in range(len(ws) - m + 1) if ws[i : i + m] == vs)
 
 
 def prefix(w: Word, n: int) -> Word:

@@ -22,11 +22,12 @@ from wordbalance.balance import (
     pair_tail_bound,
     perron_frequency,
 )
+from wordbalance import balance
 from wordbalance.exactmat import NotInvertibleError
-from wordbalance import language
-from wordbalance.language import factorial_closure
+from wordbalance.language import factorial_closure, sample_level_language
 from wordbalance.substitution import Substitution, incidence_matrix
-from wordbalance.words import Alphabet, Word, count_occurrences
+from wordbalance.tms import parse_directive
+from wordbalance.words import Alphabet, Word, block_alphabet, sort_words
 
 BIN = Alphabet.from_text("01")
 L = Substitution.from_text("0->0;1->10")
@@ -54,8 +55,9 @@ class TestImbalance:
 
     def test_report_sorts_the_sample_once(self, tm_sample, monkeypatch):
         calls = []
-        real = language.sort_words
-        monkeypatch.setattr(language, "sort_words", lambda ws: calls.append(1) or real(ws))
+        monkeypatch.setattr(
+            balance, "sorted", lambda *a, **k: calls.append(1) or sorted(*a, **k), raising=False
+        )
         balance_report(tm_sample, 6)
         assert len(calls) == 1
 
@@ -85,7 +87,7 @@ class TestImbalance:
             cls = [w for w in tm_sample.words if len(w) == length]
             best = 0
             for v in factors:
-                counts = [count_occurrences(w, v) for w in cls]
+                counts = [overlapping_count(w.symbols, v.symbols) for w in cls]
                 best = max(best, max(counts) - min(counts))
             assert value == best
 
@@ -107,11 +109,12 @@ def overlapping_count(text, pattern):
 
 
 def pairwise_imbalance(words, n, cap):
-    """Reference: every ordered pair (x, y) of a length class, x == y included,
-    in (factor, x, y) order, sorted by length then lexicographically; the first
+    """Reference on Words: every ordered pair (x, y) of a length class, x == y
+    included, in (factor, x, y) order, classes in sort_words order; the first
     strictly larger count difference wins, within a class and across classes.
-    Returns (value, curve, witness as a rendered tuple or None)."""
-    ordered = sorted(words, key=lambda w: (len(w), w))
+    Returns (value, curve, witness as a (high, low, factor, count_high,
+    count_low) tuple of Words and counts, or None)."""
+    ordered = sort_words(words)
     factors = [w for w in ordered if len(w) == n]
     best = None
     curve = []
@@ -122,13 +125,24 @@ def pairwise_imbalance(words, n, cap):
             for v in factors:
                 for x in cls:
                     for y in cls:
-                        cx, cy = overlapping_count(x, v), overlapping_count(y, v)
+                        cx = overlapping_count(x.symbols, v.symbols)
+                        cy = overlapping_count(y.symbols, v.symbols)
                         if class_best is None or cx - cy > class_best[0]:
                             class_best = (cx - cy, x, y, v, cx, cy)
         curve.append((length, class_best[0] if class_best else 0))
         if class_best and (best is None or class_best[0] > best[0]):
             best = class_best
     return (best[0] if best else 0), tuple(curve), (best[1:] if best else None)
+
+
+def assert_matches_pairwise_reference(entry, sample, n, cap):
+    value, curve, witness = pairwise_imbalance(sample.words, n, cap)
+    assert entry.empirical_c == value
+    assert entry.curve == curve
+    got = entry.witness
+    assert (
+        None if got is None else (got.high, got.low, got.factor, got.count_high, got.count_low)
+    ) == witness
 
 
 @st.composite
@@ -140,22 +154,68 @@ def small_factorial_samples(draw):
     return factorial_closure([Word.from_text(t, alphabet) for t in texts], cap)
 
 
+# Alphabets whose order is not the natural order of their symbols.
+REORDERED = (
+    Alphabet(("1", "0")),
+    Alphabet((2, 0, 1)),
+    block_alphabet(Alphabet(("1", "0")), 2),
+)
+
+
+@st.composite
+def reordered_samples(draw):
+    alphabet = draw(st.sampled_from(REORDERED))
+    letters = st.lists(st.sampled_from(alphabet.symbols), min_size=1, max_size=10)
+    texts = draw(st.lists(letters, min_size=1, max_size=3))
+    cap = draw(st.integers(1, 8))
+    return factorial_closure([Word(tuple(t), alphabet) for t in texts], cap)
+
+
+class TestCodeOrder:
+    """Sample codes sort like sort_words sorts the Words they spell."""
+
+    @given(reordered_samples())
+    def test_length_classes_follow_sort_words(self, sample):
+        symbols = sample.alphabet.symbols
+        got = {
+            length: [Word(tuple(symbols[ord(c)] for c in s), sample.alphabet) for s in cls]
+            for length, cls in balance._length_classes(sample).items()
+        }
+        want = {}
+        for w in sort_words(sample.words):
+            if len(w):
+                want.setdefault(len(w), []).append(w)
+        assert list(got.items()) == list(want.items())
+
+    @given(reordered_samples(), st.integers(1, 3), st.one_of(st.none(), st.integers(1, 8)))
+    def test_imbalance_matches_pairwise_reference(self, sample, n, length_cap):
+        entry = imbalance(sample, n, length_cap)
+        cap = sample.max_length if length_cap is None else min(length_cap, sample.max_length)
+        assert_matches_pairwise_reference(entry, sample, n, cap)
+
+
+class TestWordsStayAtTheBoundary:
+    def test_balance_and_frequencies_decode_only_witnesses(self, monkeypatch):
+        sample = sample_level_language(parse_directive("|M"), 0, 40)
+        built = []
+        real = Word.__post_init__
+        monkeypatch.setattr(Word, "__post_init__", lambda w: built.append(w) or real(w))
+        report = balance_report(sample, 2)
+        assert report.sample_size == len(sample.codes)
+        assert len(built) <= 6
+        built.clear()
+        for f in (frequency_vector(sample), perron_frequency(M)):
+            frequency_deviation(sample, f)
+        assert built == []
+        assert "words" not in vars(sample)
+
+
 class TestBalanceAgainstBruteForce:
     @given(small_factorial_samples(), st.integers(1, 3), st.one_of(st.none(), st.integers(1, 8)))
     def test_imbalance_matches_pairwise_reference(self, sample, n, length_cap):
         entry = imbalance(sample, n, length_cap)
         cap = sample.max_length if length_cap is None else min(length_cap, sample.max_length)
-        value, curve, witness = pairwise_imbalance(
-            [w.render() for w in sample.words], n, cap
-        )
-        assert entry.empirical_c == value
-        assert entry.curve == curve
-        got = entry.witness
-        assert (
-            None
-            if got is None
-            else (got.high.render(), got.low.render(), got.factor.render(), got.count_high, got.count_low)
-        ) == witness
+        assert_matches_pairwise_reference(entry, sample, n, cap)
 
     @given(small_factorial_samples(), st.integers(1, 4), st.one_of(st.none(), st.integers(1, 8)))
     def test_report_entries_are_imbalances(self, sample, n_max, length_cap):
@@ -263,7 +323,7 @@ class TestFrequency:
         worst = Fraction(0)
         for w in tm_sample.words:
             for a in "01":
-                got = count_occurrences(w, Word.from_text(a, BIN)) if len(w) else 0
+                got = overlapping_count(w.render(), a)
                 worst = max(worst, abs(Fraction(got) - f[a] * len(w)))
         assert dev == worst
         assert dev >= Fraction(1, 2)  # single letters already deviate by 1/2
@@ -357,7 +417,7 @@ class TestDecomposition:
 
     def test_reassembly_over_sample(self, tm_sample):
         # Every image of a length-3 sample word decomposes and reassembles.
-        for w in tm_sample.words_of_length(3):
+        for w in (w for w in tm_sample.words if len(w) == 3):
             image = M.apply(w)
             d = decompose_in_image(image, M, tm_sample)
             assert d.reassemble(M) == image

@@ -10,7 +10,7 @@ import pytest
 
 import wordbalance
 import wordbalance.verification as verification
-from wordbalance import scan
+from wordbalance import cli, scan
 from wordbalance.cli import (
     EXHAUSTIVE_CAP,
     EXIT_RESOURCE_LIMIT,
@@ -286,6 +286,18 @@ class TestSizeGuards:
         assert code == EXIT_RESOURCE_LIMIT
         assert out == ""
         assert err == "error: window scan needs 8000000 patterns, limit 1048576\n"
+
+    def test_scan_pattern_guard_runs_before_sampling(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the sample was drawn")
+
+        monkeypatch.setattr(cli, "sample_level_language", boom)
+        code, out, err = run(
+            capsys, "analyze", "--directive", "|M", "--max-length", "60", "--nmax", "20000"
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == "error: window scan needs more than 2^20000 patterns, limit 1048576\n"
 
     def test_scan_builds_indicators_only_for_occurring_patterns(self, capsys, monkeypatch):
         calls = []

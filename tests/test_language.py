@@ -123,22 +123,27 @@ class TestFactorialClosure:
             assert sample.alphabet == blocks and sample.max_length == cap
 
     def test_is_factorial_detects_gaps(self):
-        words = frozenset(
-            [Word.empty(BIN), Word.from_text("00", BIN)]  # missing "0"
-        )
-        sample = LanguageSample(
-            alphabet=BIN, level=0, max_length=2, words=words,
-            meta=SampleMeta(depth=0, window=0, exact=False, saturated=False),
-        )
-        assert not is_factorial(sample)
+        meta = SampleMeta(depth=0, window=0, exact=False, saturated=False)
+        for codes in (["", "\x00\x00"], ["\x00"]):  # missing "0", missing ""
+            sample = LanguageSample(
+                alphabet=BIN, level=0, max_length=2, codes=frozenset(codes), meta=meta
+            )
+            assert not is_factorial(sample)
 
 
 class TestSampleAccessors:
-    def test_words_of_length_sorted(self, tm_sample):
-        ws = tm_sample.words_of_length(2)
-        assert [w.render() for w in ws] == ["00", "01", "10", "11"]
+    def test_nonempty_words_sorted(self, tm_sample):
+        ws = tm_sample.nonempty_words()
+        assert [w.render() for w in ws[:6]] == ["0", "1", "00", "01", "10", "11"]
         assert Word.from_text("01", BIN) in tm_sample
-        assert len(tm_sample.nonempty_words()) == len(tm_sample) - 1
+        assert len(ws) == len(tm_sample) - 1
+
+    def test_codes_spell_the_words(self):
+        alphabet = Alphabet(("1", "0"))  # letter "1" is code chr(0)
+        sample = factorial_closure([Word.from_text("110", alphabet)], 2)
+        assert sample.codes == {"", "\x00", "\x01", "\x00\x00", "\x00\x01"}
+        assert {w.render() for w in sample.words} == {"", "1", "0", "11", "10"}
+        assert all(w.alphabet == alphabet for w in sample.words)
 
 
 class TestExactSampling:

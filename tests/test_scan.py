@@ -8,12 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wordbalance import scan
-from wordbalance.language import ResourceLimitError
+from wordbalance.language import ResourceLimitError, _short_factors
 from wordbalance.scan import (
     ScanWitness,
     TextCodec,
     count_overlapping,
-    distinct_factors,
     expand_text,
     window_imbalance_curve,
 )
@@ -329,8 +328,9 @@ class TestWindowKernel:
 
 class TestFactorSets:
     def test_distinct_factors(self):
-        assert distinct_factors("0110", 2) == {"0", "1", "01", "11", "10"}
-        assert distinct_factors("0110", 2, min_len=2) == {"01", "11", "10"}
+        # The factor set of one scan text, as tms._factors_and_text takes it.
+        assert _short_factors(["0110"], 2) == {"0", "1", "01", "11", "10"}
+        assert _short_factors(["0110"], 0) == set()
         rng = random.Random(606)
         text = "".join(rng.choice("ab") for _ in range(60))
         want = {
@@ -338,4 +338,4 @@ class TestFactorSets:
             for n in (1, 2, 3)
             for i in range(len(text) - n + 1)
         }
-        assert distinct_factors(text, 3) == want
+        assert _short_factors([text], 3) == want

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wordbalance import tms
 from wordbalance.exactmat import EigenpairClaim, eigencheck
 from wordbalance.language import ResourceLimitError
-from wordbalance.scan import count_overlapping, distinct_factors, expand_text
+from wordbalance.scan import count_overlapping, expand_text
 from wordbalance.substitution import Substitution, compose, incidence_matrix
 from wordbalance.tms import (
     BLOCK_EIGENPAIRS,
@@ -21,7 +21,6 @@ from wordbalance.tms import (
     builtin_registry,
     classify,
     collect_factors,
-    compositions_upto,
     count_preservation_violations,
     eleven_count_range,
     image_pattern_counts,
@@ -412,26 +411,29 @@ class TestScanHelpers:
         assert len(factors) == 92
         per_len = [sum(1 for f in factors if len(f) == n) for n in range(1, 9)]
         assert per_len == [2, 4, 6, 10, 12, 16, 20, 22]
-        oracle = distinct_factors(thue_morse_text(4096), 8)
+        text = thue_morse_text(4096)
+        oracle = {text[i : i + n] for n in range(1, 9) for i in range(len(text) - n + 1)}
         assert factors == frozenset(oracle)
         assert depth >= 1
 
 
 class TestCompositions:
     def test_compositions_upto(self):
-        comps = compositions_upto(2)
-        assert len(comps) == 13
-        assert comps[0][0] == "" and comps[0][1].is_identity()
-        names = {name for name, _ in comps}
+        # With identity slots dropped, depth 2 covers every composition of
+        # at most two of L, M, R, composed right to left.
+        comps = padded_compositions(2)
+        assert len(comps) == 20
+        names = {name.replace("I", "") for name, _ in comps}
         assert names == {
             "", "L", "M", "R",
             "LL", "LM", "LR", "ML", "MM", "MR", "RL", "RM", "RR",
         }
         by_name = dict(comps)
-        bin_alpha = builtin("L").domain
-        zero = Word.from_text("0", bin_alpha)
+        assert by_name["I"].is_identity() and by_name["II"].is_identity()
+        zero = Word.from_text("0", builtin("L").domain)
         assert by_name["LM"].apply(zero).render() == "010"  # L after M
         assert by_name["ML"].apply(zero).render() == "01"
+        assert by_name["IL"].apply(zero) == by_name["L"].apply(zero)
 
     def test_padded_compositions(self):
         comps = padded_compositions(3)

@@ -1,4 +1,4 @@
-"""Words, alphabets, occurrence counting, factors, and block codings."""
+"""Words, alphabets, factors, and block codings."""
 
 import random
 
@@ -10,7 +10,6 @@ from wordbalance.words import (
     AlphabetError,
     Word,
     block_alphabet,
-    count_occurrences,
     n_coding,
     prefix,
     recast,
@@ -23,7 +22,7 @@ BIN = Alphabet.from_text("01")
 
 
 def brute_count(text: str, pat: str) -> int:
-    """Independent overlapping-occurrence oracle on plain strings."""
+    """Independent overlapping-occurrence oracle on strings or tuples."""
     return sum(
         1 for i in range(len(text) - len(pat) + 1) if text[i : i + len(pat)] == pat
     )
@@ -111,31 +110,6 @@ class TestWord:
         assert w.key() == (1, 0)
 
 
-class TestCounting:
-    def test_overlaps_are_counted(self):
-        w = Word.from_text("0110110", BIN)
-        assert count_occurrences(w, Word.from_text("11", BIN)) == 2
-        aaa = Alphabet.from_text("a")
-        assert count_occurrences(Word.from_text("aaa", aaa), Word.from_text("aa", aaa)) == 2
-
-    def test_empty_factor_rejected(self):
-        with pytest.raises(ValueError):
-            count_occurrences(Word.from_text("01", BIN), Word.empty(BIN))
-
-    def test_mixed_alphabets_rejected(self):
-        other = Alphabet.from_text("ab")
-        with pytest.raises(AlphabetError):
-            count_occurrences(Word.from_text("01", BIN), Word.from_text("a", other))
-
-    def test_against_string_oracle(self):
-        rng = random.Random(101)
-        for _ in range(200):
-            text = "".join(rng.choice("01") for _ in range(rng.randint(0, 30)))
-            pat = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
-            got = count_occurrences(Word.from_text(text, BIN), Word.from_text(pat, BIN))
-            assert got == brute_count(text, pat)
-
-
 class TestFactors:
     def test_prefix_suffix(self):
         w = Word.from_text("0110", BIN)
@@ -181,8 +155,7 @@ class TestBlockCoding:
             pat = "".join(rng.choice("01") for _ in range(n))
             w = Word.from_text(text, BIN)
             coded = n_coding(w, n)
-            block_letter = Word((tuple(pat),), coded.alphabet)
-            assert count_occurrences(coded, block_letter) == brute_count(text, pat)
+            assert brute_count(coded.symbols, (tuple(pat),)) == brute_count(text, pat)
 
     def test_recast(self):
         bigger = Alphabet.from_text("012")
