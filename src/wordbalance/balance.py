@@ -14,12 +14,13 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Tuple
 
 from .exactmat import RationalMatrix, integer_eigenvalues, invert, kernel_basis, mat_vec
-from .language import LanguageSample, _decode
+from .language import LanguageSample, _decode, _image_table, _letter_codes
 from .substitution import Substitution, incidence_matrix
-from .words import Alphabet, Symbol, Word, sort_words
+from .words import Alphabet, Symbol, Word
 
 
 @dataclass(frozen=True)
@@ -313,30 +314,6 @@ class ImageDecomposition:
         return self.head.concat(substitution.apply(self.core)).concat(self.tail)
 
 
-def _aligned_occurrences(
-    w: Word, sigma: Substitution, v: Word
-) -> Iterable[Tuple[Word, Word, Word]]:
-    image = sigma.apply(v)
-    if len(image) < len(w):
-        return
-    cum = [0]
-    for a in v.symbols:
-        cum.append(cum[-1] + len(sigma.image(a)))
-    text, target = image.symbols, w.symbols
-    for p in range(len(text) - len(w) + 1):
-        if text[p : p + len(w)] != target:
-            continue
-        e = p + len(w)
-        i0 = bisect_left(cum, p)
-        j0 = bisect_right(cum, e) - 1
-        if j0 < i0:
-            continue
-        head = Word(text[p : cum[i0]], sigma.codomain)
-        core = v.sub(i0, j0)
-        tail = Word(text[cum[j0] : e], sigma.codomain)
-        yield (head, core, tail)
-
-
 def decompose_in_image(
     w: Word, sigma: Substitution, sample: LanguageSample
 ) -> ImageDecomposition:
@@ -347,33 +324,42 @@ def decompose_in_image(
     lexicographically smallest (head, core, tail). Raises NotRepresentable
     when no image of a sample word contains w with a boundary-compatible
     alignment.
+
+    Works on letter-code strings: the sample's codes are imaged by one
+    translate table and searched with str.find, and since code point i is
+    alphabet position i, comparing code strings is comparing Word keys.
+    Only the winner is decoded.
     """
     if w.alphabet != sigma.codomain:
         raise ValueError("word must live over the substitution codomain")
     if sample.alphabet != sigma.domain:
         raise ValueError("sample must live over the substitution domain")
-    seen = set()
-    found: List[Tuple[int, int, tuple, tuple, tuple, ImageDecomposition]] = []
-    for v in sort_words(sample.words):
-        for head, core, tail in _aligned_occurrences(w, sigma, v):
-            key = (head.symbols, core.symbols, tail.symbols)
-            if key in seen:
-                continue
-            seen.add(key)
-            found.append(
-                (
-                    len(head),
-                    -len(core),
-                    head.key(),
-                    core.key(),
-                    tail.key(),
-                    ImageDecomposition(head, core, tail),
-                )
-            )
-    if not found:
+    code = _letter_codes(sigma.codomain)
+    target = "".join(map(code.__getitem__, w.symbols))
+    table = _image_table(sigma)
+    # (len(head), -len(core), head, core, tail), words as codes.
+    best: Optional[tuple] = None
+    for v in sample.codes:
+        image = v.translate(table)
+        p = image.find(target)
+        if p < 0:
+            continue
+        cum = list(accumulate((len(table[ord(c)]) for c in v), initial=0))
+        while p >= 0:
+            e = p + len(target)
+            i0 = bisect_left(cum, p)
+            j0 = bisect_right(cum, e) - 1
+            if j0 >= i0:
+                key = (cum[i0] - p, i0 - j0, image[p : cum[i0]], v[i0:j0], image[cum[j0] : e])
+                if best is None or key < best:
+                    best = key
+            p = image.find(target, p + 1)
+    if best is None:
         raise NotRepresentable(w, sigma)
-    found.sort(key=lambda t: t[:5])
-    return found[0][5]
+    head, core, tail = best[2:]
+    return ImageDecomposition(
+        _decode(head, sigma.codomain), _decode(core, sigma.domain), _decode(tail, sigma.codomain)
+    )
 
 
 def decompose_pair_in_image(

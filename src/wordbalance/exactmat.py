@@ -126,10 +126,21 @@ def mat_pow(a: RationalMatrix, e: int) -> RationalMatrix:
         raise ValueError("power of a non-square matrix")
     if e < 0:
         raise ValueError("negative power")
-    result = RationalMatrix.identity(a.shape[0], a.row_labels)
-    for _ in range(e):
-        result = mat_mul(result, a)
-    return result
+    if e == 0:
+        return RationalMatrix.identity(a.shape[0], a.row_labels)
+    return binary_power(a, e, mat_mul)
+
+
+def binary_power(base, k: int, mul):
+    """base^k for k >= 1 in about 2*log2(k) products, where mul is associative."""
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else mul(result, base)
+        k >>= 1
+        if not k:
+            return result
+        base = mul(base, base)
 
 
 def det(a: RationalMatrix) -> Fraction:

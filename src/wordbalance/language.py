@@ -9,14 +9,17 @@ truncation, `saturated` marks a window-stable approximation.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .limits import ResourceLimitError, check_budget
-from .substitution import Substitution, SubstitutionError
+from .exactmat import binary_power
+from .substitution import Substitution, SubstitutionError, incidence_matrix
 from .words import Alphabet, Symbol, Word, sort_words
 
 MAX_SAMPLE_CHARS = 60_000_000
@@ -158,6 +161,102 @@ def _tower_texts(
         yield texts
 
 
+def _deepest(levels: Iterable):
+    """The last level of a tower walk."""
+    return collections.deque(levels, maxlen=1)[0]
+
+
+def _int_mat_mul(x, y):
+    """The product of two integer matrices given as lists of rows."""
+    return [[sum(map(operator.mul, row, col)) for col in zip(*y)] for row in x]
+
+
+def _periodic_tower_lengths(d: DirectiveSequence, depth: int) -> Dict[Symbol, int]:
+    """The level-`depth` letter lengths of _tower_lengths, for depth >= p.
+
+    With depth = p + r + k*q and 0 <= r < q, sigma_[0,depth) is
+    sigma_[0,p+r) . tau^k, where tau = sigma_[p+r,p+r+q) is the period
+    read from level p+r. Level p+r comes from a lengths walk, and the
+    lengths k periods deeper from the k-th power of tau's incidence matrix,
+    in integers: with Fraction entries the powers took 15 to 30 times longer.
+    """
+    p, q = d.prefix_length, d.period_length
+    k, r = divmod(depth - p, q)
+    levels = map(d.substitution_at, range(p + r))
+    lengths = _deepest(_tower_lengths(levels, d.level_alphabet(0)))
+    if not k:
+        return lengths
+    period = [incidence_matrix(d.substitution_at(j)) for j in range(p + r, p + r + q)]
+    counts = [[[int(x) for x in row] for row in m.rows] for m in period]
+    tau = functools.reduce(_int_mat_mul, counts)
+    row = [[lengths[b] for b in period[0].row_labels]]
+    (deep,) = _int_mat_mul(row, binary_power(tau, k, _int_mat_mul))
+    return dict(zip(period[-1].col_labels, deep))
+
+
+def _periodic_tower_texts(
+    d: DirectiveSequence, depth: int, chars: Mapping[Symbol, str], clip: int
+) -> Dict[Symbol, str]:
+    """The level-`depth` texts of _tower_texts(levels 0..depth-1, chars,
+    clip), for depth >= p + q and a non-erasing eventually periodic d.
+
+    With depth = p + r + k*q and 0 <= r < q, sigma_[0,depth) is
+    sigma_[0,p+r) . tau^k, where tau = sigma_[p+r,p+r+q). The clipped texts
+    of tau^k come by binary powering on letter-code strings: for a
+    non-erasing f, the first clip characters of f(g(a)) depend only on the
+    first clip letters of g(a) and on the clipped images of f. Level p+r
+    comes from a walk. At most three letter maps are held at once, and
+    _clipped_image builds at most 3*clip more characters at a time.
+    """
+    p, q = d.prefix_length, d.period_length
+    k, r = divmod(depth - p, q)
+    codes = _letter_codes(d.level_alphabet(p + r))
+
+    def table(texts):  # a letter map as a str.translate table over codes
+        return {ord(codes[a]): t for a, t in texts.items()}
+
+    def after(f, g):  # f . g, both clipped tables
+        return {c: _clipped_image(t, f, clip) for c, t in g.items()}
+
+    tau = map(d.substitution_at, range(p + r, p + r + q))
+    power = binary_power(table(_deepest(_tower_texts(tau, codes, clip))), k, after)
+    top = table(_deepest(_tower_texts(map(d.substitution_at, range(p + r)), chars, clip)))
+    return {a: _clipped_image(power[ord(c)], top, clip) for a, c in codes.items()}
+
+
+def _clipped_image(word: str, table: Mapping[int, str], clip: int) -> str:
+    """word.translate(table)[:clip], translating only as much of word as
+    the clip needs.
+
+    Image lengths are read off str.count: the prefix of word that is
+    translated grows by doubling until its image reaches clip, and the last
+    step is halved back until it adds at most clip characters. So no more
+    than 2*clip characters are built, whatever the image lengths.
+    """
+    sizes = [(chr(c), len(t)) for c, t in table.items()]
+
+    def size(lo: int, hi: int) -> int:
+        return sum(word.count(c, lo, hi) * n for c, n in sizes)
+
+    end, total = 0, 0  # word[:end] translates to total < clip characters
+    step = -(-clip // max(n for _, n in sizes))
+    while end < len(word):
+        hi = min(len(word), end + step)
+        grown = size(end, hi)
+        if total + grown < clip:
+            end, total, step = hi, total + grown, 2 * step
+            continue
+        while grown > clip and hi - end > 1:
+            mid = (end + hi) // 2
+            part = size(end, mid)
+            if total + part >= clip:
+                hi, grown = mid, part
+            else:
+                end, total, grown = mid, total + part, grown - part
+        return word[:hi].translate(table)[:clip]
+    return word.translate(table)
+
+
 @dataclass(frozen=True)
 class SampleMeta:
     depth: int
@@ -209,6 +308,16 @@ def _letter_codes(alphabet: Alphabet) -> Dict[Symbol, str]:
     return {a: chr(i) for i, a in enumerate(alphabet.symbols)}
 
 
+def _image_table(sigma: Substitution) -> Dict[int, str]:
+    """A str.translate table from sigma's domain codes to the codes of the
+    letter images."""
+    code = _letter_codes(sigma.codomain)
+    return {
+        i: "".join(map(code.__getitem__, sigma.image(a).symbols))
+        for i, a in enumerate(sigma.domain.symbols)
+    }
+
+
 def _decode(code: str, alphabet: Alphabet) -> Word:
     """The Word spelled by a letter-code string."""
     symbols = alphabet.symbols
@@ -246,6 +355,13 @@ def factorial_closure(
         raise ValueError("mixed alphabets in factorial closure")
     code = _letter_codes(alphabet)
     texts = ("".join(map(code.__getitem__, w.symbols)) for w in words)
+    return _code_closure(texts, max_length, alphabet, level)
+
+
+def _code_closure(
+    texts: Iterable[str], max_length: int, alphabet: Alphabet, level: int = 0
+) -> LanguageSample:
+    """factorial_closure of words given as letter-code strings."""
     return LanguageSample(
         alphabet=alphabet,
         level=level,
@@ -358,7 +474,9 @@ def _default_depth(d: DirectiveSequence, k: int, max_length: int) -> int:
             return k + max(j, 1)
     raise ResourceLimitError(
         f"growth too slow: sample depth needs more than {MAX_DEPTH_LEVELS} levels, "
-        f"limit {MAX_DEPTH_LEVELS}"
+        f"limit {MAX_DEPTH_LEVELS}",
+        "sample depth",
+        limit=MAX_DEPTH_LEVELS,
     )
 
 

@@ -6,9 +6,27 @@ the resource, the requested size and the limit.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ResourceLimitError(RuntimeError):
-    """The request would exceed the configured memory/size budget."""
+    """The request would exceed the configured memory/size budget.
+
+    `resource`, `requested` and `limit` hold what the message names; each
+    is None where the refusal has no such size.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        resource: Optional[str] = None,
+        requested: Optional[int] = None,
+        limit: Optional[int] = None,
+    ):
+        super().__init__(message)
+        self.resource = resource
+        self.requested = requested
+        self.limit = limit
 
 
 def check_budget(resource: str, requested: int, limit: int, unit: str = "characters") -> None:
@@ -18,4 +36,6 @@ def check_budget(resource: str, requested: int, limit: int, unit: str = "charact
             size = str(requested)
         except ValueError:  # more digits than Python converts to a string
             size = f"more than 2^{requested.bit_length() - 1}"
-        raise ResourceLimitError(f"{resource} needs {size} {unit}, limit {limit}")
+        raise ResourceLimitError(
+            f"{resource} needs {size} {unit}, limit {limit}", resource, requested, limit
+        )

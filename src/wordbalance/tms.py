@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .language import DirectiveSequence, _short_factors, _tower_lengths, _tower_texts
+from .language import (
+    DirectiveSequence,
+    _deepest,
+    _periodic_tower_lengths,
+    _periodic_tower_texts,
+    _short_factors,
+    _tower_lengths,
+    _tower_texts,
+)
 from .limits import ResourceLimitError, check_budget
 from .scan import (
     MAX_TEXT_CHARS,
@@ -33,7 +41,7 @@ from .substitution import (
     compose,
     induced_block_substitution,
 )
-from .words import Alphabet, Word, n_coding, recast
+from .words import Alphabet, Symbol, Word, n_coding, recast
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,6 +57,16 @@ _FLIP = str.maketrans("01", "10")
 _BLOCK_PATTERNS = ("00", "01", "10", "11")
 
 MAX_WITNESS_CHARS = 45_000_000
+# A walk through every level copies each level's texts once, so it costs
+# little on a tower that grows exponentially and reaches its scan depth in a
+# few dozen levels. Scan lengths and texts this many levels below the prefix
+# come from powers of the composed period instead (see _squared).
+_SQUARING_LEVELS = 256
+# Each power of the incidence matrix costs |A|^3 integer products. On a
+# linear tower scanned 3444 levels deep (Python 3.11, one Xeon core), the
+# powers took 10, 40, 111 and 678 ms at 8, 16, 24 and 48 letters, and the
+# walk 37, 68, 100 and 179 ms.
+_SQUARING_LETTERS = 16
 _FACTOR_MAX_DEPTH = 26
 
 
@@ -447,16 +465,40 @@ def level_scan_texts(
     text length) until the longest letter text reaches min_chars or the
     depth cap; each text is clipped to `clip`. The depth is chosen from
     the text lengths alone, and then each text is built once, and only its
-    first clip characters.
+    first clip characters. Where _squared holds, the lengths and texts
+    come from powers of the composed period instead of a walk through
+    every level.
     """
     if min_chars < 1 or clip < 1:
         raise ValueError("min_chars and clip must be positive")
     codec = TextCodec.for_alphabet(d.level_alphabet(0))
     depth = _scan_depth(d, codec.alphabet, min_chars, clip, max_depth)
     chars = dict(zip(codec.alphabet.symbols, codec.chars))
-    levels = _tower_texts(map(d.substitution_at, range(depth)), chars, clip)
-    texts = next(itertools.islice(levels, depth, None))
+    if _squared(d, clip, depth):
+        texts = _periodic_tower_texts(d, depth, chars, clip)
+    else:
+        texts = _deepest(_tower_texts(map(d.substitution_at, range(depth)), chars, clip))
     return [t for t in texts.values() if t], codec
+
+
+def _squared(d: DirectiveSequence, clip: int, depth: int) -> bool:
+    """Do the scan lengths and texts at `depth` skip the level walk?
+
+    Yes at least _SQUARING_LEVELS levels, and one period, below the prefix
+    of an eventually periodic, non-erasing directive whose level alphabets
+    A all have at most _SQUARING_LETTERS letters and (3*|A| + 3) * clip <=
+    MAX_TEXT_CHARS. A level of the walk then keeps at most |A| * clip
+    characters, so its scan-expansion check could never refuse, and the
+    squaring, which holds three letter maps and builds at most 3*clip more
+    characters at a time, stays in the budget.
+    """
+    p, q = d.prefix_length, d.period_length
+    if d.period is None or depth - p < max(q, _SQUARING_LEVELS):
+        return False
+    if not all(s.is_non_erasing() for s in d.prefix + d.period):
+        return False
+    widest = max(len(d.level_alphabet(j)) for j in range(p + q))
+    return widest <= _SQUARING_LETTERS and (3 * widest + 3) * clip <= MAX_TEXT_CHARS
 
 
 def _scan_depth(
@@ -465,18 +507,32 @@ def _scan_depth(
     """The depth level_scan_texts builds, from letter-text lengths only.
 
     Refused when some level up to that depth would keep more than
-    MAX_TEXT_CHARS characters, counting each letter text up to clip.
+    MAX_TEXT_CHARS characters, counting each letter text up to clip. Where
+    _squared holds, no level can, and the lengths come from powers of the
+    composed period's incidence matrix instead of the walk.
     """
+    walk = enumerate(_checked_lengths(d, alphabet, clip))
     depth = max(8, d.prefix_length + max(1, d.period_length))
-    walk = _tower_lengths(map(d.substitution_at, itertools.count()), alphabet)
-    for level, lengths in enumerate(walk):
-        kept = sum(min(n, clip) for n in lengths.values())
-        check_budget("scan expansion", kept, MAX_TEXT_CHARS)
-        if level < depth:
-            continue
+    while True:
+        if _squared(d, clip, depth):
+            lengths = _periodic_tower_lengths(d, depth)
+        else:
+            lengths = next(ls for level, ls in walk if level == depth)
         if max(lengths.values()) >= min_chars or depth >= max_depth:
             return depth
         depth = min(max_depth, depth + max(1, depth // 2))
+
+
+def _checked_lengths(
+    d: DirectiveSequence, alphabet: Alphabet, clip: int
+) -> Iterable[Dict[Symbol, int]]:
+    """The lengths walk through every level of d, each level refused when
+    it would keep more than MAX_TEXT_CHARS characters, counting each letter
+    text up to clip."""
+    for lengths in _tower_lengths(map(d.substitution_at, itertools.count()), alphabet):
+        kept = sum(min(n, clip) for n in lengths.values())
+        check_budget("scan expansion", kept, MAX_TEXT_CHARS)
+        yield lengths
 
 
 def collect_factors(

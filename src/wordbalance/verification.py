@@ -31,6 +31,9 @@ from .exactmat import EigenpairClaim, eigencheck, integer_eigenvalues, mat_pow, 
 from .language import (
     DirectiveSequence,
     LanguageSample,
+    _code_closure,
+    _decode,
+    _image_table,
     factorial_closure,
     is_everywhere_growing,
     is_factorial,
@@ -63,7 +66,7 @@ from .tms import (
     witness_pair,
     witness_strings,
 )
-from .words import Alphabet, Word, sort_words
+from .words import Alphabet, Word
 
 SEED = 20260816
 
@@ -158,9 +161,11 @@ def _random_factorial_sample(
 
 
 def _image_closure(source: LanguageSample, sigma: Substitution) -> LanguageSample:
-    images = [sigma.apply(w) for w in source.nonempty_words()]
-    cap = max((len(w) for w in images), default=0)
-    return factorial_closure(images, cap, alphabet=sigma.codomain)
+    """All factors of the images of the source's nonempty words."""
+    table = _image_table(sigma)
+    images = [s.translate(table) for s in source.codes if s]
+    cap = max(map(len, images), default=0)
+    return _code_closure(images, cap, sigma.codomain)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +465,17 @@ def check_pair_decomposition_bound() -> CheckResult:
             sigma = builtin(s_name)
             closure = _image_closure(source, sigma)
             bound = pair_tail_bound(c_1, size, sigma.norm())
-            by_len: Dict[int, List[Word]] = {}
-            for w in sort_words(closure.words):
-                if len(w) >= 2:
-                    by_len.setdefault(len(w), []).append(w)
+            # Codes in (length, code) order, which is the sort_words order.
+            by_len: Dict[int, List[str]] = {}
+            for s in sorted(closure.codes, key=lambda s: (len(s), s)):
+                if len(s) >= 2:
+                    by_len.setdefault(len(s), []).append(s)
             lengths = [n for n, ws in by_len.items() if len(ws) >= 2]
             for _ in range(40):
                 if not lengths:
                     break
                 n = rng.choice(lengths)
-                w, w2 = rng.sample(by_len[n], 2)
+                w, w2 = (_decode(s, closure.alphabet) for s in rng.sample(by_len[n], 2))
                 d1, d2 = decompose_pair_in_image(w, w2, sigma, source)
                 if d1.reassemble(sigma) != w or d2.reassemble(sigma) != w2:
                     passed = False

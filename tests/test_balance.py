@@ -415,6 +415,43 @@ class TestDecomposition:
                 Word.from_text("01", BIN), Word.from_text("011", BIN), M, tm_sample
             )
 
+    @pytest.mark.parametrize(
+        "sigma",
+        [L, M, R, Substitution.from_text("0->1;1->0"), Substitution.from_text("0->0;1->")],
+        ids=["L", "M", "R", "swap", "erasing"],
+    )
+    def test_matches_brute_force_over_image_factors(self, left_sample, sigma):
+        # Every factor of an image of a sample word, decomposed by trying
+        # every occurrence in every image on symbol tuples.
+        def brute_force(w):
+            found = []
+            for v in left_sample.words:
+                image = sigma.apply(v).symbols
+                ends = [0]
+                for a in v.symbols:
+                    ends.append(ends[-1] + len(sigma.image(a)))
+                for p in range(len(image) - len(w) + 1):
+                    if image[p : p + len(w)] != w.symbols:
+                        continue
+                    e = p + len(w)
+                    i0 = min(i for i, c in enumerate(ends) if c >= p)
+                    j0 = max(j for j, c in enumerate(ends) if c <= e)
+                    if j0 >= i0:
+                        head, core, tail = image[p : ends[i0]], v.symbols[i0:j0], image[ends[j0] : e]
+                        found.append((len(head), -len(core), head, core, tail))
+            return min(found)[2:] if found else None
+
+        factors = {
+            sigma.apply(v).sub(i, j)
+            for v in left_sample.words
+            for i in range(len(sigma.apply(v)))
+            for j in range(i + 1, len(sigma.apply(v)) + 1)
+        }
+        assert len(factors) >= 10
+        for w in sort_words(factors):
+            d = decompose_in_image(w, sigma, left_sample)
+            assert (d.head.symbols, d.core.symbols, d.tail.symbols) == brute_force(w)
+
     def test_reassembly_over_sample(self, tm_sample):
         # Every image of a length-3 sample word decomposes and reassembles.
         for w in (w for w in tm_sample.words if len(w) == 3):

@@ -97,6 +97,14 @@ class TestProducts:
         with pytest.raises(ValueError):
             mat_pow(a, -1)
 
+    def test_mat_pow_matches_repeated_products(self):
+        # Binary powering against one product per power, with labels kept.
+        a = M([[1, Fraction(1, 2), 0], [2, 0, 1], [0, 3, Fraction(-1, 3)]], "xyz", "xyz")
+        want = RationalMatrix.identity(3, "xyz")
+        for e in range(13):
+            assert mat_pow(a, e) == want
+            want = mat_mul(want, a)
+
 
 class TestDeterminant:
     def test_known_values(self):

@@ -1,10 +1,9 @@
 """Report bytes against the sha256 digests pinned by the benchmark.
 
 bench/digests.json maps each benchmark op (its CLI arguments joined by
-spaces) to the sha256 of the report it prints. Every op but `verify`,
-which has its own tests and takes seconds, is rerun here in-process, so a
-change to any pinned report fails the suite, not only the benchmark. The
-file is only read.
+spaces) to the sha256 of the report it prints. Every op, `verify`
+included, is rerun here in-process, so a change to any pinned report fails
+the suite, not only the benchmark. The file is only read.
 """
 
 import hashlib
@@ -18,12 +17,13 @@ from wordbalance.cli import EXIT_SUCCESS, main
 PINNED = json.loads(
     (Path(__file__).resolve().parent.parent / "bench" / "digests.json").read_text()
 )
-OPS = sorted(key for key in PINNED if key != "verify")
+OPS = sorted(PINNED)
 
 
 def test_pinned_ops_cover_every_command_that_builds_texts():
     assert any("--max-length 20000" in key for key in OPS)
     assert "witness --n 10" in OPS
+    assert "verify" in OPS
 
 
 @pytest.mark.parametrize("key", OPS)

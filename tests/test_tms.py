@@ -1,5 +1,7 @@
 """The builtin three-substitution family and its certified witness machinery."""
 
+import itertools
+import operator
 import random
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from wordbalance import tms
 from wordbalance.exactmat import EigenpairClaim, eigencheck
 from wordbalance.language import ResourceLimitError
-from wordbalance.scan import count_overlapping, expand_text
+from wordbalance.scan import MAX_TEXT_CHARS, count_overlapping, expand_text
 from wordbalance.substitution import Substitution, compose, incidence_matrix
 from wordbalance.tms import (
     BLOCK_EIGENPAIRS,
@@ -405,6 +407,102 @@ class TestScanHelpers:
         assert tms._scan_depth(d, codec.alphabet, min_chars, clip, max_depth) == depth
         assert texts == want
 
+    @pytest.mark.parametrize(
+        "text, min_chars, clip",
+        [
+            ("|L", 9600, 24000),
+            ("|RRR", 9600, 24000),
+            ("|LM", 9600, 24000),
+            ("|M", 24 * 1366 + 16, 60000),
+            ("|MMM", 24 * 1366 + 16, 60000),
+            ("L|L", 4800, 20000),
+            ("L|R", 4800, 20000),
+            ("ML|LLL", 4800, 20000),
+        ],
+    )
+    def test_level_scan_matches_full_build_on_verify_towers(self, text, min_chars, clip):
+        # The parameters of verify's sweeps; the linear towers among them
+        # are scanned more than 4000 levels deep.
+        d = parse_directive(text)
+        depth, want = reference_scan_texts(d, min_chars, clip, 32768)
+        texts, codec = level_scan_texts(d, min_chars, clip)
+        assert tms._scan_depth(d, codec.alphabet, min_chars, clip, 32768) == depth
+        assert texts == want
+
+    @given(
+        st.text(alphabet="LR", max_size=2),
+        st.text(alphabet="LR", min_size=1, max_size=3),
+        st.integers(1, 5000),
+        st.integers(1, 5000),
+        st.integers(1, 3000),
+    )
+    @example("", "L", 2500, 3000, 3000)
+    @example("RL", "RRR", 900, 700, 3000)
+    def test_level_scan_matches_full_build_on_deep_towers(
+        self, prefix, period, min_chars, clip, max_depth
+    ):
+        d = parse_directive(f"{prefix}|{period}")
+        depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
+        texts, codec = level_scan_texts(d, min_chars, clip, max_depth)
+        assert tms._scan_depth(d, codec.alphabet, min_chars, clip, max_depth) == depth
+        assert texts == want
+
+    def test_level_scan_matches_full_build_on_a_quadratic_tower(self):
+        # Q^j(a) has j b's and j(j-1)/2 c's, so the text of a grows
+        # quadratically and 30,000 characters take more than 256 levels;
+        # P maps the three letters onto two.
+        registry = {
+            "P": Substitution.from_text("a->0;b->01;c->1"),
+            "Q": Substitution.from_text("a->ab;b->bc;c->c"),
+        }
+        d = parse_directive("P|Q", registry)
+        depth, want = reference_scan_texts(d, 30000, 5000, 32768)
+        assert depth > 256
+        texts, codec = level_scan_texts(d, 30000, 5000)
+        assert tms._scan_depth(d, codec.alphabet, 30000, 5000, 32768) == depth
+        assert texts == want
+
+    def test_level_scan_refusal_on_a_wide_alphabet(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a text was built")
+
+        monkeypatch.setattr(tms, "_tower_texts", boom)
+        monkeypatch.setattr(tms, "_periodic_tower_texts", boom)
+        # Three letters of 2^j characters each at level j. With clip 3*10^7,
+        # three clipped texts can hold more than 8*10^7 characters, so the
+        # walk checks every level: level 25 keeps 3 * 3*10^7.
+        d = parse_directive("|T", {"T": Substitution.from_text("a->ab;b->bc;c->ca")})
+        with pytest.raises(
+            ResourceLimitError,
+            match="^scan expansion needs 90000000 characters, limit 80000000$",
+        ):
+            level_scan_texts(d, 3 * 10**7, 3 * 10**7)
+
+    def test_squaring_stays_within_the_text_budget(self):
+        # Two letters: the squaring may hold (3*2 + 3) * clip characters.
+        d = parse_directive("|L")
+        assert tms._squared(d, MAX_TEXT_CHARS // 9, 256)
+        assert not tms._squared(d, MAX_TEXT_CHARS // 9 + 1, 256)
+        assert not tms._squared(d, MAX_TEXT_CHARS // 9, 255)
+
+    @pytest.mark.parametrize("letters", [16, 17])
+    def test_level_scan_matches_full_build_on_wide_alphabets(self, letters, monkeypatch):
+        # a gains one letter per level, so 400 characters take 454 levels;
+        # powers of the incidence matrix serve alphabets of up to 16 letters.
+        symbols = "abcdefghijklmnopq"[:letters]
+        rules = ";".join(["a->ab"] + [f"{c}->{c}" for c in symbols[1:]])
+        d = parse_directive("|T", {"T": Substitution.from_text(rules)})
+        depth, want = reference_scan_texts(d, 400, 300, 32768)
+        powers = []
+        real = tms._periodic_tower_lengths
+        monkeypatch.setattr(
+            tms, "_periodic_tower_lengths", lambda *args: powers.append(args) or real(*args)
+        )
+        texts, codec = level_scan_texts(d, 400, 300)
+        assert texts == want
+        assert tms._scan_depth(d, codec.alphabet, 400, 300, 32768) == depth == 454
+        assert bool(powers) == (letters <= tms._SQUARING_LETTERS)
+
     def test_collect_factors(self):
         factors, depth, stable = collect_factors(8)
         assert stable
@@ -415,6 +513,27 @@ class TestScanHelpers:
         oracle = {text[i : i + n] for n in range(1, 9) for i in range(len(text) - n + 1)}
         assert factors == frozenset(oracle)
         assert depth >= 1
+
+
+class TestSturmianOracle:
+    """Periods over {L, R} that use both letters generate Sturmian languages:
+    n + 1 factors of each length n (Morse and Hedlund 1940), and letter
+    counts of equal-length factors differ by at most 1."""
+
+    @pytest.mark.parametrize("period", ["LR", "RL", "LLR", "LRL", "RLL", "LRR", "RLR", "RRL"])
+    def test_scan_texts_are_sturmian(self, period):
+        texts, _ = level_scan_texts(parse_directive("|" + period), 9600, 24000)
+        # Every factor of length n <= 40 is a prefix of some window of 40.
+        windows = {t[i : i + 40] for t in texts for i in range(len(t))}
+        for n in range(1, 41):
+            assert len({w[:n] for w in windows if len(w) >= n}) == n + 1
+        # ones[t][i] counts the 1s of t[:i]; a window's count is a difference.
+        ones = [list(itertools.accumulate((c == "1" for c in t), initial=0)) for t in texts]
+        for m in range(1, 61):
+            counts = [
+                count for o in ones for count in map(operator.sub, o[m:], o[: len(o) - m])
+            ]
+            assert max(counts) - min(counts) == 1
 
 
 class TestCompositions:

@@ -5,7 +5,10 @@ import re
 
 import pytest
 
-from wordbalance.verification import CHECKS, run_checks
+from wordbalance.language import factorial_closure, sample_level_language
+from wordbalance.substitution import Substitution
+from wordbalance.tms import builtin, parse_directive
+from wordbalance.verification import CHECKS, _image_closure, run_checks
 
 
 class TestSuiteMetadata:
@@ -50,3 +53,17 @@ class TestWorkCounters:
         assert d["factor_depth"] == 12
         assert d["checked"] == 1328208
         assert d["violations"] == 0
+
+
+class TestImageClosure:
+    @pytest.mark.parametrize(
+        "sigma",
+        [builtin("L"), builtin("M"), builtin("R"), Substitution.from_text("0->;1->10")],
+        ids=["L", "M", "R", "erasing"],
+    )
+    def test_matches_the_closure_of_word_images(self, sigma):
+        source = sample_level_language(parse_directive("|M"), 0, 8)
+        images = [sigma.apply(w) for w in source.nonempty_words()]
+        cap = max(len(w) for w in images)
+        want = factorial_closure(images, cap, alphabet=sigma.codomain)
+        assert _image_closure(source, sigma) == want
