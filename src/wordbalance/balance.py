@@ -99,7 +99,11 @@ def _imbalance(
             break
         class_best: Optional[tuple] = None
         if len(cls) >= 2 and factors:
-            tallies = [Counter(s[i : i + n] for i in range(length - n + 1)) for s in cls]
+            # Counter tallies a string's letters, or a list of its slices, in C.
+            if n == 1:
+                tallies = [Counter(s) for s in cls]
+            else:
+                tallies = [Counter([s[i : i + n] for i in range(length - n + 1)]) for s in cls]
             for v in factors:
                 row = [t.get(v, 0) for t in tallies]
                 hi, lo = max(row), min(row)

@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
-from . import verification
 from .balance import (
     FrequencyVector,
     balance_report,
@@ -356,6 +355,9 @@ def _cmd_witness(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
+    # Imported here: only verify needs the suite's checks and their imports.
+    from . import verification
+
     outcomes = verification.run_checks(only=args.only)
     failed = [r.check_id for r in outcomes if not r.passed]
     results = {

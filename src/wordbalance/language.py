@@ -25,6 +25,10 @@ from .words import Alphabet, Symbol, Word, sort_words
 MAX_SAMPLE_CHARS = 60_000_000
 # Levels the default sampling depth may walk down before giving up.
 MAX_DEPTH_LEVELS = 4096
+# The exact sampler stops after max_length + this many rounds.
+_FIXED_POINT_SLACK = 64
+# Times the capped growth decision squares its cap looking for agreement.
+_CAP_ESCALATIONS = 5
 
 
 class DirectiveSequence:
@@ -507,8 +511,12 @@ def _exact_fixed_point_sample(
     iterations = 0
     while True:
         iterations += 1
-        if iterations > max_length + 64:
-            raise ResourceLimitError("fixed-point sampling failed to stabilize")
+        if iterations > max_length + _FIXED_POINT_SLACK:
+            raise ResourceLimitError(
+                "fixed-point sampling failed to stabilize",
+                "fixed-point rounds",
+                limit=max_length + _FIXED_POINT_SLACK,
+            )
         found: set = set()
         for w in new:
             if len(w) > longest:
@@ -643,7 +651,7 @@ def _capped_growth_verdict(tau: Substitution, symbols, weights) -> Tuple[bool, d
     max_entry = max((c for row in entry.values() for c in row.values()), default=0)
     cap = max(64, max(weights.values(), default=1) + 1, (len(symbols) * max_entry + 2) ** 2)
     verdict, data = _capped_orbit(symbols, entry, weights, cap)
-    for _ in range(5):
+    for _ in range(_CAP_ESCALATIONS):
         bigger = cap * cap + 17
         verdict2, data2 = _capped_orbit(symbols, entry, weights, bigger)
         if verdict2 == verdict:
@@ -651,7 +659,11 @@ def _capped_growth_verdict(tau: Substitution, symbols, weights) -> Tuple[bool, d
             data["tier"] = "capped-cycle"
             return verdict, data, not verdict
         cap, verdict, data = bigger, verdict2, data2
-    raise ResourceLimitError("growth decision did not stabilize under cap escalation")
+    raise ResourceLimitError(
+        "growth decision did not stabilize under cap escalation",
+        "growth cap escalations",
+        limit=_CAP_ESCALATIONS,
+    )
 
 
 def _capped_orbit(symbols, entry, weights, cap):

@@ -10,6 +10,7 @@ all occur in the text).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
@@ -87,12 +88,22 @@ def count_overlapping(text: str, pattern: str) -> int:
     """Occurrences of pattern in text, overlaps included."""
     if not pattern:
         raise ValueError("pattern must be nonempty")
+    # Two occurrences of a word with no border cannot overlap, so str.count's
+    # disjoint count is exact.
+    if not _has_border(pattern):
+        return text.count(pattern)
     count = 0
     idx = text.find(pattern)
     while idx != -1:
         count += 1
         idx = text.find(pattern, idx + 1)
     return count
+
+
+@functools.lru_cache(maxsize=1024)
+def _has_border(pattern: str) -> bool:
+    """Whether some proper nonempty prefix of pattern is also its suffix."""
+    return any(pattern[:k] == pattern[-k:] for k in range(1, len(pattern)))
 
 
 def _occurrence_indicator(text: str, pattern: str) -> np.ndarray:
@@ -132,6 +143,13 @@ def window_imbalance_curve(
     all zero. Lengths no text can fit are omitted from the result.
     Deterministic: texts and patterns are scanned in the given order, first
     achiever wins.
+
+    A one-letter pattern is skipped when, in every text, its count and an
+    earlier one-letter pattern's add up to the text length: the two letters
+    make up every text, so each of its window counts is the window length
+    minus the other letter's, its spread is the same, and it is never
+    strictly better (a repeated letter has the same spread anyway). On
+    binary texts this halves the letter scan.
     """
     import numpy as np
 
@@ -145,8 +163,15 @@ def window_imbalance_curve(
     dtype = np.uint16 if top < 2**16 else np.uint32 if top < 2**32 else np.uint64
     buf = np.empty(max(map(len, texts), default=0), dtype=dtype)
     best: Dict[int, ScanWitness] = {}
+    # Per-text counts of the one-letter patterns scanned so far.
+    letter_counts = set()
     for pattern in patterns:
         m = len(pattern)
+        if m == 1:
+            counts = tuple(text.count(pattern) for text in texts)
+            if tuple(len(t) - c for t, c in zip(texts, counts)) in letter_counts:
+                continue
+            letter_counts.add(counts)
         present = [pattern in text for text in texts]
         # A pattern that occurs nowhere has spread 0 at every length, which
         # never beats a witness already found (after the first pattern, every

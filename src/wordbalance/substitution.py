@@ -10,7 +10,8 @@ that coding then substituting agrees with substituting then coding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .exactmat import RationalMatrix
 from .words import (
@@ -67,10 +68,10 @@ class Substitution:
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.domain:
             raise AlphabetError("word alphabet differs from substitution domain")
-        out = []
-        for a in w.symbols:
-            out.extend(self._images[a].symbols)
-        return Word(tuple(out), self.codomain)
+        images = self._images
+        return Word._from_checked(
+            tuple(chain.from_iterable(images[a].symbols for a in w.symbols)), self.codomain
+        )
 
     def norm(self) -> int:
         """Largest letter-image length."""
@@ -86,14 +87,6 @@ class Substitution:
     def is_identity(self) -> bool:
         return self.domain == self.codomain and all(
             w.symbols == (a,) for a, w in self._images.items()
-        )
-
-    def reversal(self) -> "Substitution":
-        """Same letters, every image written backwards."""
-        return Substitution(
-            self.domain,
-            self.codomain,
-            {a: w.reverse() for a, w in self._images.items()},
         )
 
     def _key(self):
@@ -214,17 +207,6 @@ def incidence_matrix(sigma: Substitution) -> RationalMatrix:
     return RationalMatrix(rows, sigma.codomain.symbols, sigma.domain.symbols)
 
 
-def _context_words(domain_blocks: Tuple[Word, ...], n: int, alphabet: Alphabet):
-    """Length-(n-1) context words: block prefixes and suffixes (epsilon for n=1)."""
-    if n == 1:
-        return [Word.empty(alphabet)]
-    contexts = set()
-    for b in domain_blocks:
-        contexts.add(prefix(b, n - 1))
-        contexts.add(suffix(b, n - 1))
-    return sort_words(contexts)
-
-
 @dataclass(frozen=True)
 class BlockSubstitution:
     """A substitution lifted to sliding-window block letters.
@@ -245,34 +227,27 @@ class BlockSubstitution:
     window_bound: int
 
     def apply_to_coding(self, coded: Word) -> Word:
-        """Apply to an n-coding (a word over the full block alphabet)."""
+        """Apply to an n-coding (a word over the full block alphabet).
+
+        Rebuilding the coding over the admissible blocks checks every symbol,
+        so an inadmissible block raises AlphabetError.
+        """
         restricted = Word(coded.symbols, self.substitution.domain)
         return self.substitution.apply(restricted)
 
 
-def _prefix_anchor_ok(sigma: Substitution, u: Word) -> bool:
-    for a in sigma.domain.symbols:
-        su = sigma.image(a).concat(u)
-        if len(su) < len(u) or su.symbols[: len(u)] != u.symbols:
-            return False
-    return True
-
-
-def _suffix_anchor_ok(sigma: Substitution, u: Word) -> bool:
-    for a in sigma.domain.symbols:
-        us = u.concat(sigma.image(a))
-        if len(us) < len(u) or us.symbols[len(us) - len(u):] != u.symbols:
-            return False
-    return True
-
-
 def window_bound(
-    sigma: Substitution, n: int, anchor: Word, domain_blocks: Tuple[Word, ...]
+    sigma: Substitution, n: int, anchor: Word, domain_blocks: Iterable[Sequence[Symbol]]
 ) -> int:
     """Largest admissible output window: min |sigma(w)| over length-(n-1)
-    contexts, plus |anchor| + 1."""
-    contexts = _context_words(domain_blocks, n, sigma.domain)
-    shortest = min(len(sigma.apply(w)) for w in contexts)
+    contexts w (block prefixes and suffixes; epsilon for n=1), plus
+    |anchor| + 1. Blocks may be words or symbol tuples."""
+    size = {a: len(w) for a, w in sigma._images.items()}
+    shortest = 0 if n == 1 else min(
+        sum(size[a] for a in context)
+        for b in domain_blocks
+        for context in (b[: n - 1], b[len(b) - n + 1 :])
+    )
     return shortest + len(anchor) + 1
 
 
@@ -289,8 +264,8 @@ def induced_block_substitution(
     Prefix side: requires the anchor u to be a prefix of sigma(a)u for every
     letter a; the image of block (a1...an) is the m-coding of
     sigma(a1) . first_{m-1}(sigma(a2...an) u), which has exactly |sigma(a1)|
-    blocks. The suffix side is realized by reversing all words and both
-    substitutions, applying the prefix construction, and reversing back.
+    blocks. The suffix side is realized by reversing all images, the anchor
+    and the blocks, applying the prefix construction, and reversing back.
 
     The window m must satisfy 1 <= m <= window_bound(...); otherwise a
     BlockCodingError reports the computed bound.
@@ -302,16 +277,18 @@ def induced_block_substitution(
     if anchor.alphabet != sigma.codomain:
         raise AlphabetError("anchor must be a word over the codomain")
 
+    # Blocks, images and the anchor are symbol tuples from here on; their
+    # symbols come from checked words, so no Word is rebuilt per step.
     if domain_blocks is None:
-        blocks_alpha = block_alphabet(sigma.domain, n)
-        blocks = tuple(Word(sym, sigma.domain) for sym in blocks_alpha.symbols)
+        blocks = block_alphabet(sigma.domain, n).symbols
     else:
-        blocks = tuple(sort_words(set(domain_blocks)))
-        for b in blocks:
+        words = sort_words(set(domain_blocks))
+        for b in words:
             if len(b) != n:
                 raise ValueError(f"domain block {b.render()!r} does not have length {n}")
             if b.alphabet != sigma.domain:
                 raise AlphabetError("domain blocks must be words over the domain")
+        blocks = tuple(b.symbols for b in words)
     if not blocks:
         raise BlockCodingError("empty set of admissible blocks")
 
@@ -321,64 +298,59 @@ def induced_block_substitution(
             f"output window {m} outside [1, {bound}] for this anchor and block set"
         )
 
+    u = anchor.symbols
+    images = {a: w.symbols for a, w in sigma._images.items()}
     if side == "prefix":
-        if not _prefix_anchor_ok(sigma, anchor):
+        if not all((img + u)[: len(u)] == u for img in images.values()):
             raise BlockCodingError(
                 f"anchor {anchor.render()!r} is not a prefix of every sigma(a)u"
             )
-        images_raw = _prefix_block_images(sigma, n, m, anchor, blocks)
+        lifted_raw = _prefix_block_images(images, m, u, blocks)
     else:
-        if not _suffix_anchor_ok(sigma, anchor):
+        if not all((u + img)[len(img) :] == u for img in images.values()):
             raise BlockCodingError(
                 f"anchor {anchor.render()!r} is not a suffix of every u sigma(a)"
             )
-        rev_sigma = sigma.reversal()
-        rev_anchor = anchor.reverse()
-        rev_blocks = tuple(b.reverse() for b in blocks)
-        rev_images = _prefix_block_images(rev_sigma, n, m, rev_anchor, rev_blocks)
-        images_raw = {}
-        for b in blocks:
-            rev_img = rev_images[b.reverse().symbols]
-            images_raw[b.symbols] = _mirror_block_word(rev_img)
+        rev_images = {a: img[::-1] for a, img in images.items()}
+        rev_lifted = _prefix_block_images(rev_images, m, u[::-1], [b[::-1] for b in blocks])
+        lifted_raw = {
+            b[::-1]: tuple(t[::-1] for t in reversed(seq)) for b, seq in rev_lifted.items()
+        }
 
-    in_alpha = Alphabet(tuple(b.symbols for b in blocks))
+    in_alpha = Alphabet(blocks)
     out_alpha = block_alphabet(sigma.codomain, m)
-    images = {
-        b.symbols: Word(tuple(images_raw[b.symbols]), out_alpha) for b in blocks
-    }
-    lifted = Substitution(in_alpha, out_alpha, images)
+    lifted = Substitution(
+        in_alpha, out_alpha, {b: Word._from_checked(lifted_raw[b], out_alpha) for b in blocks}
+    )
     return BlockSubstitution(
         base=sigma,
         block_len_in=n,
         block_len_out=m,
         anchor=anchor,
         side=side,
-        domain_blocks=blocks,
+        domain_blocks=tuple(Word._from_checked(b, sigma.domain) for b in blocks),
         substitution=lifted,
         window_bound=bound,
     )
 
 
 def _prefix_block_images(
-    sigma: Substitution, n: int, m: int, anchor: Word, blocks: Tuple[Word, ...]
+    images: Dict[Symbol, Tuple[Symbol, ...]],
+    m: int,
+    anchor: Tuple[Symbol, ...],
+    blocks: Iterable[Tuple[Symbol, ...]],
 ) -> Dict[Tuple[Symbol, ...], Tuple[Tuple[Symbol, ...], ...]]:
-    images = {}
+    """Block (a1...an) -> the m-blocks of sigma(a1) . first_{m-1}(sigma(a2...an) u)."""
+    out = {}
     for b in blocks:
-        head = sigma.image(b.symbols[0])
-        tail = sigma.apply(b.sub(1, n)).concat(anchor)
+        tail = tuple(chain.from_iterable(images[a] for a in b[1:])) + anchor
         if len(tail) < m - 1:
             raise BlockCodingError(
-                f"block {b.render()!r}: continuation shorter than window - 1"
+                f"block {''.join(map(render_symbol, b))!r}: continuation shorter than window - 1"
             )
-        stretched = head.concat(prefix(tail, m - 1))
-        syms = stretched.symbols
-        images[b.symbols] = tuple(syms[i : i + m] for i in range(len(syms) - m + 1))
-    return images
-
-
-def _mirror_block_word(block_seq: Tuple[Tuple[Symbol, ...], ...]):
-    """Reverse the sequence of blocks and each block's contents."""
-    return tuple(tuple(reversed(t)) for t in reversed(block_seq))
+        syms = images[b[0]] + tail[: m - 1]
+        out[b] = tuple(syms[i : i + m] for i in range(len(syms) - m + 1))
+    return out
 
 
 def coding_identity_sides(bs: BlockSubstitution, w: Word) -> Tuple[Word, Word]:

@@ -445,7 +445,12 @@ def imbalance_milestones(
     for i, length in zip(indices, lengths):
         found = curve.get(length)
         if found is None:
-            raise ResourceLimitError("expansion too short for the witness length")
+            raise ResourceLimitError(
+                "expansion too short for the witness length",
+                "witness expansion",
+                length,
+                len(text),
+            )
         out.append((i, found))
     return out
 
@@ -535,36 +540,39 @@ def _checked_lengths(
         yield lengths
 
 
-def collect_factors(
+@functools.lru_cache(maxsize=None)
+def factor_spans(
     max_len: int, max_depth: int = _FACTOR_MAX_DEPTH
-) -> Tuple[frozenset, int, bool]:
+) -> Tuple[Tuple[str, ...], "np.ndarray", str, int, bool]:
     """Distinct Thue-Morse factors up to max_len, with a stability flag.
 
     Expands the doubling fixed point until the factor set stops changing
     between consecutive depths (expansions are prefixes of each other, so
-    the sets grow monotonically). Returns (factors, depth, stable).
-    """
-    factors, _, depth, stable = _factors_and_text(max_len, max_depth)
-    return factors, depth, stable
-
-
-@functools.lru_cache(maxsize=None)
-def _factors_and_text(max_len: int, max_depth: int) -> Tuple[frozenset, str, int, bool]:
-    """collect_factors, plus the expansion whose factors were collected.
+    the sets grow monotonically). Returns (factors, starts, text, depth,
+    stable): the factors in sorted order, each one's first start in text
+    (a read-only int64 array), and text, the expansion they were collected
+    from, so that factors[i] == text[starts[i] : starts[i] + len(factors[i])].
 
     Memoised: every value returned is immutable, and verify asks twice.
     """
     depth = max(4, (16 * max_len).bit_length())
     text = expand_text(SUB_M, "0", depth)
     pool = _short_factors([text], max_len)
+    stable = False
     while depth < max_depth:
         text += text.translate(_FLIP)
         depth += 1
         bigger = _short_factors([text], max_len)
         if bigger == pool:
-            return frozenset(pool), text, depth, True
+            stable = True
+            break
         pool = bigger
-    return frozenset(pool), text, depth, False
+    import numpy as np
+
+    factors = tuple(sorted(pool))
+    starts = np.fromiter(map(text.find, factors), dtype=np.int64, count=len(factors))
+    starts.flags.writeable = False
+    return factors, starts, text, depth, stable
 
 
 def padded_compositions(depth: int) -> List[Tuple[str, Substitution]]:
@@ -626,20 +634,24 @@ def image_pattern_counts(
 
 
 def preservation_violations(
-    comps: Sequence[Tuple[str, Substitution]], factors: Sequence[str], text: str
+    comps: Sequence[Tuple[str, Substitution]],
+    factors: Sequence[str],
+    text: str,
+    starts: Sequence[int],
 ) -> Tuple[List[dict], int]:
     """Factors w of text with |sigma(w)|_{sigma(011)} != |w|_{011}.
 
     Image counts come from image_pattern_counts; the factor's own count
     comes from count_overlapping, so the two sides share no counting code.
     Functionally identical compositions are evaluated once and the result
-    reused for each expression naming them. Returns the violations, one
-    {"composition", "word"} entry per pair, and the number of distinct
+    reused for each expression naming them. factors[i] must be
+    text[starts[i] : starts[i] + len(factors[i])]. Returns the violations,
+    one {"composition", "word"} entry per pair, and the number of distinct
     substitutions evaluated.
     """
     import numpy as np
 
-    starts = np.array([text.find(w) for w in factors], dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
     lengths = np.array([len(w) for w in factors], dtype=np.int64)
     expected = np.array([count_overlapping(w, "011") for w in factors], dtype=np.int64)
     violations: List[dict] = []
@@ -670,9 +682,9 @@ def count_preservation_violations(
     in sigma(T) starting in [P[p], P[p + |w|] - |sigma(011)|], which a
     prefix sum over sigma(T) gives directly (image_pattern_counts).
     """
-    factors, text, depth, stable = _factors_and_text(max_word_len, _FACTOR_MAX_DEPTH)
+    factors, starts, text, depth, stable = factor_spans(max_word_len)
     comps = padded_compositions(composition_depth)
-    violations, distinct = preservation_violations(comps, list(factors), text)
+    violations, distinct = preservation_violations(comps, factors, text, starts)
     return {
         "compositions": len(comps),
         "distinct_substitutions": distinct,
@@ -684,15 +696,20 @@ def count_preservation_violations(
     }
 
 
-def eleven_count_range(factors: Iterable[str]) -> Tuple[int, int]:
-    """Range of |w|_11 - |w|_011 over the given words (expected within [0, 1])."""
-    lo, hi = 0, 0
-    first = True
-    for w in factors:
-        d = count_overlapping(w, "11") - count_overlapping(w, "011") if "11" in w else 0
-        if first:
-            lo = hi = d
-            first = False
-        else:
-            lo, hi = min(lo, d), max(hi, d)
-    return lo, hi
+def eleven_count_range(
+    text: str, starts: Sequence[int], lengths: Sequence[int]
+) -> Tuple[int, int]:
+    """Range of |w|_11 - |w|_011 over the factors w = text[p : p + n] of a
+    binary text, for p, n in zip(starts, lengths) (expected within [0, 1]).
+
+    Each count is read from one occurrence prefix sum over the text, as
+    image_pattern_counts reads it under the identity. (0, 0) when there is
+    no factor.
+    """
+    if not len(starts):
+        return 0, 0
+    identity = Substitution.identity(BINARY)
+    d = image_pattern_counts(identity, text, starts, lengths, "11") - image_pattern_counts(
+        identity, text, starts, lengths, "011"
+    )
+    return int(d.min()), int(d.max())

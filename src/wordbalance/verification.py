@@ -55,9 +55,9 @@ from .tms import (
     block_substitution,
     builtin,
     classify,
-    collect_factors,
     count_preservation_violations,
     eleven_count_range,
+    factor_spans,
     imbalance_milestones,
     level_scan_texts,
     parse_directive,
@@ -555,8 +555,8 @@ def check_occurrence_preservation() -> CheckResult:
 
 def check_eleven_count_window() -> CheckResult:
     """0 <= |w|_11 - |w|_011 <= 1 over stabilized factors up to length 100."""
-    factors, depth, stable = collect_factors(100)
-    lo, hi = eleven_count_range(factors)
+    factors, starts, text, depth, stable = factor_spans(100)
+    lo, hi = eleven_count_range(text, starts, [len(w) for w in factors])
     passed = stable and 0 <= lo and hi <= 1
     return CheckResult(
         "eleven-count-window",

@@ -93,6 +93,15 @@ class Word:
     def empty(cls, alphabet: Alphabet) -> "Word":
         return cls((), alphabet)
 
+    @classmethod
+    def _from_checked(cls, symbols: Tuple[Symbol, ...], alphabet: Alphabet) -> "Word":
+        """Word from a tuple whose symbols are already known to lie in the
+        alphabet (parts of checked words): skips the per-symbol check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "symbols", symbols)
+        object.__setattr__(w, "alphabet", alphabet)
+        return w
+
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -108,15 +117,15 @@ class Word:
         return tuple(idx(s) for s in self.symbols)
 
     def sub(self, start: int, stop: int) -> "Word":
-        return Word(self.symbols[start:stop], self.alphabet)
+        return Word._from_checked(self.symbols[start:stop], self.alphabet)
 
     def concat(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise AlphabetError("cannot concatenate words over different alphabets")
-        return Word(self.symbols + other.symbols, self.alphabet)
+        return Word._from_checked(self.symbols + other.symbols, self.alphabet)
 
     def reverse(self) -> "Word":
-        return Word(self.symbols[::-1], self.alphabet)
+        return Word._from_checked(self.symbols[::-1], self.alphabet)
 
     def render(self) -> str:
         return "".join(render_symbol(s) for s in self.symbols)
@@ -163,7 +172,7 @@ def n_coding(w: Word, n: int) -> Word:
         raise ValueError("coding window must be >= 1")
     blocks = block_alphabet(w.alphabet, n)
     ws = w.symbols
-    return Word(tuple(ws[i : i + n] for i in range(len(ws) - n + 1)), blocks)
+    return Word._from_checked(tuple(ws[i : i + n] for i in range(len(ws) - n + 1)), blocks)
 
 
 def recast(w: Word, alphabet: Alphabet) -> Word:

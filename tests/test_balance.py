@@ -217,6 +217,16 @@ class TestBalanceAgainstBruteForce:
         cap = sample.max_length if length_cap is None else min(length_cap, sample.max_length)
         assert_matches_pairwise_reference(entry, sample, n, cap)
 
+    @given(
+        st.one_of(small_factorial_samples(), reordered_samples()),
+        st.one_of(st.none(), st.integers(1, 8)),
+    )
+    def test_letter_imbalance_matches_pairwise_reference(self, sample, length_cap):
+        # n = 1 tallies whole strings rather than their slices.
+        entry = imbalance(sample, 1, length_cap)
+        cap = sample.max_length if length_cap is None else min(length_cap, sample.max_length)
+        assert_matches_pairwise_reference(entry, sample, 1, cap)
+
     @given(small_factorial_samples(), st.integers(1, 4), st.one_of(st.none(), st.integers(1, 8)))
     def test_report_entries_are_imbalances(self, sample, n_max, length_cap):
         report = balance_report(sample, n_max, length_cap)

@@ -311,10 +311,11 @@ class TestSizeGuards:
         )
         # 40,200 patterns over 200 symbols, but the scanned texts spell only
         # 0 and 1 (codec characters "!" and '"', as the symbols are not all
-        # latin-1): one indicator per binary pattern and text.
+        # latin-1): one indicator per binary pattern and text, except the
+        # letter b, whose counts are the window length minus a's.
         a, b = "!", '"'
         assert len(rep["results"]["scan"]["text_chars"]) == 2
-        assert sorted(calls) == sorted([a, b, a + a, a + b, b + a, b + b] * 2)
+        assert sorted(calls) == sorted([a, a + a, a + b, b + a, b + b] * 2)
 
     def test_scan_beyond_the_old_tower_budget_is_served(self, capsys):
         rep = run_json(
@@ -379,6 +380,17 @@ class TestImportCost:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = "import sys, wordbalance.cli; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_cli_import_does_not_load_verification(self):
+        # Only verify needs the suite; every other command skips its imports.
+        src = str(Path(wordbalance.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, wordbalance.cli; print('wordbalance.verification' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )

@@ -1,10 +1,13 @@
 """Refusals carry what they name: the resource, the requested size, the limit."""
 
+import itertools
+
 import pytest
 
-from wordbalance import language
+from wordbalance import language, tms
 from wordbalance.language import GrowthReport, sample_level_language
 from wordbalance.limits import ResourceLimitError, check_budget
+from wordbalance.substitution import Substitution
 from wordbalance.tms import level_scan_texts, parse_directive
 
 
@@ -49,4 +52,46 @@ def test_the_default_depth_refusal_names_its_limit(monkeypatch):
         "sample depth",
         None,
         4096,
+    )
+
+
+def test_the_fixed_point_round_limit_is_named(monkeypatch):
+    # |M at N = 8 needs more than two rounds.
+    monkeypatch.setattr(language, "_FIXED_POINT_SLACK", -6)
+    with pytest.raises(ResourceLimitError) as exc:
+        sample_level_language(parse_directive("|M"), 0, 8)
+    assert str(exc.value) == "fixed-point sampling failed to stabilize"
+    assert (exc.value.resource, exc.value.requested, exc.value.limit) == (
+        "fixed-point rounds",
+        None,
+        2,
+    )
+
+
+def test_the_cap_escalation_limit_is_named(monkeypatch):
+    verdicts = itertools.cycle([True, False])
+    monkeypatch.setattr(
+        language, "_capped_orbit", lambda symbols, entry, weights, cap: (next(verdicts), {})
+    )
+    tau = Substitution.from_text("0->01;1->")
+    with pytest.raises(ResourceLimitError) as exc:
+        language._capped_growth_verdict(tau, ("0", "1"), {"0": 1, "1": 1})
+    assert str(exc.value) == "growth decision did not stabilize under cap escalation"
+    assert (exc.value.resource, exc.value.requested, exc.value.limit) == (
+        "growth cap escalations",
+        None,
+        5,
+    )
+
+
+def test_a_short_witness_expansion_names_its_sizes(monkeypatch):
+    monkeypatch.setattr(tms, "thue_morse_text", lambda min_chars, max_chars: "0110")
+    with pytest.raises(ResourceLimitError) as exc:
+        tms.imbalance_milestones((1,))
+    assert str(exc.value) == "expansion too short for the witness length"
+    # Index 1 needs windows of (4^2 + 2) / 3 = 6 characters.
+    assert (exc.value.resource, exc.value.requested, exc.value.limit) == (
+        "witness expansion",
+        6,
+        4,
     )

@@ -326,9 +326,58 @@ class TestWindowKernel:
         assert calls == [("0110", "11"), ("0110", "0"), ("0000", "0")]
 
 
+class TestComplementLetterSkip:
+    """A one-letter pattern whose letter and an earlier one make up every
+    text is skipped; the curve, witnesses included, is the pure-Python
+    scan's."""
+
+    @given(
+        st.sampled_from(["01", "0", "012"]).flatmap(
+            lambda letters: st.tuples(
+                st.lists(st.text(alphabet=letters, max_size=14), min_size=1, max_size=3),
+                st.lists(
+                    st.text(alphabet="012", min_size=1, max_size=2), min_size=1, max_size=5
+                ),
+            )
+        ),
+        st.lists(st.integers(1, 16), min_size=1, max_size=4),
+    )
+    def test_matches_pure_python_scan(self, texts_and_patterns, lens):
+        texts, patterns = texts_and_patterns
+        assert window_imbalance_curve(texts, patterns, lens) == python_curve(texts, patterns, lens)
+
+    @pytest.mark.parametrize(
+        "texts, patterns",
+        [
+            (["0110100110010110", "1001"], ["0", "1"]),
+            (["0110100110010110", "1001"], ["1", "0", "1", "0"]),
+            (["0000", "000"], ["0", "1", "0"]),
+            (["0120", "1102"], ["0", "1", "2"]),
+            (["0110", "0202"], ["1", "0", "2"]),
+        ],
+    )
+    def test_binary_unary_and_three_letter_texts(self, texts, patterns):
+        lens = range(1, 17)
+        assert window_imbalance_curve(texts, patterns, lens) == python_curve(texts, patterns, lens)
+
+    def test_the_complement_letter_builds_no_indicator(self, monkeypatch):
+        calls = []
+        real = scan._occurrence_indicator
+        monkeypatch.setattr(
+            scan, "_occurrence_indicator", lambda t, p: calls.append(p) or real(t, p)
+        )
+        binary = ["0110100110010110", "1001"]
+        window_imbalance_curve(binary, ["0", "1", "0", "11"], [1, 3])
+        assert calls == ["0", "0", "11"]
+        calls.clear()
+        # A third letter: "0" and "1" no longer make up every text.
+        window_imbalance_curve(["0120"], ["0", "1", "2"], [1, 3])
+        assert calls == ["0", "1", "2"]
+
+
 class TestFactorSets:
     def test_distinct_factors(self):
-        # The factor set of one scan text, as tms._factors_and_text takes it.
+        # The factor set of one scan text, as tms.factor_spans takes it.
         assert _short_factors(["0110"], 2) == {"0", "1", "01", "11", "10"}
         assert _short_factors(["0110"], 0) == set()
         rng = random.Random(606)

@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wordbalance.exactmat import mat_mul
 from wordbalance.substitution import (
@@ -16,7 +18,16 @@ from wordbalance.substitution import (
     properness_profile,
     window_bound,
 )
-from wordbalance.words import Alphabet, AlphabetError, Word, n_coding
+from wordbalance.words import (
+    Alphabet,
+    AlphabetError,
+    Word,
+    block_alphabet,
+    n_coding,
+    prefix,
+    sort_words,
+    suffix,
+)
 
 BIN = Alphabet.from_text("01")
 L = Substitution.from_text("0->0;1->10")
@@ -80,12 +91,10 @@ class TestApplication:
         with pytest.raises(AlphabetError):
             M.apply(Word.from_text("a", Alphabet.from_text("a")))
 
-    def test_identity_and_reversal(self):
+    def test_identity(self):
         ident = Substitution.identity(BIN)
         assert ident.is_identity()
         assert not M.is_identity()
-        assert M.reversal().image("0").render() == "10"
-        assert L.reversal().image("1").render() == "01"
 
     def test_norms(self):
         assert L.norm() == 2 and L.min_image_len() == 1
@@ -258,3 +267,125 @@ class TestCodingIdentity:
         bs = induced_block_substitution(M, 2, 2, Word.empty(BIN))
         with pytest.raises(ValueError):
             coding_identity_sides(bs, Word.empty(BIN))
+
+
+def reference_block_lifting(sigma, n, m, anchor, side="prefix", domain_blocks=None):
+    """The Word-based block lifting, kept as an oracle: every block, context
+    and image is a checked Word. Returns (window bound, domain blocks,
+    lifted substitution)."""
+    if side not in ("prefix", "suffix"):
+        raise ValueError(f"side must be 'prefix' or 'suffix', got {side!r}")
+    if n < 1:
+        raise ValueError("input block length must be >= 1")
+    if anchor.alphabet != sigma.codomain:
+        raise AlphabetError("anchor must be a word over the codomain")
+    if domain_blocks is None:
+        blocks = tuple(Word(sym, sigma.domain) for sym in block_alphabet(sigma.domain, n))
+    else:
+        blocks = tuple(sort_words(set(domain_blocks)))
+        for b in blocks:
+            if len(b) != n:
+                raise ValueError(f"domain block {b.render()!r} does not have length {n}")
+            if b.alphabet != sigma.domain:
+                raise AlphabetError("domain blocks must be words over the domain")
+    if not blocks:
+        raise BlockCodingError("empty set of admissible blocks")
+    if n == 1:
+        contexts = [Word.empty(sigma.domain)]
+    else:
+        contexts = {prefix(b, n - 1) for b in blocks} | {suffix(b, n - 1) for b in blocks}
+    bound = min(len(sigma.apply(w)) for w in contexts) + len(anchor) + 1
+    if not 1 <= m <= bound:
+        raise BlockCodingError(
+            f"output window {m} outside [1, {bound}] for this anchor and block set"
+        )
+    u = anchor.symbols
+    for a in sigma.domain:
+        if side == "prefix" and sigma.image(a).concat(anchor).symbols[: len(u)] != u:
+            raise BlockCodingError(
+                f"anchor {anchor.render()!r} is not a prefix of every sigma(a)u"
+            )
+        us = anchor.concat(sigma.image(a)).symbols
+        if side == "suffix" and us[len(us) - len(u) :] != u:
+            raise BlockCodingError(
+                f"anchor {anchor.render()!r} is not a suffix of every u sigma(a)"
+            )
+    if side == "suffix":
+        sigma = Substitution(
+            sigma.domain, sigma.codomain, {a: w.reverse() for a, w in sigma.images.items()}
+        )
+        anchor = anchor.reverse()
+    out_alpha = block_alphabet(sigma.codomain, m)
+    images = {}
+    for b in blocks:
+        read = b.reverse() if side == "suffix" else b
+        head = sigma.image(read[0])
+        tail = sigma.apply(read.sub(1, n)).concat(anchor)
+        stretched = head.concat(prefix(tail, m - 1))
+        coded = n_coding(stretched, m).symbols
+        if side == "suffix":
+            coded = tuple(tuple(reversed(t)) for t in reversed(coded))
+        images[b.symbols] = Word(coded, out_alpha)
+    domain = Alphabet(tuple(b.symbols for b in blocks))
+    return bound, blocks, Substitution(domain, out_alpha, images)
+
+
+PAIR = Alphabet((("x", 0), ("y", 1)))  # tuple symbols, as block letters are
+LIFTING_ALPHABETS = (Alphabet.from_text("ab"), Alphabet.from_text("abc"), PAIR)
+
+
+@st.composite
+def lifting_cases(draw):
+    dom = draw(st.sampled_from(LIFTING_ALPHABETS))
+    cod = draw(st.sampled_from(LIFTING_ALPHABETS))
+    side = draw(st.sampled_from(["prefix", "suffix"]))
+    letters = st.lists(st.sampled_from(cod.symbols), max_size=3)
+    anchor = Word(tuple(draw(st.lists(st.sampled_from(cod.symbols), max_size=2))), cod)
+    images = {}
+    for a in dom:
+        extra = tuple(draw(letters))
+        # Mostly images that satisfy the anchor condition, sometimes not.
+        glued = draw(st.integers(0, 3))
+        if glued:
+            extra = anchor.symbols + extra if side == "prefix" else extra + anchor.symbols
+        images[a] = Word(extra, cod)
+    sigma = Substitution(dom, cod, images)
+    n = draw(st.integers(1, 3))
+    domain_blocks = None
+    if draw(st.booleans()):
+        all_blocks = [Word(b, dom) for b in block_alphabet(dom, n)]
+        domain_blocks = draw(st.lists(st.sampled_from(all_blocks), max_size=5))
+    m = draw(st.integers(0, 5))
+    return sigma, n, m, anchor, side, domain_blocks
+
+
+def refusal(build, case):
+    """The exception type and message that build(*case) raises, or None."""
+    try:
+        build(*case)
+    except (BlockCodingError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestLiftingOracle:
+    @given(lifting_cases())
+    def test_matches_the_word_based_construction(self, case):
+        want = refusal(reference_block_lifting, case)
+        assert refusal(induced_block_substitution, case) == want
+        if want is not None:
+            return
+        bound, blocks, lifted = reference_block_lifting(*case)
+        got = induced_block_substitution(*case)
+        assert (got.window_bound, got.domain_blocks, got.substitution) == (bound, blocks, lifted)
+        assert got.substitution.images == lifted.images
+        sigma, n, _, anchor, _, _ = case
+        assert window_bound(sigma, n, anchor, blocks) == bound
+        assert window_bound(sigma, n, anchor, tuple(b.symbols for b in blocks)) == bound
+
+    def test_inadmissible_block_is_refused(self):
+        blocks = [Word.from_text("00", BIN), Word.from_text("01", BIN)]
+        bs = induced_block_substitution(M, 2, 2, Word.empty(BIN), domain_blocks=blocks)
+        assert bs.apply_to_coding(n_coding(Word.from_text("001", BIN), 2))
+        with pytest.raises(AlphabetError, match=r"symbol \('1', '1'\) not in alphabet"):
+            bs.apply_to_coding(n_coding(Word.from_text("011", BIN), 2))

@@ -22,9 +22,9 @@ from wordbalance.tms import (
     builtin,
     builtin_registry,
     classify,
-    collect_factors,
     count_preservation_violations,
     eleven_count_range,
+    factor_spans,
     image_pattern_counts,
     imbalance_milestones,
     is_lmr_directive,
@@ -504,15 +504,18 @@ class TestScanHelpers:
         assert bool(powers) == (letters <= tms._SQUARING_LETTERS)
 
     def test_collect_factors(self):
-        factors, depth, stable = collect_factors(8)
+        factors, starts, text, depth, stable = factor_spans(8)
         assert stable
         assert len(factors) == 92
         per_len = [sum(1 for f in factors if len(f) == n) for n in range(1, 9)]
         assert per_len == [2, 4, 6, 10, 12, 16, 20, 22]
-        text = thue_morse_text(4096)
-        oracle = {text[i : i + n] for n in range(1, 9) for i in range(len(text) - n + 1)}
-        assert factors == frozenset(oracle)
+        tm = thue_morse_text(4096)
+        oracle = {tm[i : i + n] for n in range(1, 9) for i in range(len(tm) - n + 1)}
+        assert set(factors) == oracle
+        assert list(factors) == sorted(oracle)
         assert depth >= 1
+        assert text == tm_prefix(depth)
+        assert list(starts) == [text.find(w) for w in factors]
 
 
 class TestSturmianOracle:
@@ -574,7 +577,7 @@ class TestCompositions:
 
     @pytest.mark.parametrize("composition_depth", [2, 3])
     def test_image_counts_match_direct_recount(self, composition_depth):
-        factors, depth, _ = collect_factors(30)
+        factors, _, _, depth, _ = factor_spans(30)
         text = tm_prefix(depth)
         words = sorted(factors)
         starts = [text.find(w) for w in words]
@@ -610,12 +613,13 @@ class TestCompositions:
                 assert list(got) == want
 
     def test_identity_breaking_substitution_is_reported(self):
-        factors, depth, _ = collect_factors(30)
+        factors, _, _, depth, _ = factor_spans(30)
         text = tm_prefix(depth)
         words = sorted(factors)
         ones = Substitution.from_text("0->1;1->1")  # sigma(011) = 111
+        starts = [text.find(w) for w in words]
         violations, distinct = preservation_violations(
-            [("A", ones), ("B", ones)], words, text
+            [("A", ones), ("B", ones)], words, text, starts
         )
         assert distinct == 1
         # sigma(w) = 1^|w| holds max(|w| - 2, 0) copies of 111.
@@ -624,30 +628,48 @@ class TestCompositions:
         assert violations == [{"composition": "A", "word": w} for w in bad] + [
             {"composition": "B", "word": w} for w in bad
         ]
-        clean, _ = preservation_violations(padded_compositions(2), words, text)
+        clean, _ = preservation_violations(padded_compositions(2), words, text, starts)
         assert clean == []
 
 
 class TestFactorMemo:
     def test_verify_collects_the_factor_set_once(self):
-        tms._factors_and_text.cache_clear()
+        tms.factor_spans.cache_clear()
         results = run_checks(only="occurrence-preservation") + run_checks(
             only="eleven-count-window"
         )
         assert all(r.passed for r in results)
-        info = tms._factors_and_text.cache_info()
+        info = tms.factor_spans.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+def eleven_difference(w: str) -> int:
+    return count_overlapping(w, "11") - count_overlapping(w, "011")
 
 
 class TestElevenCounts:
     def test_ranges(self):
-        assert eleven_count_range([]) == (0, 0)
-        assert eleven_count_range(["0110"]) == (0, 0)
-        assert eleven_count_range(["11"]) == (1, 1)
-        assert eleven_count_range(["11", "0110"]) == (0, 1)
-        assert eleven_count_range(["0", "000"]) == (0, 0)
+        assert eleven_count_range("01", [], []) == (0, 0)
+        assert eleven_count_range("0110", [0], [4]) == (0, 0)
+        assert eleven_count_range("0110", [1], [2]) == (1, 1)
+        assert eleven_count_range("0110", [1, 0], [2, 4]) == (0, 1)
+        assert eleven_count_range("000", [0, 0], [1, 3]) == (0, 0)
+
+    @given(
+        st.text(alphabet="01", min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=8),
+    )
+    def test_matches_count_overlapping_per_factor(self, text, raw_spans):
+        spans = [(p % len(text), n) for p, n in raw_spans]
+        spans = [(p, min(n, len(text) - p)) for p, n in spans]
+        want = [eleven_difference(text[p : p + n]) for p, n in spans]
+        for (p, n), d in zip(spans, want):
+            assert eleven_count_range(text, [p], [n]) == (d, d)
+        assert eleven_count_range(text, *zip(*spans)) == (min(want), max(want))
 
     def test_fixed_point_window(self):
-        factors, _, _ = collect_factors(10)
-        lo, hi = eleven_count_range(factors)
+        factors, starts, text, _, _ = factor_spans(10)
+        lo, hi = eleven_count_range(text, starts, [len(w) for w in factors])
         assert 0 <= lo <= hi <= 1
+        diffs = [eleven_difference(w) for w in factors]
+        assert (lo, hi) == (min(diffs), max(diffs))
