@@ -261,6 +261,9 @@ def _cmd_analyze(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
         # bounds the patterns; it is checked before the sample is drawn.
         patterns = len(d.level_alphabet(0)) ** args.nmax
         check_budget("window scan", patterns, MAX_BLOCK_ALPHABET, "patterns")
+    # No word or window is longer than --max-length, so longer factors
+    # would only add all-zero entries.
+    check_budget("--nmax factor length", args.nmax, args.max_length, "letters")
     sample = sample_level_language(d, 0, cap, depth=args.depth, window=args.window)
     bal = balance_report(sample, args.nmax)
 

@@ -438,6 +438,11 @@ def sample_level_language(
         window = max(3, q)
     if depth is None:
         depth = _default_depth(d, k, max_length)
+    else:
+        # Charging the window walks every level down to depth with integer
+        # lengths that can grow by a digit per level, so a deep request is
+        # refused before that quadratic walk.
+        check_budget("sample depth", depth, MAX_DEPTH_LEVELS, "levels")
     if depth <= k:
         raise ValueError("sampling depth must be below the sampled level")
     top = d.max_defined_level()

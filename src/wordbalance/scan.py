@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .language import _tower_lengths
 from .limits import check_budget
@@ -132,30 +132,55 @@ class ScanWitness:
     low_window: str
 
 
+def _scanned_patterns(texts: Sequence[str], patterns: Sequence[str]) -> Iterator[str]:
+    """The patterns in order, less each one-letter pattern whose count and
+    an earlier one-letter pattern's add up to the length of every text.
+
+    Those two letters make up every text, so each window count of the
+    skipped letter is the window length minus the other letter's: its
+    spread is the same, and it is never strictly better (a repeated letter
+    has the same spread anyway). On binary texts this halves the letter
+    scan.
+    """
+    # Per-text counts of the one-letter patterns yielded so far.
+    letter_counts = set()
+    for pattern in patterns:
+        if len(pattern) == 1:
+            counts = tuple(text.count(pattern) for text in texts)
+            if tuple(len(t) - c for t, c in zip(texts, counts)) in letter_counts:
+                continue
+            letter_counts.add(counts)
+        yield pattern
+
+
+def _sorted_lens(window_lens: Iterable[int]) -> List[int]:
+    lens = sorted(set(window_lens))
+    if lens and lens[0] <= 0:
+        raise ValueError("window length must be positive")
+    return lens
+
+
 def window_imbalance_curve(
     texts: Sequence[str], patterns: Sequence[str], window_lens: Iterable[int]
 ) -> Dict[int, ScanWitness]:
-    """Largest count spread of any pattern, per window length, over all texts.
+    """Largest count spread of any pattern, per window length, over all texts,
+    with a witness window pair.
 
     Runs pattern by pattern: one pattern's occurrence prefix sums (one per
     text) are built, serve every window length, and are dropped before the
     next pattern's. A text without the pattern gets none: its counts are
     all zero. Lengths no text can fit are omitted from the result.
     Deterministic: texts and patterns are scanned in the given order, first
-    achiever wins.
+    achiever wins. The complement-letter skip of `_scanned_patterns` applies.
 
-    A one-letter pattern is skipped when, in every text, its count and an
-    earlier one-letter pattern's add up to the text length: the two letters
-    make up every text, so each of its window counts is the window length
-    minus the other letter's, its spread is the same, and it is never
-    strictly better (a repeated letter has the same spread anyway). On
-    binary texts this halves the letter scan.
+    Each window length costs one pass over every text, so this kernel is for
+    witnesses, or for a sparse length grid on long texts; `window_spreads`
+    gives the same spreads without witnesses in fewer steps over a dense
+    range of lengths.
     """
     import numpy as np
 
-    lens = sorted(set(window_lens))
-    if lens and lens[0] <= 0:
-        raise ValueError("window length must be positive")
+    lens = _sorted_lens(window_lens)
     # A window's count is at most its length, so prefix sums kept modulo
     # 2^16 (or 2^32) still give every window count exactly, with a quarter
     # (or half) of the memory traffic of int64.
@@ -163,15 +188,8 @@ def window_imbalance_curve(
     dtype = np.uint16 if top < 2**16 else np.uint32 if top < 2**32 else np.uint64
     buf = np.empty(max(map(len, texts), default=0), dtype=dtype)
     best: Dict[int, ScanWitness] = {}
-    # Per-text counts of the one-letter patterns scanned so far.
-    letter_counts = set()
-    for pattern in patterns:
+    for pattern in _scanned_patterns(texts, patterns):
         m = len(pattern)
-        if m == 1:
-            counts = tuple(text.count(pattern) for text in texts)
-            if tuple(len(t) - c for t, c in zip(texts, counts)) in letter_counts:
-                continue
-            letter_counts.add(counts)
         present = [pattern in text for text in texts]
         # A pattern that occurs nowhere has spread 0 at every length, which
         # never beats a witness already found (after the first pattern, every
@@ -223,3 +241,88 @@ def window_imbalance_curve(
                     low_window=texts[lo[1]][lo[2] : lo[2] + window_len],
                 )
     return {m: best[m] for m in lens if m in best}
+
+
+def window_spreads(
+    texts: Sequence[str], patterns: Sequence[str], window_lens: Iterable[int]
+) -> Dict[int, int]:
+    """The spreads of window_imbalance_curve, {length: imbalance}, without
+    witnesses, read from occurrence-span tables.
+
+    For a pattern of length m with occurrence starts pos[0] < pos[1] < ...
+    in a text of length t, every window count is the number of starts in
+    an interval of w - m + 1 consecutive positions of [0, t - m]:
+
+    - largest count at w = #{k >= 1 : g(k) <= w}, with
+      g(k) = min_j(pos[j+k-1] - pos[j]) + m. Some window holds k occurrences
+      iff it covers the span of k consecutive ones, and g is increasing.
+    - smallest count at w = #{k >= 0 : H(k) < w}, with
+      H(k) = max_j(e[j+k+1] - e[j]) + m - 2 over the starts e framed by the
+      sentinels -1 and t - m + 1. Some window holds at most k occurrences
+      iff its interval fits strictly between e[j] and e[j+k+1], and H is
+      increasing.
+
+    Each table is built one k per numpy step over the occurrence array and
+    stops once its value passes min(largest length, t): about f(W) + minc(W)
+    steps per (pattern, text), where f(W) and minc(W) are the largest and
+    smallest counts at the longest length W. So this kernel is for a dense
+    range of lengths with values only; `window_imbalance_curve` serves
+    witnesses and sparse grids on long texts, where one pass per length is
+    fewer steps.
+    """
+    import numpy as np
+
+    lens = _sorted_lens(window_lens)
+    longest = max(map(len, texts), default=0)
+    ws = np.array([w for w in lens if w <= longest], dtype=np.int64)
+    if not len(ws) or not patterns:
+        return {}
+    best = np.zeros(len(ws), dtype=np.int64)
+    for pattern in _scanned_patterns(texts, patterns):
+        # A pattern that occurs nowhere has spread 0 at every length.
+        if not any(pattern in text for text in texts):
+            continue
+        hi = np.full(len(ws), -1, dtype=np.int64)
+        lo = np.full(len(ws), longest + 1, dtype=np.int64)
+        for text in texts:
+            fit = int(np.searchsorted(ws, len(text), side="right"))
+            if not fit:
+                continue
+            most, least = _count_extremes(text, pattern, ws[:fit])
+            np.maximum(hi[:fit], most, out=hi[:fit])
+            np.minimum(lo[:fit], least, out=lo[:fit])
+        # The longest text fits every length in ws, so hi and lo are set.
+        np.maximum(best, hi - lo, out=best)
+    return dict(zip(ws.tolist(), best.tolist()))
+
+
+def _count_extremes(text: str, pattern: str, ws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest count of pattern over the windows of each length
+    in ws (sorted, nonempty, each at most len(text)); see window_spreads."""
+    import numpy as np
+
+    t, m = len(text), len(pattern)
+    cap = int(ws[-1])
+    starts = np.flatnonzero(_occurrence_indicator(text, pattern)) if pattern in text else ()
+    n = len(starts)
+    # The starts framed by the sentinels -1 and t - m + 1. Texts are shorter
+    # than 2^31 (MAX_TEXT_CHARS), so int32 holds every difference, with half
+    # the memory traffic of int64 per step.
+    e = np.empty(n + 2, dtype=np.int32)
+    e[0], e[1:-1], e[-1] = -1, starts, t - m + 1
+    pos = e[1:-1]
+    buf = np.empty(n + 1, dtype=np.int32)
+    g = []
+    for k in range(1, n + 1):
+        v = int(np.subtract(pos[k - 1 :], pos[: n - k + 1], out=buf[: n - k + 1]).min()) + m
+        if v > cap:
+            break
+        g.append(v)
+    h = []
+    # H(n) = t >= cap, so the loop ends by k = n.
+    for k in range(n + 1):
+        v = int(np.subtract(e[k + 1 :], e[: n + 1 - k], out=buf[: n + 1 - k]).max()) + m - 2
+        if v >= cap:
+            break
+        h.append(v)
+    return np.searchsorted(g, ws, side="right"), np.searchsorted(h, ws, side="left")

@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import report as report_mod
 from .balance import (
+    balance_report,
     coarsening_bound,
     decompose_pair_in_image,
     frequency_vector,
@@ -39,7 +40,7 @@ from .language import (
     is_factorial,
     sample_level_language,
 )
-from .scan import window_imbalance_curve
+from .scan import window_imbalance_curve, window_spreads
 from .substitution import (
     Substitution,
     coding_identity_sides,
@@ -357,8 +358,8 @@ def check_letter_balance_sweep() -> CheckResult:
     for text in directives:
         d = parse_directive(text)
         texts = _level0_text(d, min_chars=4800, clip=20000)
-        curve = window_imbalance_curve(texts, ["0", "1"], range(1, 201))
-        spread = max((w.imbalance for w in curve.values()), default=0)
+        spreads = window_spreads(texts, ["0", "1"], range(1, 201))
+        spread = max(spreads.values(), default=0)
         if spread > worst:
             worst, worst_directive = spread, text
         if spread > 2:
@@ -436,7 +437,8 @@ def check_coarsening_bound() -> CheckResult:
     passed = True
     for name, sample in samples:
         size = len(sample.alphabet.symbols)
-        cs = {n: imbalance(sample, n).empirical_c for n in range(1, 5)}
+        # One report sorts the sample once for all four factor lengths.
+        cs = {e.factor_length: e.empirical_c for e in balance_report(sample, 4).entries}
         ok = all(
             cs[k] <= coarsening_bound(cs[n], n, k, size)
             for n in range(2, 5)
@@ -515,14 +517,12 @@ def check_image_balance_bounds() -> CheckResult:
     passed = True
     for src_name, source in sources:
         size = len(source.alphabet.symbols)
-        c_1 = imbalance(source, 1).empirical_c
-        c_2 = imbalance(source, 2).empirical_c
+        c_1, c_2 = (e.empirical_c for e in balance_report(source, 2).entries)
         for s_name, sigma in sigmas:
             closure = _image_closure(source, sigma)
             letter_bound = image_letter_bound(c_1, size, sigma.norm())
-            img_c1 = imbalance(closure, 1).empirical_c
+            img_c1, img_c2 = (e.empirical_c for e in balance_report(closure, 2).entries)
             ok = img_c1 <= letter_bound
-            img_c2 = imbalance(closure, 2).empirical_c
             window_bound_c = image_window_bound_constant(c_1, c_2, 2, size, sigma.norm())
             ok = ok and img_c2 <= window_bound_c
             passed = passed and ok
@@ -590,13 +590,9 @@ def check_classifier_sweep() -> CheckResult:
             entry["milestones"] = vals
         else:
             texts = _level0_text(d, min_chars=9600, clip=24000)
-            curve = window_imbalance_curve(texts, list(_BLOCK_ORDER), range(2, 401))
-            head = max(
-                (w.imbalance for m, w in curve.items() if m <= 300), default=0
-            )
-            tail = max(
-                (w.imbalance for m, w in curve.items() if m > 300), default=0
-            )
+            spreads = window_spreads(texts, _BLOCK_ORDER, range(2, 401))
+            head = max((v for m, v in spreads.items() if m <= 300), default=0)
+            tail = max((v for m, v in spreads.items() if m > 300), default=0)
             ok = ok and tail <= head
             entry["curve_head_max"] = head
             entry["curve_tail_max"] = tail

@@ -200,6 +200,13 @@ class TestWordsStayAtTheBoundary:
         built = []
         real = Word.__post_init__
         monkeypatch.setattr(Word, "__post_init__", lambda w: built.append(w) or real(w))
+        # Words built from checked parts skip __post_init__; count them too.
+        real_checked = Word._from_checked
+        monkeypatch.setattr(
+            Word,
+            "_from_checked",
+            classmethod(lambda cls, symbols, a: built.append(symbols) or real_checked(symbols, a)),
+        )
         report = balance_report(sample, 2)
         assert report.sample_size == len(sample.codes)
         assert len(built) <= 6

@@ -260,14 +260,39 @@ class TestSizeGuards:
         assert err == f"error: sample window needs {2 * 63 * 2**26} characters, limit 60000000\n"
 
     def test_size_too_long_to_print_exits_3(self, capsys):
-        # 2 * 63 * 2^20000 characters has more digits than Python converts
-        # to a string.
+        # The default depth for N = 8 is 3, so the window charges levels
+        # 3..20004: about 2^20006 characters, more digits than Python
+        # converts to a string.
+        code, out, err = run(
+            capsys, "analyze", "--directive", "|MM", "--max-length", "8", "--window", "20000"
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == "error: sample window needs more than 2^20006 characters, limit 60000000\n"
+
+    def test_sample_depth_guard_exits_3(self, capsys):
         code, out, err = run(
             capsys, "analyze", "--directive", "|MM", "--max-length", "8", "--depth", "20000"
         )
         assert code == EXIT_RESOURCE_LIMIT
         assert out == ""
-        assert err == "error: sample window needs more than 2^20006 characters, limit 60000000\n"
+        assert err == "error: sample depth needs 20000 levels, limit 4096\n"
+
+    def test_nmax_past_max_length_exits_3_before_sampling(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the sample was drawn")
+
+        monkeypatch.setattr(cli, "sample_level_language", boom)
+        code, out, err = run(
+            capsys, "analyze", "--directive", "|M", "--max-length", "40", "--nmax", "41"
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == "error: --nmax factor length needs 41 letters, limit 40\n"
+
+    def test_nmax_at_max_length_is_served(self, capsys):
+        rep = run_json(capsys, "analyze", "--directive", "|M", "--max-length", "40", "--nmax", "40")
+        assert [e["factor_length"] for e in rep["results"]["balance"]] == list(range(1, 41))
 
     @staticmethod
     def _wide_directive(extra_letters):

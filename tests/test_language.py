@@ -430,6 +430,33 @@ class TestWindowRefusal:
         # Building level 26 alone would take 2 * 2^26 bytes.
         assert peak < 16 * 2**20
 
+    def test_a_depth_past_the_level_limit_is_refused_before_the_walk(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the tower was walked")
+
+        monkeypatch.setattr(language, "_tower_lengths", boom)
+        with pytest.raises(
+            ResourceLimitError, match="^sample depth needs 1000000 levels, limit 4096$"
+        ) as exc:
+            sample_level_language(parse_directive("|MM"), 0, 8, depth=10**6)
+        assert (exc.value.resource, exc.value.requested, exc.value.limit) == (
+            "sample depth",
+            10**6,
+            4096,
+        )
+
+    def test_a_depth_at_the_level_limit_is_walked(self):
+        # The identity keeps both letter images one letter long, so the
+        # window at depth 4096 is tiny and is sampled.
+        identity = {"I": Substitution.from_text("0->0;1->1")}
+        sample = sample_level_language(parse_directive("|I", identity), 0, 3, depth=4096)
+        assert sample.codes == {"", "\x00", "\x01"}
+        assert sample.meta == SampleMeta(depth=4096, window=3, exact=False, saturated=True)
+        # A doubling tower at that depth still reaches the window refusal.
+        with pytest.raises(ResourceLimitError, match="^sample window needs ") as exc:
+            sample_level_language(parse_directive("|MM"), 0, 8, depth=4096)
+        assert exc.value.requested == 2 * sum(2**n for n in range(4096, 4102))
+
     def test_default_depth_level_limit(self, monkeypatch):
         # Under 4094 L's the letter 0 keeps length 1; the M below them makes
         # every image at least 2 long at level 4095, the last level walked.

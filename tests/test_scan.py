@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from wordbalance import scan
 from wordbalance.language import ResourceLimitError, _short_factors
+from wordbalance.tms import level_scan_texts, parse_directive
 from wordbalance.scan import (
     ScanWitness,
     TextCodec,
     count_overlapping,
     expand_text,
     window_imbalance_curve,
+    window_spreads,
 )
 from wordbalance.substitution import Substitution
 from wordbalance.words import Alphabet, Word, block_alphabet, n_coding
@@ -373,6 +375,81 @@ class TestComplementLetterSkip:
         # A third letter: "0" and "1" no longer make up every text.
         window_imbalance_curve(["0120"], ["0", "1", "2"], [1, 3])
         assert calls == ["0", "1", "2"]
+
+
+def spreads_of(curve):
+    return {m: w.imbalance for m, w in curve.items()}
+
+
+class TestWindowSpreads:
+    """window_spreads is the spread half of window_imbalance_curve, read
+    from occurrence-span tables."""
+
+    @given(
+        st.sampled_from(["0", "01", "012"]).flatmap(
+            lambda letters: st.lists(st.text(alphabet=letters, max_size=14), min_size=1, max_size=3)
+        ),
+        st.lists(st.text(alphabet="012", min_size=1, max_size=5), max_size=5),
+        st.lists(st.integers(1, 18), max_size=8),
+    )
+    def test_matches_both_curves(self, texts, patterns, lens):
+        # Patterns may be absent from a text or longer than it, lengths may
+        # repeat or fit no text, and a text may be one letter or empty.
+        want = spreads_of(python_curve(texts, patterns, lens))
+        assert window_spreads(texts, patterns, lens) == want
+        assert spreads_of(window_imbalance_curve(texts, patterns, lens)) == want
+
+    @pytest.mark.parametrize(
+        "texts, patterns, lens, want",
+        [
+            (["0"], ["0", "1", "01"], [1, 1, 2], {1: 0}),
+            (["0", "1"], ["0"], [1], {1: 1}),
+            # Only the first text fits lengths 3 and 4, and "11" fills both
+            # of its length-3 windows.
+            (["0110", "1"], ["11", "0110"], [1, 2, 3, 4, 5], {1: 0, 2: 1, 3: 0, 4: 0}),
+            # The widest gap is before the first or after the last occurrence.
+            (["01111111111"], ["0"], [5], {5: 1}),
+            (["11111111110"], ["0"], [5], {5: 1}),
+            (["0101"], ["2"], [2, 9], {2: 0}),
+            (["0101"], [], [2], {}),
+            (["01"], ["0"], [3, 4], {}),
+        ],
+    )
+    def test_small_cases(self, texts, patterns, lens, want):
+        assert window_spreads(texts, patterns, lens) == want
+        assert spreads_of(window_imbalance_curve(texts, patterns, lens)) == want
+
+    @pytest.mark.parametrize("directive", ["|LR", "|MLR", "|RRM", "LM|MR"])
+    def test_dense_range_on_scan_texts(self, directive):
+        # The classifier sweep's inputs: clipped tower texts, every block of
+        # two letters, all window lengths 2..400.
+        texts, _ = level_scan_texts(parse_directive(directive), 9600, 24000)
+        patterns = ["00", "01", "10", "11"]
+        lens = range(2, 401)
+        assert window_spreads(texts, patterns, lens) == spreads_of(
+            window_imbalance_curve(texts, patterns, lens)
+        )
+
+    def test_windows_longer_than_every_text_of_one_pattern(self):
+        # Both tables reach the text length: one window covers the text.
+        text = "0110100110010110"
+        lens = range(1, 17)
+        assert window_spreads([text], ["0110", "1"], lens) == spreads_of(
+            python_curve([text], ["0110", "1"], lens)
+        )
+
+    def test_nonpositive_window_rejected(self):
+        with pytest.raises(ValueError):
+            window_spreads(["01"], ["0"], [1, 0])
+
+    def test_the_complement_letter_builds_no_indicator(self, monkeypatch):
+        calls = []
+        real = scan._occurrence_indicator
+        monkeypatch.setattr(
+            scan, "_occurrence_indicator", lambda t, p: calls.append(p) or real(t, p)
+        )
+        window_spreads(["0110100110010110", "1001"], ["0", "1", "2", "11"], [1, 3])
+        assert calls == ["0", "0", "11"]
 
 
 class TestFactorSets:

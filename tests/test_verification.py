@@ -8,6 +8,7 @@ import pytest
 from wordbalance.language import factorial_closure, sample_level_language
 from wordbalance.substitution import Substitution
 from wordbalance.tms import builtin, parse_directive
+from wordbalance import verification
 from wordbalance.verification import CHECKS, _image_closure, run_checks
 
 
@@ -67,3 +68,28 @@ class TestImageClosure:
         cap = max(len(w) for w in images)
         want = factorial_closure(images, cap, alphabet=sigma.codomain)
         assert _image_closure(source, sigma) == want
+
+
+class TestSweepKernels:
+    def test_the_sweeps_read_spreads_and_only_m_periods_take_witnesses(self, monkeypatch):
+        # Dense length ranges read spreads from occurrence-span tables; the
+        # M-only periods keep the witness kernel for their three lengths.
+        calls = []
+        for name in ("window_imbalance_curve", "window_spreads"):
+            real = getattr(verification, name)
+            monkeypatch.setattr(
+                verification,
+                name,
+                lambda texts, patterns, lens, name=name, real=real: calls.append(
+                    (name, list(lens))
+                )
+                or real(texts, patterns, lens),
+            )
+        assert verification.check_letter_balance_sweep().passed
+        assert calls == [("window_spreads", list(range(1, 201)))] * 50
+        calls.clear()
+        assert verification.check_classifier_sweep().passed
+        curve_calls = [lens for name, lens in calls if name == "window_imbalance_curve"]
+        assert curve_calls == [[6, 86, 1366]] * 3
+        assert calls.count(("window_spreads", list(range(2, 401)))) == 36
+        assert len(calls) == 39
