@@ -189,18 +189,18 @@ def frequency_vector(
     if mode == "perron":
         if substitution is None:
             raise ValueError("perron mode needs the generating substitution")
-        return perron_frequency(substitution)
+        return perron_frequency(incidence_matrix(substitution))
     raise ValueError(f"unknown frequency mode: {mode}")
 
 
-def perron_frequency(substitution: Substitution) -> FrequencyVector:
-    """Dominant-eigenvector frequencies of a substitution's incidence matrix.
+def perron_frequency(m: RationalMatrix) -> FrequencyVector:
+    """Dominant-eigenvector frequencies of an incidence matrix, such as
+    `incidence_matrix(sigma)` or a product of them, over its row labels.
 
     Refused (ValueError) unless the dominant eigenspace is one-dimensional:
     otherwise no single eigenvector, hence no single frequency vector, is
     determined by the matrix.
     """
-    m = incidence_matrix(substitution)
     if not m.is_square():
         raise ValueError("perron frequencies need an endomorphism")
     eigs = integer_eigenvalues(m)
@@ -225,7 +225,7 @@ def perron_frequency(substitution: Substitution) -> FrequencyVector:
     values = tuple(v / total for v in kern)
     if any(v < 0 for v in values):
         raise ValueError("dominant eigenvector is not nonnegative")
-    return FrequencyVector(substitution.codomain, values, mode="perron")
+    return FrequencyVector(Alphabet(m.row_labels), values, mode="perron")
 
 
 def frequency_deviation(sample: LanguageSample, f: FrequencyVector) -> Fraction:

@@ -22,17 +22,18 @@ from .balance import (
     frequency_vector,
     perron_frequency,
 )
-from .exactmat import mat_vec
+from .exactmat import RationalMatrix, mat_vec
 from .language import (
     DirectiveSequence,
     ResourceLimitError,
+    _tower_counts,
     is_everywhere_growing,
     sample_level_language,
 )
 from .limits import check_budget
 from .report import FORMATS, build_report, rational_str, render_report
 from .scan import window_imbalance_curve
-from .substitution import Substitution, incidence_matrix
+from .substitution import Substitution
 from .tms import (
     classify,
     level_scan_texts,
@@ -168,21 +169,23 @@ def _frequency_map(f: FrequencyVector) -> Dict[str, Any]:
 def _level0_perron(d: DirectiveSequence) -> Optional[FrequencyVector]:
     """Exact level-0 letter frequencies of an eventually periodic directive.
 
-    The dominant-eigenvector frequencies of the one-period tower live at the
-    first periodic level; pushing them forward through the prefix tower's
-    incidence matrix and renormalizing gives the level-0 frequencies. None
-    when the period is missing or has no usable dominant eigenpair.
+    The Perron frequencies of the period read from level p, tau =
+    sigma_[p,p+q), are pushed forward through the incidence matrix of the
+    prefix, pi = sigma_[0,p), and renormalized. Both matrices are integer
+    incidence products (no tower is composed). None when the period is
+    missing or has no usable dominant eigenpair.
     """
     if d.period is None:
         return None
     p, q = d.prefix_length, d.period_length
+    letters = d.level_alphabet(p).symbols
     try:
-        f_p = perron_frequency(d.tower(p, p + q))
+        f_p = perron_frequency(RationalMatrix(_tower_counts(d, p, p + q), letters, letters))
     except ValueError:
         return None
     if p == 0:
         return f_p
-    pushed = mat_vec(incidence_matrix(d.tower(0, p)), list(f_p.values))
+    pushed = mat_vec(RationalMatrix(_tower_counts(d, 0, p)), f_p.values)
     total = sum(pushed, Fraction(0))
     if total <= 0:
         return None

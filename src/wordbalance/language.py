@@ -15,11 +15,11 @@ import itertools
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .limits import ResourceLimitError, check_budget
 from .exactmat import binary_power
-from .substitution import Substitution, SubstitutionError, incidence_matrix
+from .substitution import Substitution, SubstitutionError
 from .words import Alphabet, Symbol, Word, sort_words
 
 MAX_SAMPLE_CHARS = 60_000_000
@@ -94,26 +94,12 @@ class DirectiveSequence:
         """Largest sampling level for finite directives, None when periodic."""
         return None if self.period is not None else len(self.prefix)
 
-    def tower(self, k: int, n: int) -> Substitution:
-        return substitution_tower(self, k, n)
-
     def describe(self) -> str:
         if self.prefix_names is not None or self.period_names is not None:
             return f"{self.prefix_names or ''}|{self.period_names or ''}"
         p = ",".join(s.to_text() for s in self.prefix)
         q = ",".join(s.to_text() for s in self.period) if self.period else ""
         return f"[{p}]|[{q}]"
-
-
-def substitution_tower(d: DirectiveSequence, k: int, n: int) -> Substitution:
-    """Composition sigma_k . sigma_{k+1} ... sigma_{n-1}; identity when n == k."""
-    if n < k:
-        raise ValueError("tower needs n >= k")
-    alphabet = d.level_alphabet(k)
-    levels = _tower_texts(map(d.substitution_at, range(k, n)), _letter_codes(alphabet))
-    texts = next(itertools.islice(levels, n - k, None))
-    images = {a: _decode(t, alphabet) for a, t in texts.items()}
-    return Substitution(d.level_alphabet(n), alphabet, images)
 
 
 def _tower_lengths(
@@ -175,6 +161,24 @@ def _int_mat_mul(x, y):
     return [[sum(map(operator.mul, row, col)) for col in zip(*y)] for row in x]
 
 
+def _tower_counts(d: DirectiveSequence, k: int, n: int) -> List[List[int]]:
+    """The integer incidence matrix of sigma_k . ... . sigma_{n-1}, the
+    product of the levels' matrices; the identity when n == k.
+
+    Entry [i][j] counts the i-th level-k letter in the image of the j-th
+    level-n letter. So image lengths are column sums and letter sets are a
+    column's nonzero entries, and no word of the composed tower is built.
+    """
+    size = len(d.level_alphabet(k))
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    # Each level's incidence_matrix, in ints: its Fractions cost 3x the product.
+    levels = (
+        [[s.image(a).symbols.count(b) for a in s.domain.symbols] for b in s.codomain.symbols]
+        for s in map(d.substitution_at, range(k, n))
+    )
+    return functools.reduce(_int_mat_mul, levels, identity)
+
+
 def _periodic_tower_lengths(d: DirectiveSequence, depth: int) -> Dict[Symbol, int]:
     """The level-`depth` letter lengths of _tower_lengths, for depth >= p.
 
@@ -190,12 +194,10 @@ def _periodic_tower_lengths(d: DirectiveSequence, depth: int) -> Dict[Symbol, in
     lengths = _deepest(_tower_lengths(levels, d.level_alphabet(0)))
     if not k:
         return lengths
-    period = [incidence_matrix(d.substitution_at(j)) for j in range(p + r, p + r + q)]
-    counts = [[[int(x) for x in row] for row in m.rows] for m in period]
-    tau = functools.reduce(_int_mat_mul, counts)
-    row = [[lengths[b] for b in period[0].row_labels]]
-    (deep,) = _int_mat_mul(row, binary_power(tau, k, _int_mat_mul))
-    return dict(zip(period[-1].col_labels, deep))
+    symbols = d.level_alphabet(p + r).symbols
+    tau = _tower_counts(d, p + r, p + r + q)
+    (deep,) = _int_mat_mul([[lengths[b] for b in symbols]], binary_power(tau, k, _int_mat_mul))
+    return dict(zip(symbols, deep))
 
 
 def _periodic_tower_texts(
@@ -434,14 +436,16 @@ def sample_level_language(
         return _exact_fixed_point_sample(d, k, max_length, seed, alphabet)
 
     q = d.period_length
+    # Charging the window walks every level down to depth + window with
+    # integer lengths that can grow by a digit per level, so a deep or wide
+    # request is refused before that quadratic walk.
     if window is None:
         window = max(3, q)
+    else:
+        check_budget("sample window", window, MAX_DEPTH_LEVELS, "levels")
     if depth is None:
         depth = _default_depth(d, k, max_length)
     else:
-        # Charging the window walks every level down to depth with integer
-        # lengths that can grow by a digit per level, so a deep request is
-        # refused before that quadratic walk.
         check_budget("sample depth", depth, MAX_DEPTH_LEVELS, "levels")
     if depth <= k:
         raise ValueError("sampling depth must be below the sampled level")
@@ -558,13 +562,16 @@ def is_everywhere_growing(
 ) -> GrowthReport:
     """Does the tower's shortest letter image tend to infinity?
 
-    Eventually periodic directives reduce, per residue class modulo the
-    period, to iterating one endomorphism with letter weights given by the
-    prefix tower. Two decision tiers:
+    Eventually periodic directives reduce, per residue r modulo the period,
+    to iterating tau = sigma_[p+r,p+r+q) with letter weights the image
+    lengths of pi = sigma_[0,p+r). Both come from integer incidence
+    products (_tower_counts): tau's column of a letter counts the letters
+    of its image, and a weight is a column sum of pi's matrix, so no tower
+    is composed. Two decision tiers:
 
-    * Everything non-erasing: image lengths under the endomorphism are
-      monotone, and a letter stalls exactly when its letter-set orbit falls
-      inside the stable non-expanding letters. Exact both ways.
+    * Everything non-erasing: image lengths under tau are monotone, and a
+      letter stalls exactly when its letter-set orbit falls inside the
+      stable non-expanding letters. Exact both ways.
     * Otherwise: a capped orbit. A coordinate observed below the cap on the
       orbit's cycle equals its true value there (capping only lowers values,
       and a below-cap sum forces below-cap summands), so it recurs forever
@@ -589,58 +596,48 @@ def is_everywhere_growing(
         )
 
     p, q = d.prefix_length, d.period_length
-    residues = []
-    overall = True
-    overall_exact = True
+    residues, exact = [], True
     for r in range(q):
-        pi = d.tower(0, p + r)
-        tau = d.tower(p + r, p + r + q)
-        symbols = tau.domain.symbols
-        weights = {b: len(pi.image(b)) for b in symbols}
-        if tau.is_non_erasing() and all(w >= 1 for w in weights.values()):
-            verdict, data = _monotone_growth_verdict(tau, symbols)
-            exact = True
+        # images[a][b] counts letter b in tau(a); weights[b] is |pi(b)|.
+        images = list(zip(*_tower_counts(d, p + r, p + r + q)))
+        weights = list(map(sum, zip(*_tower_counts(d, 0, p + r))))
+        if all(map(sum, images)) and all(weights):
+            verdict, data = _monotone_growth_verdict(images, d.level_alphabet(p + r).symbols)
         else:
-            verdict, data, exact = _capped_growth_verdict(tau, symbols, weights)
+            verdict, data, certain = _capped_growth_verdict(images, weights)
+            exact = exact and certain
         residues.append({"residue": r, "verdict": verdict, **data})
-        overall = overall and verdict
-        overall_exact = overall_exact and exact
     return GrowthReport(
-        growing=overall,
-        exact=overall_exact,
+        growing=all(row["verdict"] for row in residues),
+        exact=exact,
         certificate={"mode": "periodic-residue-reduction", "residues": residues},
     )
 
 
-def _monotone_growth_verdict(tau: Substitution, symbols) -> Tuple[bool, dict]:
+def _monotone_growth_verdict(images, symbols) -> Tuple[bool, dict]:
     """Exact growth test for a non-erasing endomorphism with positive weights.
 
+    images[a] counts the letters of the image of letter a (by position).
     Image lengths are monotone under a non-erasing map, so a letter fails to
     grow exactly when some iterate's letters all sit in E, the largest set of
     length-one-image letters closed under the map; once inside E the word is
     frozen in length forever, and any letter outside E forces an increase
     within one sweep of its orbit.
     """
-    stable = {a for a in symbols if len(tau.image(a)) == 1}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(stable):
-            if tau.image(a).symbols[0] not in stable:
-                stable.discard(a)
-                changed = True
+    letters = [frozenset(b for b, count in enumerate(image) if count) for image in images]
+    stable = {a for a, image in enumerate(images) if sum(image) == 1}
+    while any(not letters[a] <= stable for a in stable):
+        stable = {a for a in stable if letters[a] <= stable}
     stalled = []
-    for a in symbols:
+    for a in range(len(images)):
         letter_set = frozenset([a])
         seen = set()
         while letter_set not in seen:
             seen.add(letter_set)
             if letter_set <= stable:
-                stalled.append(a)
+                stalled.append(symbols[a])
                 break
-            letter_set = frozenset(
-                c for b in letter_set for c in tau.image(b).symbols
-            )
+            letter_set = frozenset().union(*(letters[b] for b in letter_set))
     return not stalled, {
         "tier": "monotone-stable-set",
         "non_expanding_core_size": len(stable),
@@ -648,17 +645,13 @@ def _monotone_growth_verdict(tau: Substitution, symbols) -> Tuple[bool, dict]:
     }
 
 
-def _capped_growth_verdict(tau: Substitution, symbols, weights) -> Tuple[bool, dict, bool]:
-    entry = {a: {b: 0 for b in symbols} for a in symbols}
-    for a in symbols:
-        for b in tau.image(a).symbols:
-            entry[a][b] += 1
-    max_entry = max((c for row in entry.values() for c in row.values()), default=0)
-    cap = max(64, max(weights.values(), default=1) + 1, (len(symbols) * max_entry + 2) ** 2)
-    verdict, data = _capped_orbit(symbols, entry, weights, cap)
+def _capped_growth_verdict(images, weights) -> Tuple[bool, dict, bool]:
+    max_entry = max((c for image in images for c in image), default=0)
+    cap = max(64, max(weights, default=1) + 1, (len(images) * max_entry + 2) ** 2)
+    verdict, data = _capped_orbit(images, weights, cap)
     for _ in range(_CAP_ESCALATIONS):
         bigger = cap * cap + 17
-        verdict2, data2 = _capped_orbit(symbols, entry, weights, bigger)
+        verdict2, data2 = _capped_orbit(images, weights, bigger)
         if verdict2 == verdict:
             data["confirm_cap"] = bigger
             data["tier"] = "capped-cycle"
@@ -671,15 +664,12 @@ def _capped_growth_verdict(tau: Substitution, symbols, weights) -> Tuple[bool, d
     )
 
 
-def _capped_orbit(symbols, entry, weights, cap):
-    state = tuple(min(weights[a], cap) for a in symbols)
+def _capped_orbit(images, weights, cap):
+    state = tuple(min(w, cap) for w in weights)
     seen = {state: 0}
     trajectory = [state]
     while True:
-        nxt = tuple(
-            min(sum(entry[a][b] * trajectory[-1][i] for i, b in enumerate(symbols)), cap)
-            for a in symbols
-        )
+        nxt = tuple(min(sum(map(operator.mul, image, trajectory[-1])), cap) for image in images)
         if nxt in seen:
             start = seen[nxt]
             cycle = trajectory[start:]

@@ -617,7 +617,7 @@ def check_frequency_lift() -> CheckResult:
     swap_ok = lifted.normalized and lifted.values == f_src.values
 
     sub_l = builtin("L")
-    f_perron = perron_frequency(sub_l)
+    f_perron = perron_frequency(incidence_matrix(sub_l))
     lifted_l = lift_frequency(f_perron, sub_l)
     perron_ok = lifted_l.normalized and lifted_l.values == f_perron.values
 
@@ -765,7 +765,7 @@ def check_perron_frequencies() -> CheckResult:
     rows = []
     passed = True
     for name, want in sorted(EXPECTED_PERRON.items()):
-        got = perron_frequency(builtin(name)).values
+        got = perron_frequency(incidence_matrix(builtin(name))).values
         ok = got == want
         passed = passed and ok
         rows.append({"name": name, "frequency": [_frac_str(v) for v in got], "ok": ok})

@@ -211,7 +211,7 @@ class TestWordsStayAtTheBoundary:
         assert report.sample_size == len(sample.codes)
         assert len(built) <= 6
         built.clear()
-        for f in (frequency_vector(sample), perron_frequency(M)):
+        for f in (frequency_vector(sample), perron_frequency(incidence_matrix(M))):
             frequency_deviation(sample, f)
         assert built == []
         assert "words" not in vars(sample)
@@ -302,29 +302,29 @@ class TestFrequency:
         ],
     )
     def test_perron_values(self, sub, want):
-        assert perron_frequency(sub).values == want
+        assert perron_frequency(incidence_matrix(sub)).values == want
 
     def test_perron_refuses_a_plane_of_eigenvectors(self):
         with pytest.raises(ValueError, match="eigenspace has dimension 2"):
-            perron_frequency(Substitution.from_text("0->00;1->11"))
+            perron_frequency(incidence_matrix(Substitution.from_text("0->00;1->11")))
         with pytest.raises(ValueError, match="eigenspace has dimension 2"):
-            perron_frequency(Substitution.from_text("0->00;1->11;2->2"))
+            perron_frequency(incidence_matrix(Substitution.from_text("0->00;1->11;2->2")))
 
     def test_perron_accepts_a_jordan_block(self):
         # L's incidence [[1,1],[0,1]] has the double eigenvalue 1 but a
         # one-dimensional eigenspace, so its frequencies are unique.
         assert incidence_matrix(L).rows == ((1, 1), (0, 1))
-        assert perron_frequency(L).values == (Fraction(1), Fraction(0))
+        assert perron_frequency(incidence_matrix(L)).values == (Fraction(1), Fraction(0))
 
     def test_perron_needs_endomorphism(self):
         widening = Substitution.from_text("0->012;1->01")
         with pytest.raises(ValueError):
-            perron_frequency(widening)
+            perron_frequency(incidence_matrix(widening))
 
     def test_perron_needs_integer_eigenvalue(self):
         irrational = Substitution.from_text("0->1;1->00")
         with pytest.raises(ValueError):
-            perron_frequency(irrational)
+            perron_frequency(incidence_matrix(irrational))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -363,7 +363,7 @@ class TestLift:
         assert lifted.alphabet == BIN
 
     def test_fixed_vector_of_left_incidence(self):
-        f = perron_frequency(L)
+        f = perron_frequency(incidence_matrix(L))
         lifted = lift_frequency(f, L)
         assert lifted.values == tuple(f.values)
         assert lifted.normalized and lifted.nonnegative

@@ -10,7 +10,7 @@ import pytest
 
 import wordbalance
 import wordbalance.verification as verification
-from wordbalance import cli, scan
+from wordbalance import cli, language, scan
 from wordbalance.cli import (
     EXHAUSTIVE_CAP,
     EXIT_RESOURCE_LIMIT,
@@ -159,6 +159,21 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--directive", "LMR")
         assert code == EXIT_USAGE
 
+    def test_tracer_hooks_fire_once(self, capsys, monkeypatch):
+        # The benchmark tracer times these two layers by wrapping them in the
+        # cli namespace, so analyze must call them through it.
+        calls = []
+        for name in ("is_everywhere_growing", "perron_frequency"):
+            original = getattr(cli, name)
+
+            def wrapper(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        run_json(capsys, "analyze", "--directive", "|M")
+        assert sorted(calls) == ["is_everywhere_growing", "perron_frequency"]
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -260,15 +275,39 @@ class TestSizeGuards:
         assert err == f"error: sample window needs {2 * 63 * 2**26} characters, limit 60000000\n"
 
     def test_size_too_long_to_print_exits_3(self, capsys):
-        # The default depth for N = 8 is 3, so the window charges levels
-        # 3..20004: about 2^20006 characters, more digits than Python
-        # converts to a string.
+        # S maps each letter to 16 letters. The default depth for N = 8 is 1,
+        # so the widest window, 4096 levels, charges levels 1..4099: about
+        # 2^16397 characters, more digits than Python converts to a string.
         code, out, err = run(
-            capsys, "analyze", "--directive", "|MM", "--max-length", "8", "--window", "20000"
+            capsys, "analyze", "--directive", "|SS", "--register",
+            "S=0->0101010101010101;1->1010101010101010",
+            "--max-length", "8", "--window", "4096",
         )
         assert code == EXIT_RESOURCE_LIMIT
         assert out == ""
-        assert err == "error: sample window needs more than 2^20006 characters, limit 60000000\n"
+        assert err == "error: sample window needs more than 2^16397 characters, limit 60000000\n"
+
+    def test_sample_window_level_guard_exits_3(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the tower was walked")
+
+        monkeypatch.setattr(language, "_tower_lengths", boom)
+        code, out, err = run(
+            capsys, "analyze", "--directive", "|MM", "--max-length", "8", "--window", "100000"
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == "error: sample window needs 100000 levels, limit 4096\n"
+
+    def test_long_period_refused_by_the_sampler_not_the_growth_check(self, capsys):
+        # The growth check reads incidence products of the 18-letter period;
+        # the windowed sampler then refuses its 2^41-character window.
+        code, out, err = run(
+            capsys, "analyze", "--directive", "|" + "M" * 18, "--max-length", "8"
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == "error: sample window needs 2199023255536 characters, limit 60000000\n"
 
     def test_sample_depth_guard_exits_3(self, capsys):
         code, out, err = run(

@@ -4,10 +4,12 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wordbalance import language
+from wordbalance import cli, language
+from wordbalance.balance import FrequencyVector, perron_frequency
+from wordbalance.exactmat import mat_vec
 from wordbalance.language import (
     DirectiveSequence,
     GrowthReport,
@@ -18,9 +20,8 @@ from wordbalance.language import (
     is_everywhere_growing,
     is_factorial,
     sample_level_language,
-    substitution_tower,
 )
-from wordbalance.substitution import Substitution, SubstitutionError, compose
+from wordbalance.substitution import Substitution, SubstitutionError, compose, incidence_matrix
 from wordbalance.tms import parse_directive
 from wordbalance.words import Alphabet, Word, block_alphabet, n_coding
 
@@ -68,20 +69,27 @@ class TestDirectiveSequence:
             DirectiveSequence(prefix=(l, t), period=(t,))
 
 
-class TestTower:
+class TestTowerCounts:
     def test_identity_at_zero_height(self):
         d = parse_directive("|M")
-        assert substitution_tower(d, 0, 0).is_identity()
+        assert language._tower_counts(d, 0, 0) == [[1, 0], [0, 1]]
+        assert language._tower_counts(d, 1, 1) == [[1, 0], [0, 1]]
 
     def test_directive_order_is_outermost_first(self):
+        # L(M(0)) = 010 and L(M(1)) = 100; M(L(.)) would give 01 and 1001.
         d = parse_directive("LM|R")
-        tower = d.tower(0, 2)
-        assert tower.image("0").render() == "010"  # L(M(0))
-        assert tower.image("1").render() == "100"
+        assert language._tower_counts(d, 0, 2) == [[2, 2], [1, 1]]
 
-    def test_height_below_start_rejected(self):
-        with pytest.raises(ValueError):
-            substitution_tower(parse_directive("|M"), 2, 1)
+    def test_alphabet_changing_levels(self):
+        registry = {
+            "A": Substitution.from_text("a->001;b->;c->1", Alphabet.from_text("01")),
+            "B": Substitution.from_text("0->ab;1->cca", Alphabet.from_text("abc")),
+        }
+        d = parse_directive("|AB", registry)
+        # A(B(0)) = A(ab) = 001 and A(B(1)) = A(cca) = 11001.
+        assert language._tower_counts(d, 0, 2) == [[2, 2], [1, 3]]
+        # B(A(a)) = B(001), B(A(b)) = B() and B(A(c)) = B(1).
+        assert language._tower_counts(d, 1, 3) == [[3, 0, 1], [2, 0, 0], [2, 0, 2]]
 
 
 class TestFactorialClosure:
@@ -518,3 +526,195 @@ class TestGrowthDecision:
         assert rep.growing == want
         assert rep.exact
         assert isinstance(rep.certificate, dict)
+
+    def test_long_period_needs_no_substitution_or_word(self, monkeypatch):
+        directives = [parse_directive("LMR|ML"), parse_directive("|" + "M" * 64)]
+        built = []
+
+        def counting(original):
+            def wrapper(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                return original(self, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Substitution, "__init__", counting(Substitution.__init__))
+        monkeypatch.setattr(Word, "__post_init__", counting(Word.__post_init__))
+        reports = [is_everywhere_growing(d) for d in directives]
+        # The eigenvalue search tries every integer up to the dominant
+        # eigenvalue, 2^64 for a 64-letter M period, so Perron is read on
+        # LMR|ML only.
+        assert cli._level0_perron(directives[0]) is not None
+        assert built == []
+        assert (reports[1].growing, reports[1].exact) == (True, True)
+        assert reports[1].certificate["residues"][63]["tier"] == "monotone-stable-set"
+        # The counters do see a build.
+        Substitution.from_text("0->1")
+        assert built == ["Word", "Substitution"]
+
+
+# Level alphabets of the drawn directives: a chain may change alphabets
+# between levels, and the period returns to the alphabet it starts from.
+LEVEL_ALPHABETS = [Alphabet.from_text(t) for t in ("01", "012", "ab", "x")]
+
+
+@st.composite
+def registered_directives(draw):
+    """A registered directive A..|.. with a prefix of 0-2 and a period of
+    1-3 substitutions over drawn level alphabets; images have up to three
+    letters, and are empty only when the draw allows erasing."""
+    p, q = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    alphabets = [draw(st.sampled_from(LEVEL_ALPHABETS)) for _ in range(p + q)]
+    alphabets.append(alphabets[p])
+    shortest = draw(st.sampled_from([0, 1]))
+    registry = {}
+    for j, name in enumerate("ABCDE"[: p + q]):
+        domain, codomain = alphabets[j + 1], alphabets[j]
+        letters = st.sampled_from(codomain.symbols)
+        registry[name] = Substitution(
+            domain,
+            codomain,
+            {
+                a: Word(tuple(draw(st.lists(letters, min_size=shortest, max_size=3))), codomain)
+                for a in domain.symbols
+            },
+        )
+    names = "".join(registry)
+    return parse_directive(f"{names[:p]}|{names[p:]}", registry)
+
+
+def composed_tower(d, k, n):
+    """sigma_k . ... . sigma_{n-1}, composed one substitution at a time."""
+    tower = Substitution.identity(d.level_alphabet(k))
+    for j in range(k, n):
+        tower = compose(tower, d.substitution_at(j))
+    return tower
+
+
+def tower_growth(d):
+    """The growth report read from composed towers: per residue r, tau is
+    the period read from level p + r and the weights are the image lengths
+    of the tower above it."""
+    p, q = d.prefix_length, d.period_length
+    residues = []
+    for r in range(q):
+        pi, tau = composed_tower(d, 0, p + r), composed_tower(d, p + r, p + r + q)
+        symbols = tau.domain.symbols
+        weights = [len(pi.image(b)) for b in symbols]
+        if tau.is_non_erasing() and min(weights) >= 1:
+            verdict, data, exact = *tower_monotone_verdict(tau), True
+        else:
+            verdict, data, exact = tower_capped_verdict(tau, weights)
+        residues.append(({"residue": r, "verdict": verdict, **data}, exact))
+    return GrowthReport(
+        growing=all(row["verdict"] for row, _ in residues),
+        exact=all(exact for _, exact in residues),
+        certificate={"mode": "periodic-residue-reduction", "residues": [row for row, _ in residues]},
+    )
+
+
+def tower_monotone_verdict(tau):
+    symbols = tau.domain.symbols
+    stable = {a for a in symbols if len(tau.image(a)) == 1}
+    while True:
+        kept = {a for a in stable if tau.image(a).symbols[0] in stable}
+        if kept == stable:
+            break
+        stable = kept
+    stalled = []
+    for a in symbols:
+        letters, seen = frozenset([a]), set()
+        while letters not in seen:
+            seen.add(letters)
+            if letters <= stable:
+                stalled.append(str(a))
+                break
+            letters = frozenset(c for b in letters for c in tau.image(b).symbols)
+    return not stalled, {
+        "tier": "monotone-stable-set",
+        "non_expanding_core_size": len(stable),
+        "stalled_letters": sorted(stalled),
+    }
+
+
+def tower_capped_verdict(tau, weights):
+    symbols = tau.domain.symbols
+    entry = [[tau.image(a).symbols.count(b) for b in symbols] for a in symbols]
+
+    def orbit(cap):
+        trajectory = [tuple(min(w, cap) for w in weights)]
+        while True:
+            last = trajectory[-1]
+            nxt = tuple(min(sum(c * v for c, v in zip(row, last)), cap) for row in entry)
+            if nxt in trajectory:
+                start = trajectory.index(nxt)
+                cycle = trajectory[start:]
+                return all(min(state) >= cap for state in cycle), {
+                    "cap": cap,
+                    "preperiod": start,
+                    "cycle_length": len(cycle),
+                    "cycle_floor": min(map(min, cycle)),
+                }
+            trajectory.append(nxt)
+
+    cap = max(64, max(weights) + 1, (len(symbols) * max(map(max, entry)) + 2) ** 2)
+    verdict, data = orbit(cap)
+    for _ in range(5):
+        bigger = cap * cap + 17
+        again, data_again = orbit(bigger)
+        if again == verdict:
+            return verdict, {**data, "confirm_cap": bigger, "tier": "capped-cycle"}, not verdict
+        cap, verdict, data = bigger, again, data_again
+    raise ResourceLimitError("growth decision did not stabilize under cap escalation")
+
+
+def tower_perron(d):
+    """Level-0 Perron frequencies pushed through the composed prefix tower."""
+    p, q = d.prefix_length, d.period_length
+    try:
+        f = perron_frequency(incidence_matrix(composed_tower(d, p, p + q)))
+    except ValueError:
+        return None
+    if p == 0:
+        return f
+    pushed = mat_vec(incidence_matrix(composed_tower(d, 0, p)), f.values)
+    total = sum(pushed)
+    if total <= 0:
+        return None
+    return FrequencyVector(d.level_alphabet(0), tuple(v / total for v in pushed), mode="perron")
+
+
+class TestIncidenceProductsAgainstComposedTowers:
+    @settings(max_examples=500)
+    @given(registered_directives())
+    # One example for each growth tier.
+    @example(parse_directive("LMR|ML"))
+    @example(
+        parse_directive(
+            "A|BC",
+            {
+                "A": Substitution.from_text("a->0;b->1", Alphabet.from_text("01")),
+                "B": Substitution.from_text("0->ab;1->", Alphabet.from_text("ab")),
+                "C": Substitution.from_text("a->1;b->0", Alphabet.from_text("01")),
+            },
+        )
+    )
+    def test_growth_and_perron_match_the_composed_towers(self, d):
+        p, q = d.prefix_length, d.period_length
+        for k in range(p + 2 * q):
+            for n in range(k, p + 2 * q + 1):
+                want = incidence_matrix(composed_tower(d, k, n)).rows
+                assert language._tower_counts(d, k, n) == [list(row) for row in want]
+        assert is_everywhere_growing(d) == tower_growth(d)
+        assert cli._level0_perron(d) == tower_perron(d)
+
+    def test_both_tiers_are_drawn(self):
+        tiers = set()
+
+        @given(registered_directives())
+        def collect(d):
+            for row in is_everywhere_growing(d).certificate["residues"]:
+                tiers.add(row["tier"])
+
+        collect()
+        assert tiers == {"monotone-stable-set", "capped-cycle"}

@@ -7,7 +7,6 @@ import pytest
 from wordbalance import language, tms
 from wordbalance.language import GrowthReport, sample_level_language
 from wordbalance.limits import ResourceLimitError, check_budget
-from wordbalance.substitution import Substitution
 from wordbalance.tms import level_scan_texts, parse_directive
 
 
@@ -71,11 +70,11 @@ def test_the_fixed_point_round_limit_is_named(monkeypatch):
 def test_the_cap_escalation_limit_is_named(monkeypatch):
     verdicts = itertools.cycle([True, False])
     monkeypatch.setattr(
-        language, "_capped_orbit", lambda symbols, entry, weights, cap: (next(verdicts), {})
+        language, "_capped_orbit", lambda images, weights, cap: (next(verdicts), {})
     )
-    tau = Substitution.from_text("0->01;1->")
+    # tau = 0->01;1-> as letter counts per image, with unit weights.
     with pytest.raises(ResourceLimitError) as exc:
-        language._capped_growth_verdict(tau, ("0", "1"), {"0": 1, "1": 1})
+        language._capped_growth_verdict([(1, 1), (0, 0)], [1, 1])
     assert str(exc.value) == "growth decision did not stabilize under cap escalation"
     assert (exc.value.resource, exc.value.requested, exc.value.limit) == (
         "growth cap escalations",
