@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from .exactmat import RationalMatrix, integer_eigenvalues, invert, kernel_basis, mat_vec
+from .exactmat import RationalMatrix, det, integer_eigenvalues, invert, kernel_basis, mat_vec
 from .language import LanguageSample, _decode, _image_table, _letter_codes
 from .substitution import Substitution, incidence_matrix
 from .words import Alphabet, Symbol, Word
@@ -58,9 +58,7 @@ class BalanceReport:
     entries: Tuple[BalanceEntry, ...]
 
 
-def imbalance(
-    sample: LanguageSample, n: int, length_cap: Optional[int] = None
-) -> BalanceEntry:
+def imbalance(sample: LanguageSample, n: int) -> BalanceEntry:
     """Exact max over equal-length sample pairs and length-n factors of the
     count difference, with the lexicographically first witness.
 
@@ -70,11 +68,7 @@ def imbalance(
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    return _imbalance(sample, _length_classes(sample), n, _length_cap(sample, length_cap))
-
-
-def _length_cap(sample: LanguageSample, length_cap: Optional[int]) -> int:
-    return sample.max_length if length_cap is None else min(length_cap, sample.max_length)
+    return _imbalance(sample, _length_classes(sample), n)
 
 
 def _length_classes(sample: LanguageSample) -> Dict[int, List[str]]:
@@ -87,16 +81,12 @@ def _length_classes(sample: LanguageSample) -> Dict[int, List[str]]:
     return classes
 
 
-def _imbalance(
-    sample: LanguageSample, classes: Dict[int, List[str]], n: int, cap: int
-) -> BalanceEntry:
+def _imbalance(sample: LanguageSample, classes: Dict[int, List[str]], n: int) -> BalanceEntry:
     factors = classes.get(n, [])
     # (imbalance, high, low, factor, count_high, count_low), words as codes.
     best: Optional[tuple] = None
     curve: List[Tuple[int, int]] = []
     for length, cls in classes.items():
-        if length > cap:
-            break
         class_best: Optional[tuple] = None
         if len(cls) >= 2 and factors:
             # Counter tallies a string's letters, or a list of its slices, in C.
@@ -124,12 +114,9 @@ def _imbalance(
     )
 
 
-def balance_report(
-    sample: LanguageSample, n_max: int, length_cap: Optional[int] = None
-) -> BalanceReport:
+def balance_report(sample: LanguageSample, n_max: int) -> BalanceReport:
     classes = _length_classes(sample)
-    cap = _length_cap(sample, length_cap)
-    entries = tuple(_imbalance(sample, classes, n, cap) for n in range(1, n_max + 1))
+    entries = tuple(_imbalance(sample, classes, n) for n in range(1, n_max + 1))
     return BalanceReport(
         level=sample.level,
         max_length=sample.max_length,
@@ -172,11 +159,7 @@ def frequency_vector(
 
     empirical: average frequencies over all words of the maximal length
     present in the sample (exact rational).
-    perron: normalized kernel vector of (M - lambda I) for the largest
-    integer eigenvalue lambda of the substitution's incidence matrix;
-    requires a substitution whose incidence is square with an integer
-    dominant eigenvalue whose eigenspace is spanned by one nonnegative
-    eigenvector.
+    perron: perron_frequency of the substitution's incidence matrix.
     """
     if mode == "empirical":
         top = max(map(len, sample.codes), default=0)
@@ -197,9 +180,10 @@ def perron_frequency(m: RationalMatrix) -> FrequencyVector:
     """Dominant-eigenvector frequencies of an incidence matrix, such as
     `incidence_matrix(sigma)` or a product of them, over its row labels.
 
-    Refused (ValueError) unless the dominant eigenspace is one-dimensional:
-    otherwise no single eigenvector, hence no single frequency vector, is
-    determined by the matrix.
+    Refused (ValueError) unless the spectral radius is an integer
+    eigenvalue and its eigenspace is one-dimensional: otherwise no single
+    eigenvector, hence no single frequency vector, is determined by the
+    matrix.
     """
     if not m.is_square():
         raise ValueError("perron frequencies need an endomorphism")
@@ -207,6 +191,8 @@ def perron_frequency(m: RationalMatrix) -> FrequencyVector:
     if not eigs:
         raise ValueError("incidence matrix has no integer eigenvalue")
     lam = max(eigs)
+    if not _is_spectral_radius(m, lam):
+        raise ValueError(f"spectral radius is not an integer (largest integer eigenvalue {lam})")
     shifted = RationalMatrix.from_rows(
         [
             [m.entry(i, j) - (lam if i == j else 0) for j in range(m.shape[1])]
@@ -226,6 +212,37 @@ def perron_frequency(m: RationalMatrix) -> FrequencyVector:
     if any(v < 0 for v in values):
         raise ValueError("dominant eigenvector is not nonnegative")
     return FrequencyVector(Alphabet(m.row_labels), values, mode="perron")
+
+
+def _is_spectral_radius(m: RationalMatrix, lam: int) -> bool:
+    """Is the eigenvalue lam of the nonnegative matrix m its spectral radius?
+
+    The spectral radius is the largest rho(B) over the diagonal blocks B of
+    the strongly connected letter classes, so lam is it iff no class has
+    rho(B) > lam. Per class, exactly: rho(B) < lam iff every leading
+    principal minor of lam*I - B is positive (a nonsingular M-matrix), and
+    rho(B) = lam iff the kernel of lam*I - B is spanned by one strictly
+    positive vector (Perron-Frobenius).
+    """
+    n = m.shape[0]
+    # reach[i][j]: j is reached from i along nonzero entries (Warshall).
+    reach = [[i == j or m.entry(i, j) != 0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        reach = [[a or (r[k] and b) for a, b in zip(r, reach[k])] for r in reach]
+    for cls in {tuple(j for j in range(n) if reach[i][j] and reach[j][i]) for i in range(n)}:
+        shifted = [[(lam if i == j else 0) - m.entry(i, j) for j in cls] for i in cls]
+        minors = (
+            det(RationalMatrix.from_rows(row[:k] for row in shifted[:k]))
+            for k in range(1, len(cls) + 1)
+        )
+        if all(v > 0 for v in minors):
+            continue
+        # kernel_basis sets a free coordinate to 1, so a strictly positive
+        # spanning vector is returned as one.
+        basis = kernel_basis(RationalMatrix.from_rows(shifted))
+        if len(basis) != 1 or any(v <= 0 for v in basis[0]):
+            return False
+    return True
 
 
 def frequency_deviation(sample: LanguageSample, f: FrequencyVector) -> Fraction:

@@ -26,6 +26,7 @@ from .exactmat import RationalMatrix, mat_vec
 from .language import (
     DirectiveSequence,
     ResourceLimitError,
+    _letter_codes,
     _tower_counts,
     is_everywhere_growing,
     sample_level_language,
@@ -225,13 +226,19 @@ def _scan_section(
     d: DirectiveSequence, max_length: int, nmax: int
 ) -> Dict[str, Any]:
     min_chars = 24 * max_length + 16
-    texts, codec = level_scan_texts(d, min_chars=min_chars, clip=min_chars)
+    texts, alphabet = level_scan_texts(d, min_chars=min_chars, clip=min_chars)
     grid = _window_grid(max_length)
-    # Codec text to rendered symbols, as codec.decode(...).render() would.
-    render = {ord(c): render_symbol(s) for c, s in zip(codec.chars, codec.alphabet.symbols)}
+    codes = list(_letter_codes(alphabet).values())
+    # Letter codes to rendered symbols, as _decode(...).render() would.
+    render = {ord(c): render_symbol(s) for c, s in zip(codes, alphabet.symbols)}
+    # A pattern with a letter no text holds has spread 0, which never beats
+    # the first pattern, scanned whatever it holds. So patterns use the first
+    # letter and the letters the texts hold, in alphabet order: the order of
+    # all |A|^n patterns, which keeps every witness and tie.
+    letters = codes[:1] + [c for c in codes[1:] if any(c in t for t in texts)]
     curves: Dict[str, Any] = {}
     for n in range(1, nmax + 1):
-        patterns = ["".join(p) for p in itertools.product(codec.chars, repeat=n)]
+        patterns = ["".join(p) for p in itertools.product(letters, repeat=n)]
         curve = window_imbalance_curve(texts, patterns, grid)
         curves[str(n)] = [
             {

@@ -242,24 +242,23 @@ def kernel_basis(a: RationalMatrix) -> Tuple[Vector, ...]:
     return tuple(basis)
 
 
-def integer_eigenvalues(a: RationalMatrix, upper_bound: Optional[int] = None) -> Tuple[int, ...]:
-    """All integers t with |t| <= bound and det(a - t*I) == 0, ascending.
+def integer_eigenvalues(a: RationalMatrix) -> Tuple[int, ...]:
+    """All integer eigenvalues t of a (det(a - t*I) == 0), ascending.
 
     The spectral radius, which bounds every eigenvalue's absolute value, is
     at most the maximal absolute row sum and at most the maximal absolute
-    column sum (the infinity and 1 norms); the smaller one, rounded down,
-    is the default bound. For nonnegative matrices these are the plain row
-    and column sums.
+    column sum (the infinity and 1 norms); every integer t with |t| at most
+    the smaller one is tried. For nonnegative matrices these are the plain
+    row and column sums.
     """
     if not a.is_square():
         raise ValueError("eigenvalues of a non-square matrix")
     n = a.shape[0]
-    if upper_bound is None:
-        row_max = max((sum(map(abs, r)) for r in a.rows), default=Fraction(0))
-        col_max = max((sum(map(abs, a.col(j))) for j in range(n)), default=Fraction(0))
-        upper_bound = math.floor(min(row_max, col_max))
+    row_max = max((sum(map(abs, r)) for r in a.rows), default=Fraction(0))
+    col_max = max((sum(map(abs, a.col(j))) for j in range(n)), default=Fraction(0))
+    bound = math.floor(min(row_max, col_max))
     found = []
-    for t in range(-upper_bound, upper_bound + 1):
+    for t in range(-bound, bound + 1):
         shifted = RationalMatrix(
             tuple(
                 tuple(a.rows[i][j] - (t if i == j else 0) for j in range(n))

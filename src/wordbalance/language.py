@@ -29,6 +29,9 @@ MAX_DEPTH_LEVELS = 4096
 _FIXED_POINT_SLACK = 64
 # Times the capped growth decision squares its cap looking for agreement.
 _CAP_ESCALATIONS = 5
+# A finite directive grows if its shortest letter image reaches 32 letters by level 40.
+_GROWTH_HORIZON = 40
+_GROWTH_THRESHOLD = 32
 
 
 class DirectiveSequence:
@@ -201,9 +204,9 @@ def _periodic_tower_lengths(d: DirectiveSequence, depth: int) -> Dict[Symbol, in
 
 
 def _periodic_tower_texts(
-    d: DirectiveSequence, depth: int, chars: Mapping[Symbol, str], clip: int
+    d: DirectiveSequence, depth: int, clip: int
 ) -> Dict[Symbol, str]:
-    """The level-`depth` texts of _tower_texts(levels 0..depth-1, chars,
+    """The level-`depth` letter-code texts of _tower_texts(levels 0..depth-1,
     clip), for depth >= p + q and a non-erasing eventually periodic d.
 
     With depth = p + r + k*q and 0 <= r < q, sigma_[0,depth) is
@@ -226,6 +229,7 @@ def _periodic_tower_texts(
 
     tau = map(d.substitution_at, range(p + r, p + r + q))
     power = binary_power(table(_deepest(_tower_texts(tau, codes, clip))), k, after)
+    chars = _letter_codes(d.level_alphabet(0))
     top = table(_deepest(_tower_texts(map(d.substitution_at, range(p + r)), chars, clip)))
     return {a: _clipped_image(power[ord(c)], top, clip) for a, c in codes.items()}
 
@@ -557,9 +561,7 @@ class GrowthReport:
     certificate: dict
 
 
-def is_everywhere_growing(
-    d: DirectiveSequence, horizon: int = 40, threshold: int = 32
-) -> GrowthReport:
+def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
     """Does the tower's shortest letter image tend to infinity?
 
     Eventually periodic directives reduce, per residue r modulo the period,
@@ -578,19 +580,19 @@ def is_everywhere_growing(
       and growth provably fails; an all-capped cycle, cross-checked at a
       second larger cap, is reported as growing but flagged inexact.
 
-    Finite directives get an empirical report at the horizon.
+    Finite directives get an empirical report at level _GROWTH_HORIZON.
     """
     if d.period is None:
-        walk = _tower_lengths(d.prefix[:horizon], d.level_alphabet(0))
+        walk = _tower_lengths(d.prefix[:_GROWTH_HORIZON], d.level_alphabet(0))
         curve = [min(lengths.values(), default=0) for lengths in walk]
-        growing = bool(curve) and curve[-1] >= threshold
+        growing = bool(curve) and curve[-1] >= _GROWTH_THRESHOLD
         return GrowthReport(
             growing=growing,
             exact=False,
             certificate={
                 "mode": "empirical",
                 "horizon": len(curve) - 1,
-                "threshold": threshold,
+                "threshold": _GROWTH_THRESHOLD,
                 "min_image_lengths": curve,
             },
         )

@@ -18,41 +18,14 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequ
 from .language import _tower_lengths
 from .limits import check_budget
 from .substitution import Substitution
-from .words import Alphabet, Symbol, Word
+from .words import Symbol
 
 MAX_TEXT_CHARS = 80_000_000
-_MAX_CODEC_SIZE = 200
 
 # numpy is imported inside the functions that use it, so that commands which
 # never scan a text (exact analyze, classify) do not pay for loading it.
 if TYPE_CHECKING:
     import numpy as np
-
-
-@dataclass(frozen=True)
-class TextCodec:
-    """Bijection between an alphabet and single latin-1 characters."""
-
-    alphabet: Alphabet
-    chars: Tuple[str, ...]
-
-    @staticmethod
-    def for_alphabet(alphabet: Alphabet) -> "TextCodec":
-        symbols = alphabet.symbols
-        check_budget("text codec", len(symbols), _MAX_CODEC_SIZE, "symbols")
-        if all(isinstance(s, str) and len(s) == 1 and ord(s) < 256 for s in symbols):
-            return TextCodec(alphabet, tuple(symbols))
-        return TextCodec(alphabet, tuple(chr(33 + i) for i in range(len(symbols))))
-
-    def encode_symbol(self, s: Symbol) -> str:
-        return self.chars[self.alphabet.index(s)]
-
-    def encode(self, w: Word) -> str:
-        return "".join(self.chars[self.alphabet.index(s)] for s in w.symbols)
-
-    def decode(self, text: str) -> Word:
-        back = {c: s for c, s in zip(self.chars, self.alphabet.symbols)}
-        return Word(tuple(back[c] for c in text), self.alphabet)
 
 
 def expand_text(
@@ -61,7 +34,8 @@ def expand_text(
     depth: int,
     max_chars: int = MAX_TEXT_CHARS,
 ) -> str:
-    """The string sigma^depth(seed) for an endomorphism, in codec characters.
+    """The string sigma^depth(seed) for an endomorphism whose symbols are
+    single latin-1 characters, spelled in those characters.
 
     Refused, before any text is built, when some sigma^j(seed) with
     1 <= j <= depth has more than max_chars characters; the tower's
@@ -69,16 +43,15 @@ def expand_text(
     """
     if sub.domain != sub.codomain:
         raise ValueError("expand_text needs an endomorphism")
-    codec = TextCodec.for_alphabet(sub.domain)
+    if not all(isinstance(a, str) and len(a) == 1 and ord(a) < 256 for a in sub.domain.symbols):
+        raise ValueError("expand_text needs single latin-1 character symbols")
     # str.translate writes the image directly; joining a generator would
     # first list one reference per character (8 bytes each).
-    table = {
-        ord(codec.encode_symbol(a)): codec.encode(sub.image(a)) for a in sub.domain.symbols
-    }
+    table = {ord(a): "".join(sub.image(a).symbols) for a in sub.domain.symbols}
     walk = _tower_lengths(itertools.repeat(sub, depth), sub.domain)
     for lengths in itertools.islice(walk, 1, None):
         check_budget("expansion", lengths[seed], max_chars)
-    cur = codec.encode_symbol(seed)
+    cur = seed
     for _ in range(depth):
         cur = cur.translate(table)
     return cur

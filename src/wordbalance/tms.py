@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 from .language import (
     DirectiveSequence,
     _deepest,
+    _letter_codes,
     _periodic_tower_lengths,
     _periodic_tower_texts,
     _short_factors,
@@ -29,7 +30,6 @@ from .limits import ResourceLimitError, check_budget
 from .scan import (
     MAX_TEXT_CHARS,
     ScanWitness,
-    TextCodec,
     _occurrence_indicator,
     count_overlapping,
     expand_text,
@@ -68,6 +68,8 @@ _SQUARING_LEVELS = 256
 # walk 37, 68, 100 and 179 ms.
 _SQUARING_LETTERS = 16
 _FACTOR_MAX_DEPTH = 26
+# Scan texts are read as latin-1 bytes, so every letter code stays below 256.
+_MAX_SCAN_LETTERS = 200
 
 
 def builtin_registry() -> Dict[str, Substitution]:
@@ -460,8 +462,8 @@ def level_scan_texts(
     min_chars: int,
     clip: int,
     max_depth: int = 32768,
-) -> Tuple[List[str], TextCodec]:
-    """Clipped level-0 letter expansions for window scanning, with codec.
+) -> Tuple[List[str], Alphabet]:
+    """Clipped level-0 letter expansions, in letter codes, and their alphabet.
 
     Every factor of an expansion of a letter through the directive tower is
     a level-0 language member by definition, so any equal-length window
@@ -476,14 +478,15 @@ def level_scan_texts(
     """
     if min_chars < 1 or clip < 1:
         raise ValueError("min_chars and clip must be positive")
-    codec = TextCodec.for_alphabet(d.level_alphabet(0))
-    depth = _scan_depth(d, codec.alphabet, min_chars, clip, max_depth)
-    chars = dict(zip(codec.alphabet.symbols, codec.chars))
+    alphabet = d.level_alphabet(0)
+    check_budget("text codec", len(alphabet), _MAX_SCAN_LETTERS, "symbols")
+    depth = _scan_depth(d, alphabet, min_chars, clip, max_depth)
     if _squared(d, clip, depth):
-        texts = _periodic_tower_texts(d, depth, chars, clip)
+        texts = _periodic_tower_texts(d, depth, clip)
     else:
-        texts = _deepest(_tower_texts(map(d.substitution_at, range(depth)), chars, clip))
-    return [t for t in texts.values() if t], codec
+        levels = map(d.substitution_at, range(depth))
+        texts = _deepest(_tower_texts(levels, _letter_codes(alphabet), clip))
+    return [t for t in texts.values() if t], alphabet
 
 
 def _squared(d: DirectiveSequence, clip: int, depth: int) -> bool:

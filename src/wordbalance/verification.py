@@ -30,11 +30,11 @@ from .balance import (
 )
 from .exactmat import EigenpairClaim, eigencheck, integer_eigenvalues, mat_pow, mat_vec
 from .language import (
-    DirectiveSequence,
     LanguageSample,
     _code_closure,
     _decode,
     _image_table,
+    _letter_codes,
     factorial_closure,
     is_everywhere_growing,
     is_factorial,
@@ -72,6 +72,8 @@ from .words import Alphabet, Word
 SEED = 20260816
 
 _BLOCK_ORDER = ("00", "01", "10", "11")
+# The blocks in the letter codes that level_scan_texts spells its texts in.
+_BLOCK_CODES = tuple(b.translate(str.maketrans(_letter_codes(BINARY))) for b in _BLOCK_ORDER)
 
 # ---------------------------------------------------------------------------
 # Frozen expectations. These are the tamper targets for fault injection:
@@ -133,12 +135,6 @@ class CheckResult:
 
 def _frac_str(x) -> Any:
     return report_mod.rational_str(Fraction(x))
-
-
-def _level0_text(d: DirectiveSequence, min_chars: int, clip: int) -> List[str]:
-    """Clipped level-0 letter expansions covering at least min_chars."""
-    texts, _ = level_scan_texts(d, min_chars=min_chars, clip=clip)
-    return texts
 
 
 def _random_directive_text(rng: random.Random) -> str:
@@ -357,8 +353,8 @@ def check_letter_balance_sweep() -> CheckResult:
     passed = True
     for text in directives:
         d = parse_directive(text)
-        texts = _level0_text(d, min_chars=4800, clip=20000)
-        spreads = window_spreads(texts, ["0", "1"], range(1, 201))
+        texts, _ = level_scan_texts(d, min_chars=4800, clip=20000)
+        spreads = window_spreads(texts, list(_letter_codes(BINARY).values()), range(1, 201))
         spread = max(spreads.values(), default=0)
         if spread > worst:
             worst, worst_directive = spread, text
@@ -582,15 +578,15 @@ def check_classifier_sweep() -> CheckResult:
         ok = verdict == want
         entry: Dict[str, Any] = {"period": period, "verdict": verdict}
         if set(period) == {"M"}:
-            texts = _level0_text(d, min_chars=24 * 1366 + 16, clip=60000)
-            curve = window_imbalance_curve(texts, list(_BLOCK_ORDER), [6, 86, 1366])
+            texts, _ = level_scan_texts(d, min_chars=24 * 1366 + 16, clip=60000)
+            curve = window_imbalance_curve(texts, _BLOCK_CODES, [6, 86, 1366])
             vals = [curve[n].imbalance for n in (6, 86, 1366) if n in curve]
             growing = len(vals) == 3 and vals[0] < vals[1] < vals[2]
             ok = ok and growing
             entry["milestones"] = vals
         else:
-            texts = _level0_text(d, min_chars=9600, clip=24000)
-            spreads = window_spreads(texts, _BLOCK_ORDER, range(2, 401))
+            texts, _ = level_scan_texts(d, min_chars=9600, clip=24000)
+            spreads = window_spreads(texts, _BLOCK_CODES, range(2, 401))
             head = max((v for m, v in spreads.items() if m <= 300), default=0)
             tail = max((v for m, v in spreads.items() if m > 300), default=0)
             ok = ok and tail <= head

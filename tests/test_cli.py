@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: reports, formats, and exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -75,6 +76,16 @@ class TestAnalyze:
         )
         assert set(rep["results"]["frequency"]) == {"empirical", "empirical_deviation"}
 
+    def test_perron_omitted_when_the_spectral_radius_is_irrational(self, capsys):
+        # The incidence of a->abc, b->a, c->c has the integer eigenvalue 1
+        # (the class {c}), but the class {a, b} has the golden ratio as its
+        # spectral radius; the eigenvector of 1 is no Perron vector.
+        rep = run_json(
+            capsys, "analyze", "--directive", "|S", "--register", "S=a->abc;b->a;c->c",
+            "--max-length", "12",
+        )
+        assert set(rep["results"]["frequency"]) == {"empirical", "empirical_deviation"}
+
     def test_letter_balance_of_left_directive(self, capsys):
         rep = run_json(capsys, "analyze", "--directive", "|L", "--max-length", "20")
         assert rep["results"]["balance"][0]["imbalance"] <= 1
@@ -130,8 +141,8 @@ class TestAnalyze:
         assert_no_floats(rep)
 
     def test_scan_renders_symbols_outside_latin1(self, capsys):
-        # Symbols past latin-1 get stand-in codec characters for the scan;
-        # the report must show the symbols themselves.
+        # Scan texts spell symbols past latin-1 in letter codes; the report
+        # must show the symbols themselves.
         rep = run_json(
             capsys, "analyze", "--directive", "|S", "--register", "S=\u0100->\u0100\u0101;\u0101->\u0100",
             "--max-length", str(EXHAUSTIVE_CAP + 38), "--nmax", "2",
@@ -373,13 +384,66 @@ class TestSizeGuards:
             capsys, "analyze", *self._wide_directive(198),
             "--max-length", str(EXHAUSTIVE_CAP + 1), "--nmax", "2",
         )
-        # 40,200 patterns over 200 symbols, but the scanned texts spell only
-        # 0 and 1 (codec characters "!" and '"', as the symbols are not all
-        # latin-1): one indicator per binary pattern and text, except the
-        # letter b, whose counts are the window length minus a's.
-        a, b = "!", '"'
+        # The scanned texts spell only 0 and 1 (letter codes "\0" and "\1")
+        # of 200 symbols: one indicator per binary pattern and text, except
+        # the letter b, whose counts are the window length minus a's.
+        a, b = "\0", "\1"
         assert len(rep["results"]["scan"]["text_chars"]) == 2
         assert sorted(calls) == sorted([a, a + a, a + b, b + a, b + b] * 2)
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_scan_patterns_skip_letters_no_text_holds(self, capsys, monkeypatch, wide):
+        # The report equals the one scanned with all |A|^n patterns. With 32
+        # level-0 symbols the scan texts are binary; S's texts hold only y,
+        # and its report names the patterns x and xx, which no text holds.
+        if wide:
+            letters, options = 32, [*self._wide_directive(30), "--nmax", "3"]
+        else:
+            letters = 2
+            options = ["--directive", "|S", "--register", "S=x->y;y->yy", "--nmax", "2"]
+        argv = ["analyze", *options, "--max-length", "49"]
+        _, want, _ = run(capsys, *argv)
+        assert wide or '"pattern": "xx"' in want
+        real = cli.window_imbalance_curve
+
+        def full_product(texts, patterns, lens):
+            codes = map(chr, range(letters))
+            patterns = ["".join(p) for p in itertools.product(codes, repeat=len(patterns[0]))]
+            return real(texts, patterns, lens)
+
+        monkeypatch.setattr(cli, "window_imbalance_curve", full_product)
+        assert run(capsys, *argv) == (EXIT_SUCCESS, want, "")
+
+    def test_scan_passes_only_patterns_over_held_letters(self, capsys, monkeypatch):
+        # 32 symbols at --nmax 4 would be 32^4 = 2^20 patterns of length 4;
+        # the binary texts need 2^4.
+        sizes = {}
+        real = cli.window_imbalance_curve
+
+        def counted(texts, patterns, lens):
+            sizes[len(patterns[0])] = len(patterns)
+            return real(texts, patterns, lens)
+
+        monkeypatch.setattr(cli, "window_imbalance_curve", counted)
+        run_json(capsys, "analyze", *self._wide_directive(30), "--max-length", "49", "--nmax", "4")
+        assert sizes == {1: 2, 2: 4, 3: 8, 4: 16}
+
+    def test_wide_scan_report_is_hash_seed_independent(self):
+        argv = ["analyze", *self._wide_directive(30), "--max-length", "49", "--nmax", "3"]
+        # The report must not depend on set or dict order of the letters.
+        src = str(Path(wordbalance.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "wordbalance.cli", *argv],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0] and outs[0] == outs[1]
 
     def test_scan_beyond_the_old_tower_budget_is_served(self, capsys):
         rep = run_json(

@@ -210,9 +210,6 @@ class TestEigen:
         want = tuple(t for t in range(-bound, bound + 1) if char_poly_at(t) == 0)
         assert integer_eigenvalues(M(rows)) == want
 
-    def test_integer_eigenvalues_bound_override(self):
-        assert integer_eigenvalues(M([[1, 1], [1, 1]]), upper_bound=1) == (0,)
-
     def test_integer_eigenvalues_non_square_rejected(self):
         with pytest.raises(ValueError):
             integer_eigenvalues(M([[1, 2]]))

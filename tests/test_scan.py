@@ -1,4 +1,4 @@
-"""String-level scanning: codecs, expansion, and sliding-window counts."""
+"""String-level scanning: scan texts, expansion, and sliding-window counts."""
 
 import random
 import tracemalloc
@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordbalance import scan
-from wordbalance.language import ResourceLimitError, _short_factors
+from wordbalance import scan, tms
+from wordbalance.language import ResourceLimitError, _letter_codes, _short_factors
 from wordbalance.tms import level_scan_texts, parse_directive
 from wordbalance.scan import (
     ScanWitness,
-    TextCodec,
     count_overlapping,
     expand_text,
     window_imbalance_curve,
     window_spreads,
 )
 from wordbalance.substitution import Substitution
-from wordbalance.words import Alphabet, Word, block_alphabet, n_coding
 
-BIN = Alphabet.from_text("01")
 M = Substitution.from_text("0->01;1->10")
 
 
@@ -33,25 +30,42 @@ def brute_count(text: str, pattern: str) -> int:
     )
 
 
-class TestTextCodec:
-    def test_single_char_passthrough(self):
-        codec = TextCodec.for_alphabet(BIN)
-        assert codec.chars == ("0", "1")
-        w = Word.from_text("0110", BIN)
-        assert codec.encode(w) == "0110"
-        assert codec.decode("0110") == w
+def symbol_expansions(d, depth):
+    """sigma_[0,depth)(a) for every level-0 letter a, as symbol tuples,
+    built without letter codes."""
+    texts = {a: (a,) for a in d.level_alphabet(0).symbols}
+    for j in range(depth):
+        sig = d.substitution_at(j)
+        texts = {a: sum((texts[b] for b in sig.image(a).symbols), ()) for a in sig.domain.symbols}
+    return texts
 
-    def test_tuple_symbols_get_fresh_chars(self):
-        blocks = block_alphabet(BIN, 2)
-        codec = TextCodec.for_alphabet(blocks)
-        assert codec.chars == ("!", '"', "#", "$")
-        coded = n_coding(Word.from_text("0110", BIN), 2)
-        assert codec.encode(coded) == '"$#'
-        assert codec.decode('"$#') == coded
+
+class TestScanTexts:
+    """level_scan_texts spells its texts in language._letter_codes: the
+    i-th letter of the level-0 alphabet is chr(i)."""
+
+    @pytest.mark.parametrize(
+        "directive, registry",
+        [
+            ("|M", {}),
+            ("|S", {"S": Substitution.from_text("\u0100->\u0100\u0101;\u0101->\u0100")}),
+        ],
+    )
+    def test_texts_are_letter_codes(self, directive, registry):
+        d = parse_directive(directive, registry)
+        texts, alphabet = level_scan_texts(d, 100, 100)
+        assert alphabet == d.level_alphabet(0)
+        assert set("".join(texts)) == {"\0", "\1"}
+        code = _letter_codes(alphabet)
+        depth = tms._scan_depth(d, alphabet, 100, 100, 32768)
+        want = symbol_expansions(d, depth)
+        assert texts == ["".join(map(code.__getitem__, w))[:100] for w in want.values()]
 
     def test_alphabet_size_limit(self):
-        with pytest.raises(ResourceLimitError, match="needs 256 symbols, limit 200"):
-            TextCodec.for_alphabet(block_alphabet(BIN, 8))  # 256 symbols
+        letters = [chr(0x100 + i) for i in range(256)]
+        d = parse_directive("|T", {"T": Substitution.from_text(";".join(f"{a}->{a}" for a in letters))})
+        with pytest.raises(ResourceLimitError, match="^text codec needs 256 symbols, limit 200$"):
+            level_scan_texts(d, 10, 10)
 
 
 class TestExpansion:
@@ -60,6 +74,11 @@ class TestExpansion:
         assert expand_text(M, "0", 2) == "0110"
         assert expand_text(M, "0", 4) == "0110100110010110"
         assert expand_text(M, "1", 3) == "10010110"
+
+    def test_needs_latin1_symbols(self):
+        past_latin1 = Substitution.from_text("\u0100->\u0100\u0101;\u0101->\u0100")
+        with pytest.raises(ValueError, match="single latin-1 character symbols"):
+            expand_text(past_latin1, "\u0100", 2)
 
     def test_needs_endomorphism(self):
         widening = Substitution.from_text("0->012;1->01")
@@ -424,7 +443,7 @@ class TestWindowSpreads:
         # The classifier sweep's inputs: clipped tower texts, every block of
         # two letters, all window lengths 2..400.
         texts, _ = level_scan_texts(parse_directive(directive), 9600, 24000)
-        patterns = ["00", "01", "10", "11"]
+        patterns = ["\0\0", "\0\1", "\1\0", "\1\1"]
         lens = range(2, 401)
         assert window_spreads(texts, patterns, lens) == spreads_of(
             window_imbalance_curve(texts, patterns, lens)

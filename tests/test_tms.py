@@ -84,6 +84,11 @@ def reference_scan_texts(d, min_chars: int, clip: int, max_depth: int):
         depth = min(max_depth, depth + max(1, depth // 2))
 
 
+def spelled(texts, alphabet):
+    """Scan texts, which are in letter codes, spelled in the alphabet's symbols."""
+    return [t.translate(dict(enumerate(alphabet.symbols))) for t in texts]
+
+
 def blocks4(s: str) -> tuple:
     """Independent overlapping block counter (00, 01, 10, 11)."""
     return tuple(
@@ -360,11 +365,11 @@ class TestMilestones:
 
 class TestScanHelpers:
     def test_level_scan_texts(self):
-        texts, codec = level_scan_texts(parse_directive("|M"), 64, 100)
-        assert codec.chars == ("0", "1")
+        texts, alphabet = level_scan_texts(parse_directive("|M"), 64, 100)
+        assert alphabet.symbols == ("0", "1")
         assert len(texts) == 2
         assert all(64 <= len(t) <= 100 for t in texts)
-        assert set("".join(texts)) <= {"0", "1"}
+        assert set("".join(spelled(texts, alphabet))) <= {"0", "1"}
 
     def test_level_scan_guards(self):
         with pytest.raises(ValueError):
@@ -376,9 +381,9 @@ class TestScanHelpers:
         # At depth 27 the longest text has 191,861 characters, so the
         # schedule goes on to depth 40, where the two letter texts hold
         # 80,198,051 in all; only the first 480,016 of each are built.
-        texts, codec = level_scan_texts(parse_directive("|RLR"), 480016, 480016)
+        texts, alphabet = level_scan_texts(parse_directive("|RLR"), 480016, 480016)
         assert [len(t) for t in texts] == [480016, 480016]
-        assert codec.chars == ("0", "1")
+        assert alphabet.symbols == ("0", "1")
 
     def test_level_scan_budget_counts_kept_characters(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -402,10 +407,10 @@ class TestScanHelpers:
     ):
         d = parse_directive(f"{prefix}|{period}")
         depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
-        texts, codec = level_scan_texts(d, min_chars, clip, max_depth)
-        assert codec.chars == ("0", "1")
-        assert tms._scan_depth(d, codec.alphabet, min_chars, clip, max_depth) == depth
-        assert texts == want
+        texts, alphabet = level_scan_texts(d, min_chars, clip, max_depth)
+        assert alphabet.symbols == ("0", "1")
+        assert tms._scan_depth(d, alphabet, min_chars, clip, max_depth) == depth
+        assert spelled(texts, alphabet) == want
 
     @pytest.mark.parametrize(
         "text, min_chars, clip",
@@ -425,9 +430,9 @@ class TestScanHelpers:
         # are scanned more than 4000 levels deep.
         d = parse_directive(text)
         depth, want = reference_scan_texts(d, min_chars, clip, 32768)
-        texts, codec = level_scan_texts(d, min_chars, clip)
-        assert tms._scan_depth(d, codec.alphabet, min_chars, clip, 32768) == depth
-        assert texts == want
+        texts, alphabet = level_scan_texts(d, min_chars, clip)
+        assert tms._scan_depth(d, alphabet, min_chars, clip, 32768) == depth
+        assert spelled(texts, alphabet) == want
 
     @given(
         st.text(alphabet="LR", max_size=2),
@@ -443,9 +448,9 @@ class TestScanHelpers:
     ):
         d = parse_directive(f"{prefix}|{period}")
         depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
-        texts, codec = level_scan_texts(d, min_chars, clip, max_depth)
-        assert tms._scan_depth(d, codec.alphabet, min_chars, clip, max_depth) == depth
-        assert texts == want
+        texts, alphabet = level_scan_texts(d, min_chars, clip, max_depth)
+        assert tms._scan_depth(d, alphabet, min_chars, clip, max_depth) == depth
+        assert spelled(texts, alphabet) == want
 
     def test_level_scan_matches_full_build_on_a_quadratic_tower(self):
         # Q^j(a) has j b's and j(j-1)/2 c's, so the text of a grows
@@ -458,9 +463,9 @@ class TestScanHelpers:
         d = parse_directive("P|Q", registry)
         depth, want = reference_scan_texts(d, 30000, 5000, 32768)
         assert depth > 256
-        texts, codec = level_scan_texts(d, 30000, 5000)
-        assert tms._scan_depth(d, codec.alphabet, 30000, 5000, 32768) == depth
-        assert texts == want
+        texts, alphabet = level_scan_texts(d, 30000, 5000)
+        assert tms._scan_depth(d, alphabet, 30000, 5000, 32768) == depth
+        assert spelled(texts, alphabet) == want
 
     def test_level_scan_refusal_on_a_wide_alphabet(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -498,9 +503,9 @@ class TestScanHelpers:
         monkeypatch.setattr(
             tms, "_periodic_tower_lengths", lambda *args: powers.append(args) or real(*args)
         )
-        texts, codec = level_scan_texts(d, 400, 300)
-        assert texts == want
-        assert tms._scan_depth(d, codec.alphabet, 400, 300, 32768) == depth == 454
+        texts, alphabet = level_scan_texts(d, 400, 300)
+        assert spelled(texts, alphabet) == want
+        assert tms._scan_depth(d, alphabet, 400, 300, 32768) == depth == 454
         assert bool(powers) == (letters <= tms._SQUARING_LETTERS)
 
     def test_collect_factors(self):
@@ -525,7 +530,7 @@ class TestSturmianOracle:
 
     @pytest.mark.parametrize("period", ["LR", "RL", "LLR", "LRL", "RLL", "LRR", "RLR", "RRL"])
     def test_scan_texts_are_sturmian(self, period):
-        texts, _ = level_scan_texts(parse_directive("|" + period), 9600, 24000)
+        texts = spelled(*level_scan_texts(parse_directive("|" + period), 9600, 24000))
         # Every factor of length n <= 40 is a prefix of some window of 40.
         windows = {t[i : i + 40] for t in texts for i in range(len(t))}
         for n in range(1, 41):
