@@ -11,7 +11,6 @@ and lifts frequencies backwards through invertible incidence matrices.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -83,22 +82,42 @@ def _length_classes(sample: LanguageSample) -> Dict[int, List[str]]:
 
 def _imbalance(sample: LanguageSample, classes: Dict[int, List[str]], n: int) -> BalanceEntry:
     factors = classes.get(n, [])
+    column = {v: j for j, v in enumerate(factors)}
+    zeros = [0] * len(factors)
     # (imbalance, high, low, factor, count_high, count_low), words as codes.
     best: Optional[tuple] = None
     curve: List[Tuple[int, int]] = []
+    # Count rows of the previous class, by word.
+    parents: Dict[str, List[int]] = {}
     for length, cls in classes.items():
         class_best: Optional[tuple] = None
-        if len(cls) >= 2 and factors:
-            # Counter tallies a string's letters, or a list of its slices, in C.
-            if n == 1:
-                tallies = [Counter(s) for s in cls]
-            else:
-                tallies = [Counter([s[i : i + n] for i in range(length - n + 1)]) for s in cls]
-            for v in factors:
-                row = [t.get(v, 0) for t in tallies]
-                hi, lo = max(row), min(row)
-                if class_best is None or hi - lo > class_best[0]:
-                    class_best = (hi - lo, cls[row.index(hi)], cls[row.index(lo)], v, hi, lo)
+        if factors:
+            # Prefix extension: s counts each factor as often as s[:-1] does,
+            # plus one for the factor s[-n:] that ends s (none while s is
+            # shorter than n). A word whose prefix is not in the sample
+            # tallies its own slices.
+            rows = []
+            for s in cls:
+                parent = parents.get(s[:-1])
+                if parent is None:
+                    row = zeros.copy()
+                    for i in range(length - n + 1):
+                        j = column.get(s[i : i + n])
+                        if j is not None:
+                            row[j] += 1
+                else:
+                    row = parent.copy()
+                    j = column.get(s[-n:])
+                    if j is not None:
+                        row[j] += 1
+                rows.append(row)
+            parents = dict(zip(cls, rows))
+            if len(cls) >= 2:
+                for v, counts in zip(factors, zip(*rows)):
+                    hi, lo = max(counts), min(counts)
+                    if class_best is None or hi - lo > class_best[0]:
+                        high, low = cls[counts.index(hi)], cls[counts.index(lo)]
+                        class_best = (hi - lo, high, low, v, hi, lo)
         curve.append((length, class_best[0] if class_best else 0))
         if class_best and (best is None or class_best[0] > best[0]):
             best = class_best
@@ -251,20 +270,18 @@ def frequency_deviation(sample: LanguageSample, f: FrequencyVector) -> Fraction:
         raise ValueError("frequency vector alphabet does not match the sample")
     # |x - c| is convex in x, so per (length, letter) only the least and the
     # largest count can attain the maximum.
-    extremes: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    letters = [chr(i) for i in range(len(sample.alphabet))]
+    classes: Dict[int, List[str]] = {}
     for s in sample.codes:
-        length = len(s)
-        if length == 0:
-            continue
-        for i, a in enumerate(letters):
-            c = s.count(a)
-            lo, hi = extremes.get((length, i), (c, c))
-            extremes[length, i] = (min(lo, c), max(hi, c))
+        if s:
+            classes.setdefault(len(s), []).append(s)
     worst = Fraction(0)
-    for (length, i), (lo, hi) in extremes.items():
-        target = f.values[i] * length
-        worst = max(worst, abs(Fraction(lo) - target), abs(Fraction(hi) - target))
+    for length, cls in classes.items():
+        for i, fa in enumerate(f.values):
+            a = chr(i)
+            counts = [s.count(a) for s in cls]
+            target = fa * length
+            lo, hi = Fraction(min(counts)), Fraction(max(counts))
+            worst = max(worst, abs(lo - target), abs(hi - target))
     return worst
 
 

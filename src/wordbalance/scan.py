@@ -235,13 +235,19 @@ def window_spreads(
       iff its interval fits strictly between e[j] and e[j+k+1], and H is
       increasing.
 
-    Each table is built one k per numpy step over the occurrence array and
-    stops once its value passes min(largest length, t): about f(W) + minc(W)
-    steps per (pattern, text), where f(W) and minc(W) are the largest and
-    smallest counts at the longest length W. So this kernel is for a dense
-    range of lengths with values only; `window_imbalance_curve` serves
-    witnesses and sparse grids on long texts, where one pass per length is
-    fewer steps.
+    Each numpy step builds _SPAN_BLOCK consecutive entries of a table from
+    one strided view of the occurrence array, and a table stops with the
+    block in which its value passes min(largest length, t): about
+    (f(W) + minc(W)) / _SPAN_BLOCK + 2 steps per (pattern, text), where
+    f(W) and minc(W) are the largest and smallest counts at the longest
+    length W. Rows of a block whose k leaves fewer valid j read padding:
+    the dtype's maximum past the last start (a span longer than any length
+    asked for) and the end sentinel past e's end (a stretch no longer than
+    the row's last valid one), so neither changes a kept entry. The arrays
+    are int16 when t + W < 2^15 - 1, else int32. So this kernel is for a
+    dense range of lengths with values only; `window_imbalance_curve`
+    serves witnesses and sparse grids on long texts, where one pass per
+    length is fewer steps.
     """
     import numpy as np
 
@@ -269,6 +275,10 @@ def window_spreads(
     return dict(zip(ws.tolist(), best.tolist()))
 
 
+# Table entries per numpy step in _count_extremes.
+_SPAN_BLOCK = 32
+
+
 def _count_extremes(text: str, pattern: str, ws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Largest and smallest count of pattern over the windows of each length
     in ws (sorted, nonempty, each at most len(text)); see window_spreads."""
@@ -278,24 +288,44 @@ def _count_extremes(text: str, pattern: str, ws: np.ndarray) -> Tuple[np.ndarray
     cap = int(ws[-1])
     starts = np.flatnonzero(_occurrence_indicator(text, pattern)) if pattern in text else ()
     n = len(starts)
-    # The starts framed by the sentinels -1 and t - m + 1. Texts are shorter
-    # than 2^31 (MAX_TEXT_CHARS), so int32 holds every difference, with half
-    # the memory traffic of int64 per step.
-    e = np.empty(n + 2, dtype=np.int32)
-    e[0], e[1:-1], e[-1] = -1, starts, t - m + 1
-    pos = e[1:-1]
-    buf = np.empty(n + 1, dtype=np.int32)
-    g = []
-    for k in range(1, n + 1):
-        v = int(np.subtract(pos[k - 1 :], pos[: n - k + 1], out=buf[: n - k + 1]).min()) + m
-        if v > cap:
-            break
-        g.append(v)
-    h = []
-    # H(n) = t >= cap, so the loop ends by k = n.
-    for k in range(n + 1):
-        v = int(np.subtract(e[k + 1 :], e[: n + 1 - k], out=buf[: n + 1 - k]).max()) + m - 2
-        if v >= cap:
-            break
-        h.append(v)
+    # Every start and difference is at most t + 1, and the padding of pos
+    # must exceed t + cap. Texts are shorter than 2^31 (MAX_TEXT_CHARS).
+    dtype = np.int16 if t + cap < 2**15 - 1 else np.int32
+    # The starts framed by the sentinels -1 and t - m + 1, each array padded
+    # by one block so that every block's strided view stays inside it.
+    e = np.empty(n + 2 + _SPAN_BLOCK, dtype=dtype)
+    e[0], e[1 : n + 1], e[n + 1 :] = -1, starts, t - m + 1
+    pos = np.empty(n + _SPAN_BLOCK, dtype=dtype)
+    pos[:n], pos[n:] = starts, np.iinfo(dtype).max
+    buf = np.empty((_SPAN_BLOCK, n + 1), dtype=dtype)
+    # Past the last start pos reads the dtype's maximum, a difference above
+    # cap - m, so g's entries up to cap are exact. Past the end sentinel e
+    # reads the sentinel again, a difference no larger than the last valid
+    # one of its row, so H's maxima are exact.
+    g = _span_table(pos, 0, n, np.minimum.reduce, cap - m, "right", buf) + m
+    h = _span_table(e, 1, n + 1, np.maximum.reduce, cap - m + 2, "left", buf) + m - 2
     return np.searchsorted(g, ws, side="right"), np.searchsorted(h, ws, side="left")
+
+
+def _span_table(a, shift, count, reduce, stop, side, buf) -> np.ndarray:
+    """reduce over j < count - k of a[j + shift + k] - a[j], for k = 0, 1, ...
+    while the (increasing) entries stay on the kept side of stop, as int64.
+
+    Each step takes _SPAN_BLOCK values of k at once from a (block, width)
+    strided view of a, and searchsorted cuts the block at stop. a must
+    extend _SPAN_BLOCK - 1 entries past shift + count - 1, padded so that
+    the out-of-range entries of a row leave its kept values unchanged.
+    """
+    from numpy.lib.stride_tricks import as_strided
+    import numpy as np
+
+    table = []
+    for k0 in range(0, count, _SPAN_BLOCK):
+        rows, width = min(_SPAN_BLOCK, count - k0), count - k0
+        view = as_strided(a[shift + k0 :], (rows, width), a.strides * 2, writeable=False)
+        values = reduce(np.subtract(view, a[:width], out=buf[:rows, :width]), axis=1)
+        cut = int(np.searchsorted(values, stop, side=side))
+        table.append(values[:cut])
+        if cut < rows:
+            break
+    return np.concatenate(table or [a[:0]]).astype(np.int64)

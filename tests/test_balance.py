@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordbalance.balance import (
@@ -24,7 +24,12 @@ from wordbalance.balance import (
 )
 from wordbalance import balance
 from wordbalance.exactmat import NotInvertibleError, integer_eigenvalues
-from wordbalance.language import factorial_closure, sample_level_language
+from wordbalance.language import (
+    LanguageSample,
+    SampleMeta,
+    factorial_closure,
+    sample_level_language,
+)
 from wordbalance.substitution import Substitution, incidence_matrix
 from wordbalance.tms import parse_directive
 from wordbalance.words import Alphabet, Word, block_alphabet, sort_words
@@ -166,6 +171,22 @@ def reordered_samples(draw):
     return factorial_closure([Word(tuple(t), alphabet) for t in texts], cap)
 
 
+def coded_sample(alphabet, codes):
+    """A sample of exactly these letter-code strings, factorial or not."""
+    cap = max(map(len, codes), default=0)
+    return LanguageSample(alphabet, 0, cap, frozenset(codes), SampleMeta(0, 0, False, False))
+
+
+@st.composite
+def arbitrary_samples(draw):
+    """Samples built from any set of codes: words whose prefix is missing,
+    classes shorter than the factor length, and letters in no factor."""
+    alphabet = draw(st.sampled_from([BIN, Alphabet.from_text("012")]))
+    letters = "".join(map(chr, range(len(alphabet))))
+    codes = draw(st.frozensets(st.text(alphabet=letters, max_size=7), max_size=16))
+    return coded_sample(alphabet, codes)
+
+
 class TestCodeOrder:
     """Sample codes sort like sort_words sorts the Words they spell."""
 
@@ -214,6 +235,15 @@ class TestWordsStayAtTheBoundary:
 class TestBalanceAgainstBruteForce:
     @given(small_factorial_samples(), st.integers(1, 3))
     def test_imbalance_matches_pairwise_reference(self, sample, n):
+        entry = imbalance(sample, n)
+        assert_matches_pairwise_reference(entry, sample, n, sample.max_length)
+
+    @given(arbitrary_samples(), st.integers(1, 4))
+    # The length-3 words lack their prefixes, and "\2" is no length-1 word.
+    @example(coded_sample(Alphabet.from_text("012"), {"\0", "\1", "\1\0\2", "\1\2\1"}), 1)
+    # Length-2 factors, but a shorter class and words without their prefix.
+    @example(coded_sample(BIN, {"\0", "\1", "\0\1", "\1\1\0", "\0\0\0", "\0\0\0\1"}), 2)
+    def test_non_factorial_imbalance_matches_pairwise_reference(self, sample, n):
         entry = imbalance(sample, n)
         assert_matches_pairwise_reference(entry, sample, n, sample.max_length)
 

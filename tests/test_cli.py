@@ -500,26 +500,39 @@ class TestUsage:
         assert "analyze" in out
 
 
+def run_fresh_python(code):
+    """stdout and stderr of `python -c code` in a new interpreter that
+    imports this checkout of the package."""
+    src = str(Path(wordbalance.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout, out.stderr
+
+
 class TestImportCost:
     def test_cli_import_does_not_load_numpy(self):
         # numpy is loaded only by the scan functions; importing the CLI must
         # not pull it in, or every exact analyze pays for it.
-        src = str(Path(wordbalance.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, wordbalance.cli; print('numpy' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        out, _ = run_fresh_python("import sys, wordbalance.cli; print('numpy' in sys.modules)")
+        assert out.strip() == "False"
+
+    def test_exact_analyze_does_not_load_numpy(self):
+        # An exact analyze runs no window scan, so its sampling, balance and
+        # frequency work must not load numpy either (about 0.1 s a process).
+        code = (
+            "import sys; from wordbalance.cli import main; "
+            "code = main(['analyze', '--directive', '|M', '--max-length', '40']); "
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)"
         )
-        assert out.stdout.strip() == "False"
+        out, err = run_fresh_python(code)
+        assert json.loads(out)["command"] == "analyze"
+        assert err.strip() == "0 False"
 
     def test_cli_import_does_not_load_verification(self):
         # Only verify needs the suite; every other command skips its imports.
-        src = str(Path(wordbalance.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = "import sys, wordbalance.cli; print('wordbalance.verification' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
+        out, _ = run_fresh_python(code)
+        assert out.strip() == "False"

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -469,6 +470,54 @@ class TestWindowSpreads:
         )
         window_spreads(["0110100110010110", "1001"], ["0", "1", "2", "11"], [1, 3])
         assert calls == ["0", "0", "11"]
+
+
+class TestSpanTableEdges:
+    """window_spreads equals the curve's spreads where the span tables'
+    blocks, paddings and dtypes change."""
+
+    B = scan._SPAN_BLOCK
+
+    @staticmethod
+    def assert_spreads_match(texts, patterns, lens):
+        assert window_spreads(texts, patterns, lens) == spreads_of(
+            window_imbalance_curve(texts, patterns, lens)
+        )
+
+    @pytest.mark.parametrize("c", [B - 1, B, B + 1, 2 * B])
+    def test_counts_at_block_edges(self, c):
+        # Every window of the period 2c + 1 holds c zeros and c + 1 ones, so
+        # both tables of "0" end after c entries and those of "1" after c + 1.
+        text = ("0" * c + "1" * (c + 1)) * 3
+        lens = range(1, 2 * c + 2)
+        for pattern, count in (("0", c), ("1", c + 1)):
+            most, least = scan._count_extremes(text, pattern, np.array(lens))
+            assert (most[-1], least[-1]) == (count, count)
+        self.assert_spreads_match([text, text[1:]], ["0", "1", "01"], lens)
+
+    def test_dense_pattern(self):
+        # "\0\0" starts at all but two positions of the first text.
+        text = "\0" * 100 + "\1"
+        self.assert_spreads_match([text, "\0\1" * 50], ["\0\0", "\0\1", "\1"], range(1, 102))
+
+    def test_one_and_no_occurrence_in_a_text(self):
+        self.assert_spreads_match(["0001000", "000"], ["1", "0"], range(1, 8))
+        self.assert_spreads_match(["0110", "000"], ["1"], range(1, 5))
+
+    @pytest.mark.parametrize("total", [2**15 - 2, 2**15 - 1, 2**15])
+    @pytest.mark.parametrize("cap", [50, 16_000])
+    def test_sixteen_bit_switch(self, total, cap):
+        # t + cap at and around the int16 limit: a long table with a small
+        # text margin, and a long text with a short table.
+        t = total - cap
+        rng = random.Random(total + cap)
+        text = "".join(rng.choice("01") for _ in range(t))
+        self.assert_spreads_match([text], ["0", "01"], [1, 2, cap // 2, cap - 1, cap])
+
+    def test_text_past_sixteen_bits(self):
+        rng = random.Random(40_000)
+        text = "".join(rng.choice("01") for _ in range(40_000))
+        self.assert_spreads_match([text], ["0", "01"], [1, 2, 50, 100])
 
 
 class TestFactorSets:
