@@ -363,10 +363,10 @@ def decompose_in_image(
     when no image of a sample word contains w with a boundary-compatible
     alignment.
 
-    Works on letter-code strings: the sample's codes are imaged by one
-    translate table and searched with str.find, and since code point i is
-    alphabet position i, comparing code strings is comparing Word keys.
-    Only the winner is decoded.
+    Works on letter-code strings: the sample's codes, joined by a separator,
+    are imaged once by one translate table and searched with str.find, and
+    since code point i is alphabet position i, comparing code strings is
+    comparing Word keys. Only the winner is decoded.
     """
     if w.alphabet != sigma.codomain:
         raise ValueError("word must live over the substitution codomain")
@@ -375,23 +375,29 @@ def decompose_in_image(
     code = _letter_codes(sigma.codomain)
     target = "".join(map(code.__getitem__, w.symbols))
     table = _image_table(sigma)
+    # The separator is no domain code, so translate keeps it, and no codomain
+    # code, so no image and no target holds it: a hit lies in one word's
+    # image, and an empty target's hit at a separator ends the image before.
+    sep = chr(max(len(sigma.domain), len(sigma.codomain)))
+    source = sep.join(sample.codes)
+    image = source.translate(table)
+    # cum[i] = |image of source[:i]|; the separator's image is itself, so the
+    # offsets next to a hit are the image boundaries of the word it lies in.
+    lengths = {chr(i): len(t) for i, t in table.items()}
+    lengths[sep] = 1
+    cum = list(accumulate(map(lengths.__getitem__, source), initial=0))
     # (len(head), -len(core), head, core, tail), words as codes.
     best: Optional[tuple] = None
-    for v in sample.codes:
-        image = v.translate(table)
-        p = image.find(target)
-        if p < 0:
-            continue
-        cum = list(accumulate((len(table[ord(c)]) for c in v), initial=0))
-        while p >= 0:
-            e = p + len(target)
-            i0 = bisect_left(cum, p)
-            j0 = bisect_right(cum, e) - 1
-            if j0 >= i0:
-                key = (cum[i0] - p, i0 - j0, image[p : cum[i0]], v[i0:j0], image[cum[j0] : e])
-                if best is None or key < best:
-                    best = key
-            p = image.find(target, p + 1)
+    p = image.find(target) if sample.codes else -1
+    while p >= 0:
+        e = p + len(target)
+        i0 = bisect_left(cum, p)
+        j0 = bisect_right(cum, e) - 1
+        if j0 >= i0:
+            key = (cum[i0] - p, i0 - j0, image[p : cum[i0]], source[i0:j0], image[cum[j0] : e])
+            if best is None or key < best:
+                best = key
+        p = image.find(target, p + 1)
     if best is None:
         raise NotRepresentable(w, sigma)
     head, core, tail = best[2:]

@@ -267,10 +267,15 @@ def _cmd_analyze(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
     d = parse_directive(args.directive, registry)
     cap = min(args.max_length, EXHAUSTIVE_CAP)
     if args.max_length > cap:
-        # A scan pattern is a block of nmax letters, so the block-alphabet cap
-        # bounds the patterns; it is checked before the sample is drawn.
-        patterns = len(d.level_alphabet(0)) ** args.nmax
-        check_budget("window scan", patterns, MAX_BLOCK_ALPHABET, "patterns")
+        # A scan pattern is a block of nmax letters, each the first level-0
+        # letter or one the texts hold. Every scan text is a sigma_0-image,
+        # so the block-alphabet cap is checked, before the sample is drawn,
+        # on blocks over the first letter and the letters of those images.
+        sigma_0 = d.substitution_at(0)
+        letters = {sigma_0.codomain.symbols[0]}.union(
+            *(image.symbols for image in sigma_0.images.values())
+        )
+        check_budget("window scan", len(letters) ** args.nmax, MAX_BLOCK_ALPHABET, "patterns")
     # No word or window is longer than --max-length, so longer factors
     # would only add all-zero entries.
     check_budget("--nmax factor length", args.nmax, args.max_length, "letters")

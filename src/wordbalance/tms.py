@@ -297,16 +297,28 @@ class WitnessPair:
 def witness_pair(index: int, max_chars: int = MAX_WITNESS_CHARS) -> WitnessPair:
     """Witness pair with membership certificates in a doubling expansion.
 
-    The certification text's length follows from the closed-form word
-    length, so an oversized request is refused before either is built.
+    The certificate is the first position of each word in the 2^d prefix
+    of the Thue-Morse fixed point, for the d that the closed-form word
+    length fixes, so an oversized request is refused before either word is
+    built. The search doubles the prefix only until both words occur:
+    prefixes nest, so a first occurrence in a shorter prefix is also the
+    first in the 2^d one, where any earlier start would end inside the
+    shorter prefix too.
     """
     min_chars = 24 * _witness_length(index) + 16
-    check_budget("certification text", 1 << _thue_morse_depth(min_chars), max_chars)
+    depth = _thue_morse_depth(min_chars)
+    check_budget("certification text", 1 << depth, max_chars)
     w, wp = witness_strings(index)
-    text = thue_morse_text(min_chars=min_chars, max_chars=max_chars)
-    depth = len(text).bit_length() - 1
-    pos, posp = text.find(w), text.find(wp)
-    if pos < 0 or posp < 0:
+    # Doubled here rather than through a generator shared with
+    # thue_morse_text: += grows text in place only while no caller holds it,
+    # which keeps the last step's peak at 3, not 4, times the old prefix.
+    text = "0"
+    for _ in range(depth):
+        text += text.translate(_FLIP)
+        pos, posp = text.find(w), text.find(wp)
+        if pos >= 0 and posp >= 0:
+            break
+    else:
         raise RuntimeError("witness word not found in the certification text")
     return WitnessPair(
         index=index,

@@ -1,5 +1,7 @@
 """Balance measurement, frequency vectors, and image decompositions."""
 
+import bisect
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,9 @@ from wordbalance.exactmat import NotInvertibleError, integer_eigenvalues
 from wordbalance.language import (
     LanguageSample,
     SampleMeta,
+    _decode,
+    _image_table,
+    _letter_codes,
     factorial_closure,
     sample_level_language,
 )
@@ -529,6 +534,92 @@ class TestDecomposition:
             assert d.reassemble(M) == image
             assert d.head.render() == "" and d.tail.render() == ""
             assert len(d.core) == 3
+
+
+def per_word_decomposition(w, sigma, sample):
+    """The former decompose_in_image search, one translate and one offset
+    list per sample word; the reference for the search over one joined
+    image. Returns (head, core, tail) as Words, or None."""
+    code = _letter_codes(sigma.codomain)
+    target = "".join(map(code.__getitem__, w.symbols))
+    table = _image_table(sigma)
+    best = None
+    for v in sample.codes:
+        image = v.translate(table)
+        p = image.find(target)
+        if p < 0:
+            continue
+        cum = list(itertools.accumulate((len(table[ord(c)]) for c in v), initial=0))
+        while p >= 0:
+            e = p + len(target)
+            i0 = bisect.bisect_left(cum, p)
+            j0 = bisect.bisect_right(cum, e) - 1
+            if j0 >= i0:
+                key = (cum[i0] - p, i0 - j0, image[p : cum[i0]], v[i0:j0], image[cum[j0] : e])
+                if best is None or key < best:
+                    best = key
+            p = image.find(target, p + 1)
+    if best is None:
+        return None
+    head, core, tail = best[2:]
+    return (
+        _decode(head, sigma.codomain), _decode(core, sigma.domain), _decode(tail, sigma.codomain)
+    )
+
+
+@st.composite
+def decomposition_cases(draw):
+    """(w, sigma, sample): any sample, a substitution on its alphabet with
+    erasing images and a codomain narrower or wider than its domain, and w
+    often a factor of an image of a sample word, the empty word included."""
+    sample = draw(arbitrary_samples())
+    codomain = Alphabet.from_text(draw(st.sampled_from(["0", "01", "0123"])))
+    letters = st.text(alphabet="".join(codomain.symbols), max_size=3)
+    sigma = Substitution(
+        sample.alphabet,
+        codomain,
+        {a: Word(tuple(draw(letters)), codomain) for a in sample.alphabet.symbols},
+    )
+    if sample.codes and draw(st.booleans()):
+        image = sigma.apply(_decode(draw(st.sampled_from(sorted(sample.codes))), sample.alphabet))
+        i = draw(st.integers(0, len(image)))
+        w = image.sub(i, draw(st.integers(i, len(image))))
+    else:
+        w = Word(tuple(draw(st.text(alphabet="".join(codomain.symbols), max_size=4))), codomain)
+    return w, sigma, sample
+
+
+# Images 01 and 10 under M: 0110 spans the junction of two words' images,
+# so it has no decomposition; 10 is a whole image, and 1 ends one image and
+# starts the other.
+LETTER_SAMPLE = coded_sample(BIN, {"\0", "\1"})
+
+
+class TestDecompositionAgainstPerWordSearch:
+    @given(decomposition_cases())
+    # An erasing 1 lets the empty word take a core of several letters.
+    @example(
+        (
+            Word.empty(BIN),
+            Substitution.from_text("0->01;1->"),
+            coded_sample(BIN, {"", "\0", "\0\1\1", "\1\1"}),
+        )
+    )
+    # The only word, 011, has none of its prefixes or suffixes in the sample.
+    @example((Word.from_text("1101", BIN), M, coded_sample(BIN, {"\0\1\1"})))
+    @example((Word.from_text("0110", BIN), M, LETTER_SAMPLE))
+    @example((Word.from_text("10", BIN), M, LETTER_SAMPLE))
+    @example((Word.from_text("1", BIN), M, LETTER_SAMPLE))
+    @settings(max_examples=300)
+    def test_matches_per_word_search(self, case):
+        w, sigma, sample = case
+        want = per_word_decomposition(w, sigma, sample)
+        try:
+            d = decompose_in_image(w, sigma, sample)
+        except NotRepresentable:
+            assert want is None
+        else:
+            assert (d.head, d.core, d.tail) == want
 
 
 class TestBounds:

@@ -345,22 +345,33 @@ class TestSizeGuards:
         assert [e["factor_length"] for e in rep["results"]["balance"]] == list(range(1, 41))
 
     @staticmethod
-    def _wide_directive(extra_letters):
+    def _wide_directive(extra_letters, fold=True):
+        # Q adds the extra letters to {0, 1}; P maps each to 0 when fold is
+        # set, else to itself.
         extra = [chr(0x100 + i) for i in range(extra_letters)]
         q = "0->0" + "".join(extra) + ";1->1"
-        p = "0->0;1->1;" + ";".join(f"{x}->0" for x in extra)
+        p = "0->0;1->1;" + ";".join(f"{x}->{'0' if fold else x}" for x in extra)
         return ["--directive", "PQ|M", "--register", f"P={p}", "--register", f"Q={q}"]
 
     def test_scan_pattern_guard_exits_3(self, capsys):
-        # 200 level-0 symbols: 200^3 patterns of length 3 are past the
-        # block-alphabet cap of 2^20.
+        # P maps each of 200 level-0 symbols to itself, so its images hold
+        # all 200: 200^3 patterns of length 3 are past the block-alphabet
+        # cap of 2^20.
         code, out, err = run(
-            capsys, "analyze", *self._wide_directive(198),
+            capsys, "analyze", *self._wide_directive(198, fold=False),
             "--max-length", str(EXHAUSTIVE_CAP + 1), "--nmax", "3",
         )
         assert code == EXIT_RESOURCE_LIMIT
         assert out == ""
         assert err == "error: window scan needs 8000000 patterns, limit 1048576\n"
+
+    def test_scan_patterns_are_sized_from_level_0_images(self, capsys):
+        # 200 level-0 symbols, but P maps 198 of them to 0: the scan texts,
+        # P-images, spell 0 and 1 only, so 2^3 patterns are scanned.
+        rep = run_json(
+            capsys, "analyze", *self._wide_directive(198), "--max-length", "49", "--nmax", "3"
+        )
+        assert len(rep["results"]["scan"]["curves"]["3"]) > 0
 
     def test_scan_pattern_guard_runs_before_sampling(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -277,7 +278,46 @@ class TestWitnessStrings:
             witness_strings(15)
 
 
+@pytest.fixture(scope="module")
+def digit_sum_text():
+    """The first 2^22 letters of the Thue-Morse word, letter i the parity of
+    the binary digit sum of i, built with no package code."""
+    import numpy as np
+
+    parity = np.bitwise_count(np.arange(1 << 22, dtype=np.uint32)) & 1
+    return (parity.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+
+
 class TestWitnessPair:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_positions_are_first_occurrences_in_the_bound_prefix(self, digit_sum_text, k):
+        # d is the smallest depth with 2^d >= 24 |w| + 16 characters.
+        depth = (24 * (4**k + 2) // 3 + 15).bit_length()
+        prefix = digit_sum_text[: 1 << depth]
+        assert len(prefix) == 1 << depth
+        p = witness_pair(k)
+        assert p.certificate_depth == depth
+        assert p.position == prefix.find(p.word) >= 0
+        assert p.position_prime == prefix.find(p.word_prime) >= 0
+
+    def test_text_without_a_word_is_an_error(self, monkeypatch):
+        # With 1 -> 0 as the flip, every doubled prefix is all zeros.
+        monkeypatch.setattr(tms, "_FLIP", str.maketrans("1", "0"))
+        with pytest.raises(RuntimeError, match="^witness word not found in the certification text$"):
+            witness_pair(2)
+
+    def test_index_ten_stays_below_8_mb(self):
+        # Both words of index 10 end by position 1,747,627, so the search
+        # stops at 2^21 characters; the full 2^24-character text peaks at
+        # about 26 MB.
+        tracemalloc.start()
+        try:
+            witness_pair(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
     def test_fully_frozen_pair_two(self):
         p = witness_pair(2)
         assert p.index == 2
