@@ -10,13 +10,14 @@ and lifts frequencies backwards through invertible incidence matrices.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from .exactmat import RationalMatrix, det, integer_eigenvalues, invert, kernel_basis, mat_vec
+from .exactmat import RationalMatrix, det, invert, kernel_basis, mat_vec, reach
 from .language import LanguageSample, _decode, _image_table, _letter_codes
 from .substitution import Substitution, incidence_matrix
 from .words import Alphabet, Symbol, Word
@@ -199,26 +200,23 @@ def perron_frequency(m: RationalMatrix) -> FrequencyVector:
     """Dominant-eigenvector frequencies of an incidence matrix, such as
     `incidence_matrix(sigma)` or a product of them, over its row labels.
 
-    Refused (ValueError) unless the spectral radius is an integer
-    eigenvalue and its eigenspace is one-dimensional: otherwise no single
-    eigenvector, hence no single frequency vector, is determined by the
-    matrix.
+    Refused (ValueError) unless the matrix is nonnegative, as the radius
+    tests below need, and its spectral radius rho is an integer whose
+    eigenspace is one-dimensional: otherwise no single eigenvector, hence
+    no single frequency vector, is determined by the matrix.
     """
     if not m.is_square():
         raise ValueError("perron frequencies need an endomorphism")
-    eigs = integer_eigenvalues(m)
-    if not eigs:
-        raise ValueError("incidence matrix has no integer eigenvalue")
-    lam = max(eigs)
+    if any(x < 0 for row in m.rows for x in row):
+        raise ValueError("perron frequencies need a nonnegative matrix")
+    # lam = floor(rho) by bisection, as rho is at most the largest column sum.
+    lam, hi = 0, math.floor(max(map(sum, zip(*m.rows)), default=0)) + 1
+    while hi - lam > 1:
+        mid = (lam + hi) // 2
+        lam, hi = (lam, mid) if _radius_below(m.rows, mid) else (mid, hi)
     if not _is_spectral_radius(m, lam):
-        raise ValueError(f"spectral radius is not an integer (largest integer eigenvalue {lam})")
-    shifted = RationalMatrix.from_rows(
-        [
-            [m.entry(i, j) - (lam if i == j else 0) for j in range(m.shape[1])]
-            for i in range(m.shape[0])
-        ]
-    )
-    basis = kernel_basis(shifted)
+        raise ValueError(f"spectral radius is not an integer (it lies between {lam} and {lam + 1})")
+    basis = kernel_basis(_shifted(m.rows, lam))
     if not basis:
         raise ValueError("dominant eigenvalue has trivial kernel")
     if len(basis) > 1:
@@ -233,32 +231,47 @@ def perron_frequency(m: RationalMatrix) -> FrequencyVector:
     return FrequencyVector(Alphabet(m.row_labels), values, mode="perron")
 
 
+def _shifted(rows, t: int) -> RationalMatrix:
+    """t*I - A for the square matrix A with these rows."""
+    return RationalMatrix.from_rows(
+        [(t if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(rows)
+    )
+
+
+def _radius_below(rows, t: int) -> bool:
+    """Is rho(A) < t for the square nonnegative matrix A with these rows?
+    Exactly when every leading principal minor of t*I - A is positive (a
+    nonsingular M-matrix)."""
+    shifted = _shifted(rows, t).rows
+    return all(
+        det(RationalMatrix(tuple(row[:k] for row in shifted[:k]))) > 0
+        for k in range(1, len(rows) + 1)
+    )
+
+
 def _is_spectral_radius(m: RationalMatrix, lam: int) -> bool:
-    """Is the eigenvalue lam of the nonnegative matrix m its spectral radius?
+    """Is lam the spectral radius of the nonnegative matrix m?
 
     The spectral radius is the largest rho(B) over the diagonal blocks B of
-    the strongly connected letter classes, so lam is it iff no class has
-    rho(B) > lam. Per class, exactly: rho(B) < lam iff every leading
-    principal minor of lam*I - B is positive (a nonsingular M-matrix), and
+    the strongly connected letter classes, the mutual-reach sets, so lam
+    >= 0 is it iff no class has rho(B) > lam; a letter on no cycle is a
+    block [0]. Per class, exactly: rho(B) < lam by _radius_below, and
     rho(B) = lam iff the kernel of lam*I - B is spanned by one strictly
     positive vector (Perron-Frobenius).
     """
-    n = m.shape[0]
-    # reach[i][j]: j is reached from i along nonzero entries (Warshall).
-    reach = [[i == j or m.entry(i, j) != 0 for j in range(n)] for i in range(n)]
-    for k in range(n):
-        reach = [[a or (r[k] and b) for a, b in zip(r, reach[k])] for r in reach]
-    for cls in {tuple(j for j in range(n) if reach[i][j] and reach[j][i]) for i in range(n)}:
-        shifted = [[(lam if i == j else 0) - m.entry(i, j) for j in cls] for i in cls]
-        minors = (
-            det(RationalMatrix.from_rows(row[:k] for row in shifted[:k]))
-            for k in range(1, len(cls) + 1)
-        )
-        if all(v > 0 for v in minors):
+    reached = reach(m.rows)
+    classes = {
+        tuple(sorted(j for j in out if i in reached[j]))
+        for i, out in enumerate(reached)
+        if i in out
+    }
+    for cls in sorted(classes):
+        block = [[m.entry(i, j) for j in cls] for i in cls]
+        if _radius_below(block, lam):
             continue
         # kernel_basis sets a free coordinate to 1, so a strictly positive
         # spanning vector is returned as one.
-        basis = kernel_basis(RationalMatrix.from_rows(shifted))
+        basis = kernel_basis(_shifted(block, lam))
         if len(basis) != 1 or any(v <= 0 for v in basis[0]):
             return False
     return True

@@ -1,4 +1,4 @@
-"""Exact rational matrices: determinants, inverses, and eigenpair checks.
+"""Exact rational matrices: determinants, inverses, eigenpairs, reachability.
 
 Everything runs on fractions.Fraction; no floating point enters any result.
 Matrices carry optional row/column labels and label mismatches are errors,
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 Rational = Fraction
 Vector = Tuple[Fraction, ...]
@@ -129,6 +129,19 @@ def mat_pow(a: RationalMatrix, e: int) -> RationalMatrix:
     if e == 0:
         return RationalMatrix.identity(a.shape[0], a.row_labels)
     return binary_power(a, e, mat_mul)
+
+
+def reach(rows: Sequence[Sequence]) -> List[Set[int]]:
+    """For each column j of a square matrix, the indices reached from j in
+    one or more steps, a step going from column j to each row i with
+    [i][j] nonzero (Warshall's closure, on sets). For an incidence matrix:
+    the letters of the iterated images of letter j."""
+    out = [{i for i, row in enumerate(rows) if row[j]} for j in range(len(rows))]
+    for k, via in enumerate(out):
+        for s in out:
+            if k in s:
+                s |= via
+    return out
 
 
 def binary_power(base, k: int, mul):

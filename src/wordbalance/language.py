@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .limits import ResourceLimitError, check_budget
-from .exactmat import binary_power
-from .substitution import Substitution, SubstitutionError
+from .exactmat import binary_power, reach
+from .substitution import Substitution, SubstitutionError, incidence_counts
 from .words import Alphabet, Symbol, Word, sort_words
 
 MAX_SAMPLE_CHARS = 60_000_000
@@ -174,11 +174,7 @@ def _tower_counts(d: DirectiveSequence, k: int, n: int) -> List[List[int]]:
     """
     size = len(d.level_alphabet(k))
     identity = [[int(i == j) for j in range(size)] for i in range(size)]
-    # Each level's incidence_matrix, in ints: its Fractions cost 3x the product.
-    levels = (
-        [[s.image(a).symbols.count(b) for a in s.domain.symbols] for b in s.codomain.symbols]
-        for s in map(d.substitution_at, range(k, n))
-    )
+    levels = map(incidence_counts, map(d.substitution_at, range(k, n)))
     return functools.reduce(_int_mat_mul, levels, identity)
 
 
@@ -385,33 +381,21 @@ def _exact_mode_letter(d: DirectiveSequence, k: int) -> Optional[Symbol]:
     """Seed letter for the provably exact fixed-point sampler, if admissible.
 
     Requires: purely periodic at level k with a one-substitution period tau,
-    tau non-erasing, some letter a occurring in tau(a), and every alphabet
-    letter reachable from a in the occurrence graph. Under these conditions
-    the truncated factor sets F_{<=N}(tau^i(a)) increase monotonically and
-    S -> F_{<=N}(tau(S)) is a deterministic set map, so a repeated set is a
-    true fixed point equal to the truncated level language.
+    tau non-erasing, and a letter a occurring in tau(a) whose iterated
+    images reach every alphabet letter; the seed is the first such letter
+    in alphabet order. Under these conditions the truncated factor sets
+    F_{<=N}(tau^i(a)) increase monotonically and S -> F_{<=N}(tau(S)) is a
+    deterministic set map, so a repeated set is a true fixed point equal
+    to the truncated level language.
     """
     if d.period is None or len(d.period) != 1 or k < len(d.prefix):
         return None
     tau = d.period[0]
     if tau.domain != tau.codomain or not tau.is_non_erasing():
         return None
-    symbols = tau.domain.symbols
-    reach = {a: set(tau.image(a).symbols) for a in symbols}
-    for a in symbols:
-        if a not in reach[a]:
-            continue
-        seen = {a}
-        frontier = [a]
-        while frontier:
-            b = frontier.pop()
-            for c in reach[b]:
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        if seen == set(symbols):
-            return a
-    return None
+    counts = incidence_counts(tau)
+    seeds = [a for a, out in enumerate(reach(counts)) if counts[a][a] and len(out) == len(counts)]
+    return tau.domain.symbols[seeds[0]] if seeds else None
 
 
 def sample_level_language(
@@ -567,13 +551,14 @@ def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
     Eventually periodic directives reduce, per residue r modulo the period,
     to iterating tau = sigma_[p+r,p+r+q) with letter weights the image
     lengths of pi = sigma_[0,p+r). Both come from integer incidence
-    products (_tower_counts): tau's column of a letter counts the letters
-    of its image, and a weight is a column sum of pi's matrix, so no tower
-    is composed. Two decision tiers:
+    products: tau's column of a letter counts the letters of its image,
+    and a weight is a column sum of pi's matrix, so no tower is composed.
+    With H = sigma_[p,p+r) and T = sigma_[p+r,p+q), tau is T . H and pi is
+    sigma_[0,p) . H, so all q residues cost about 3q products. Two tiers:
 
     * Everything non-erasing: image lengths under tau are monotone, and a
-      letter stalls exactly when its letter-set orbit falls inside the
-      stable non-expanding letters. Exact both ways.
+      letter grows exactly when its iterated images reach an expanding
+      letter (_monotone_growth_verdict). Exact both ways.
     * Otherwise: a capped orbit. A coordinate observed below the cap on the
       orbit's cycle equals its true value there (capping only lowers values,
       and a below-cap sum forces below-cap summands), so it recurs forever
@@ -598,17 +583,28 @@ def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
         )
 
     p, q = d.prefix_length, d.period_length
+    levels = [incidence_counts(d.substitution_at(p + r)) for r in range(q)]
+    # tails[r] is T for residue r, and tails[q] the identity.
+    tails = [_tower_counts(d, p, p)]
+    for m in reversed(levels):
+        tails.append(_int_mat_mul(m, tails[-1]))
+    tails.reverse()
+    # Row 0 of head holds the weights (column sums of pi's matrix), the
+    # rest is H, so one product per level advances both.
+    head = [list(map(sum, zip(*_tower_counts(d, 0, p))))] + _tower_counts(d, p, p)
     residues, exact = [], True
     for r in range(q):
+        tau = _int_mat_mul(tails[r], head[1:])
+        weights = head[0]
         # images[a][b] counts letter b in tau(a); weights[b] is |pi(b)|.
-        images = list(zip(*_tower_counts(d, p + r, p + r + q)))
-        weights = list(map(sum, zip(*_tower_counts(d, 0, p + r))))
+        images = list(zip(*tau))
         if all(map(sum, images)) and all(weights):
-            verdict, data = _monotone_growth_verdict(images, d.level_alphabet(p + r).symbols)
+            verdict, data = _monotone_growth_verdict(tau, d.level_alphabet(p + r).symbols)
         else:
             verdict, data, certain = _capped_growth_verdict(images, weights)
             exact = exact and certain
         residues.append({"residue": r, "verdict": verdict, **data})
+        head = _int_mat_mul(head, levels[r])
     return GrowthReport(
         growing=all(row["verdict"] for row in residues),
         exact=exact,
@@ -616,33 +612,24 @@ def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
     )
 
 
-def _monotone_growth_verdict(images, symbols) -> Tuple[bool, dict]:
+def _monotone_growth_verdict(counts, symbols) -> Tuple[bool, dict]:
     """Exact growth test for a non-erasing endomorphism with positive weights.
 
-    images[a] counts the letters of the image of letter a (by position).
-    Image lengths are monotone under a non-erasing map, so a letter fails to
-    grow exactly when some iterate's letters all sit in E, the largest set of
-    length-one-image letters closed under the map; once inside E the word is
-    frozen in length forever, and any letter outside E forces an increase
-    within one sweep of its orbit.
+    counts is its incidence matrix. A letter is expanding when it lies on a
+    cycle of the letter graph and its image has two or more letters. Image
+    lengths are monotone, so a letter grows exactly when it reaches an
+    expanding letter, which then recurs in its iterates forever. Otherwise
+    its iterates end inside E, the letters that reach only one-letter-image
+    letters, and are frozen in length from then on.
     """
-    letters = [frozenset(b for b, count in enumerate(image) if count) for image in images]
-    stable = {a for a, image in enumerate(images) if sum(image) == 1}
-    while any(not letters[a] <= stable for a in stable):
-        stable = {a for a in stable if letters[a] <= stable}
-    stalled = []
-    for a in range(len(images)):
-        letter_set = frozenset([a])
-        seen = set()
-        while letter_set not in seen:
-            seen.add(letter_set)
-            if letter_set <= stable:
-                stalled.append(symbols[a])
-                break
-            letter_set = frozenset().union(*(letters[b] for b in letter_set))
+    sizes = list(map(sum, zip(*counts)))
+    reached = reach(counts)
+    expanding = {c for c, size in enumerate(sizes) if size > 1 and c in reached[c]}
+    core = sum(all(sizes[c] == 1 for c in reached[a] | {a}) for a in range(len(sizes)))
+    stalled = [b for a, b in enumerate(symbols) if not reached[a] & expanding]
     return not stalled, {
         "tier": "monotone-stable-set",
-        "non_expanding_core_size": len(stable),
+        "non_expanding_core_size": core,
         "stalled_letters": sorted(map(str, stalled)),
     }
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .exactmat import RationalMatrix
 from .words import (
@@ -194,17 +194,22 @@ def properness_profile(sigma: Substitution) -> PropernessProfile:
     )
 
 
+def incidence_counts(sigma: Substitution) -> List[List[int]]:
+    """The integer incidence rows: entry [i][j] counts the i-th codomain
+    letter in the image of the j-th domain letter."""
+    return [
+        [sigma.image(a).symbols.count(b) for a in sigma.domain.symbols]
+        for b in sigma.codomain.symbols
+    ]
+
+
 def incidence_matrix(sigma: Substitution) -> RationalMatrix:
     """Rows indexed by codomain letters, columns by domain letters.
 
     Entry (b, a) counts occurrences of b in sigma(a). Composition turns into
     matrix product: incidence(outer . inner) = incidence(outer) * incidence(inner).
     """
-    rows = tuple(
-        tuple(sigma.image(a).symbols.count(b) for a in sigma.domain.symbols)
-        for b in sigma.codomain.symbols
-    )
-    return RationalMatrix(rows, sigma.codomain.symbols, sigma.domain.symbols)
+    return RationalMatrix(incidence_counts(sigma), sigma.codomain.symbols, sigma.domain.symbols)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,12 @@ def builtin(name: str) -> Substitution:
         raise ValueError(f"unknown substitution name: {name!r}") from None
 
 
+def composition(names: str) -> Substitution:
+    """The named builtins composed in directive order, rightmost applied
+    first; the identity on {0, 1} for no names."""
+    return functools.reduce(compose, map(builtin, names), Substitution.identity(BINARY))
+
+
 def parse_directive(
     text: str, registry: Optional[Dict[str, Substitution]] = None
 ) -> DirectiveSequence:
@@ -183,9 +189,7 @@ def shared_image_tail(prefix_names: str) -> Word:
     """
     if any(name not in ("L", "R") for name in prefix_names):
         raise ValueError("shared-tail identity applies to L/R prefixes only")
-    sigma = Substitution.identity(BINARY)
-    for name in prefix_names:
-        sigma = compose(sigma, builtin(name))
+    sigma = composition(prefix_names)
     im01 = sigma.apply(Word.from_text("01", BINARY))
     im10 = sigma.apply(Word.from_text("10", BINARY))
     tail01 = im01.sub(2, len(im01))

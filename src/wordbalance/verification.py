@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import report as report_mod
 from .balance import (
+    _length_classes,
     balance_report,
     coarsening_bound,
     decompose_pair_in_image,
@@ -44,7 +45,6 @@ from .scan import window_imbalance_curve, window_spreads
 from .substitution import (
     Substitution,
     coding_identity_sides,
-    compose,
     incidence_matrix,
     induced_block_substitution,
 )
@@ -56,6 +56,7 @@ from .tms import (
     block_substitution,
     builtin,
     classify,
+    composition,
     count_preservation_violations,
     eleven_count_range,
     factor_spans,
@@ -463,12 +464,8 @@ def check_pair_decomposition_bound() -> CheckResult:
             sigma = builtin(s_name)
             closure = _image_closure(source, sigma)
             bound = pair_tail_bound(c_1, size, sigma.norm())
-            # Codes in (length, code) order, which is the sort_words order.
-            by_len: Dict[int, List[str]] = {}
-            for s in sorted(closure.codes, key=lambda s: (len(s), s)):
-                if len(s) >= 2:
-                    by_len.setdefault(len(s), []).append(s)
-            lengths = [n for n, ws in by_len.items() if len(ws) >= 2]
+            by_len = _length_classes(closure)
+            lengths = [n for n, ws in by_len.items() if n >= 2 and len(ws) >= 2]
             for _ in range(40):
                 if not lengths:
                     break
@@ -508,7 +505,7 @@ def check_image_balance_bounds() -> CheckResult:
     ]
     for _ in range(3):
         a, b = rng.choice("LMR"), rng.choice("LMR")
-        sigmas.append((a + b, compose(builtin(a), builtin(b))))
+        sigmas.append((a + b, composition(a + b)))
     rows = []
     passed = True
     for src_name, source in sources:
@@ -672,10 +669,8 @@ def check_image_window_final() -> CheckResult:
     rows = []
     passed = True
     for names in cases:
-        sigma = Substitution.identity(BINARY)
-        for name in names:
-            sigma = compose(sigma, builtin(name))
-        sigma_l = compose(sigma, builtin("L"))
+        sigma = composition(names)
+        sigma_l = composition(names + "L")
         m = len(sigma.apply(Word.from_text("0", BINARY))) + 1
         d = parse_directive(names + "L|M")
         sample = sample_level_language(d, 0, m + 10)

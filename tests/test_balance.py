@@ -25,7 +25,7 @@ from wordbalance.balance import (
     perron_frequency,
 )
 from wordbalance import balance
-from wordbalance.exactmat import NotInvertibleError, integer_eigenvalues
+from wordbalance.exactmat import EigenpairClaim, NotInvertibleError, RationalMatrix, eigencheck
 from wordbalance.language import (
     LanguageSample,
     SampleMeta,
@@ -353,25 +353,34 @@ class TestFrequency:
             )
         )
     )
+    @example(["b", "aa"])
     def test_perron_served_iff_the_spectral_radius_is_its_eigenvalue(self, images):
         # numpy's eigenvalues, an oracle that shares no code with the exact
-        # check, give the spectral radius rho. In 5,000 random draws of
-        # this shape, rho was within 2e-8 of the largest integer eigenvalue
-        # or more than 0.13 above it.
+        # check, give the spectral radius rho. A served vector must be an
+        # exact eigenvector of the nearest integer to rho; a spectral-radius
+        # refusal needs rho off every integer (0->1;1->00 has rho = sqrt 2
+        # and no integer eigenvalue at all).
         import numpy as np
 
         sub = Substitution.from_text(";".join(f"{a}->{w}" for a, w in zip("abcd", images)))
         m = incidence_matrix(sub)
         rho = max(abs(np.linalg.eigvals(np.array(m.rows, dtype=float))))
-        eigs = integer_eigenvalues(m)
+        k = round(rho)
         try:
             f = perron_frequency(m)
         except ValueError as exc:
-            if "spectral radius" in str(exc):
-                assert abs(rho - max(eigs)) > 1e-3
+            if "spectral radius is not an integer" in str(exc):
+                assert abs(rho - k) > 1e-3
             return
-        assert abs(rho - max(eigs)) < 1e-3
+        assert abs(rho - k) < 1e-6
+        assert eigencheck(m, EigenpairClaim(f.values, k))
         assert all(v >= 0 for v in f.values)
+
+    def test_perron_refuses_a_negative_entry(self):
+        # The eigenvalues are 1 and 3; the eigenvector of 3 is (1, -1), so
+        # no frequency vector belongs to the spectral radius.
+        with pytest.raises(ValueError, match="nonnegative matrix"):
+            perron_frequency(RationalMatrix.from_rows([[2, -1], [-1, 2]], "ab", "ab"))
 
     def test_perron_needs_endomorphism(self):
         widening = Substitution.from_text("0->012;1->01")

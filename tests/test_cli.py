@@ -185,6 +185,21 @@ class TestAnalyze:
         run_json(capsys, "analyze", "--directive", "|M")
         assert sorted(calls) == ["is_everywhere_growing", "perron_frequency"]
 
+    def test_perron_lists_no_integer_eigenvalues(self, capsys, monkeypatch):
+        # Listing integer eigenvalues takes one determinant per integer up
+        # to the spectral radius, so analyze must find it by bisection.
+        def refuse(*args, **kwargs):
+            raise AssertionError("integer_eigenvalues called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "wordbalance" and hasattr(module, "integer_eigenvalues"):
+                monkeypatch.setattr(module, "integer_eigenvalues", refuse)
+        exact = run_json(capsys, "analyze", "--directive", "|M")
+        windowed = run_json(capsys, "analyze", "--directive", "LMR|ML")
+        assert exact["results"]["sample"]["exact"] and not windowed["results"]["sample"]["exact"]
+        assert exact["results"]["frequency"]["perron"] == {"0": "1/2", "1": "1/2"}
+        assert windowed["results"]["frequency"]["perron"] == {"0": "2/3", "1": "1/3"}
+
 
 class TestClassify:
     @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
-"""Exact rational linear algebra: determinants, inverses, eigenpairs."""
+"""Exact rational linear algebra: determinants, inverses, eigenpairs, and
+the reachability closure."""
 
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wordbalance.exactmat import (
@@ -20,6 +22,7 @@ from wordbalance.exactmat import (
     mat_mul,
     mat_pow,
     mat_vec,
+    reach,
     vec,
     vec_scale,
 )
@@ -213,3 +216,39 @@ class TestEigen:
     def test_integer_eigenvalues_non_square_rejected(self):
         with pytest.raises(ValueError):
             integer_eigenvalues(M([[1, 2]]))
+
+
+def searched_reach(rows, j):
+    """The indices reached from column j in one or more steps, by a
+    breadth-first search over the nonzero entries."""
+    seen, todo = set(), deque([j])
+    while todo:
+        b = todo.popleft()
+        for i, row in enumerate(rows):
+            if row[b] and i not in seen:
+                seen.add(i)
+                todo.append(i)
+    return seen
+
+
+class TestReach:
+    def test_pinned(self):
+        # A 2-cycle, and a step 0 -> 1 with nothing after it.
+        assert reach([[0, 1], [1, 0]]) == [{0, 1}, {0, 1}]
+        assert reach([[0, 0], [1, 0]]) == [{1}, set()]
+        # A self-loop puts a letter in its own reach; a zero row is reached
+        # from nowhere.
+        assert reach([[2, 0], [0, 0]]) == [{0}, set()]
+        assert reach([]) == []
+
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @example([[1, 0, 0], [0, 0, 0], [1, 2, 0]])
+    @example([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 2]])
+    def test_matches_breadth_first_search(self, rows):
+        assert reach(rows) == [searched_reach(rows, j) for j in range(len(rows))]

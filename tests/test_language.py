@@ -1,6 +1,7 @@
 """Directive sequences, language sampling, and growth decisions."""
 
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -242,6 +243,26 @@ def thue_morse_complexity(n):
     if 2 * q <= 2**r:
         return 3 * 2**r + 4 * q
     return 4 * 2**r + 2 * q
+
+
+class TestExactSeed:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.text(alphabet="abcd"[:k], max_size=3), min_size=k, max_size=k
+            )
+        )
+    )
+    # b occurs in tau(a) and a in tau(b), so a occurs in tau^2(a) but not
+    # in tau(a): no seed.
+    @example(["b", "a"])
+    # Seeds a, and b after a letter that is not one.
+    @example(["ab", "a"])
+    @example(["b", "bc", "a"])
+    def test_matches_the_searched_seed(self, images):
+        tau = Substitution.from_text(";".join(f"{a}->{w}" for a, w in zip("abcd", images)))
+        want = first_admissible_seed(tau) if tau.is_non_erasing() else None
+        assert language._exact_mode_letter(DirectiveSequence(period=(tau,)), 0) == want
 
 
 class TestExactSamplerAgainstReference:
@@ -509,6 +530,32 @@ class TestTowerWalk:
 
 
 class TestGrowthDecision:
+    def test_long_period_costs_about_three_products_per_level(self, monkeypatch):
+        # Each residue's period is a tail times a head, both grown one level
+        # at a time, so no residue composes its period from scratch.
+        products = []
+
+        def counting(x, y):
+            products.append(1)
+            return multiply(x, y)
+
+        multiply = language._int_mat_mul
+        monkeypatch.setattr(language, "_int_mat_mul", counting)
+        q = 512
+        report = is_everywhere_growing(parse_directive("|" + "ML" * (q // 2)))
+        assert report.growing and report.exact
+        assert len(report.certificate["residues"]) == q
+        assert len(products) <= 3 * q
+
+    def test_a_long_image_on_no_cycle_does_not_grow(self):
+        # 0 -> 1 -> 23, and 2 and 3 map to themselves: 1 has a two-letter
+        # image but lies on no cycle, so no letter grows.
+        d = parse_directive("|S", {"S": Substitution.from_text("0->1;1->23;2->2;3->3")})
+        report = is_everywhere_growing(d)
+        assert report == tower_growth(d)
+        assert report.certificate["residues"][0]["stalled_letters"] == ["0", "1", "2", "3"]
+        assert report.certificate["residues"][0]["non_expanding_core_size"] == 2
+
     @pytest.mark.parametrize(
         "text,want",
         [
@@ -541,10 +588,9 @@ class TestGrowthDecision:
         monkeypatch.setattr(Substitution, "__init__", counting(Substitution.__init__))
         monkeypatch.setattr(Word, "__post_init__", counting(Word.__post_init__))
         reports = [is_everywhere_growing(d) for d in directives]
-        # The eigenvalue search tries every integer up to the dominant
-        # eigenvalue, 2^64 for a 64-letter M period, so Perron is read on
-        # LMR|ML only.
         assert cli._level0_perron(directives[0]) is not None
+        half = Fraction(1, 2)
+        assert cli._level0_perron(directives[1]).values == (half, half)
         assert built == []
         assert (reports[1].growing, reports[1].exact) == (True, True)
         assert reports[1].certificate["residues"][63]["tier"] == "monotone-stable-set"
