@@ -17,9 +17,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from .exactmat import RationalMatrix, det, invert, kernel_basis, mat_vec, reach
+from .exactmat import det, invert, kernel_basis, mat_vec, reach, shifted
 from .language import LanguageSample, _decode, _image_table, _letter_codes
-from .substitution import Substitution, incidence_matrix
+from .substitution import Substitution, incidence_counts
 from .words import Alphabet, Symbol, Word
 
 
@@ -170,53 +170,40 @@ class FrequencyVector:
         return tuple(zip(self.alphabet.symbols, self.values))
 
 
-def frequency_vector(
-    sample: LanguageSample,
-    mode: str = "empirical",
-    substitution: Optional[Substitution] = None,
-) -> FrequencyVector:
-    """Letter frequencies of a sample, by one of two surrogates.
-
-    empirical: average frequencies over all words of the maximal length
-    present in the sample (exact rational).
-    perron: perron_frequency of the substitution's incidence matrix.
-    """
-    if mode == "empirical":
-        top = max(map(len, sample.codes), default=0)
-        if top == 0:
-            raise ValueError("sample has no nonempty words")
-        text = "".join(s for s in sample.codes if len(s) == top)
-        total = Fraction(len(text))
-        values = tuple(Fraction(text.count(chr(i))) / total for i in range(len(sample.alphabet)))
-        return FrequencyVector(sample.alphabet, values, mode="empirical")
-    if mode == "perron":
-        if substitution is None:
-            raise ValueError("perron mode needs the generating substitution")
-        return perron_frequency(incidence_matrix(substitution))
-    raise ValueError(f"unknown frequency mode: {mode}")
+def frequency_vector(sample: LanguageSample) -> FrequencyVector:
+    """Letter frequencies averaged over all words of the maximal length
+    present in the sample (exact rational)."""
+    top = max(map(len, sample.codes), default=0)
+    if top == 0:
+        raise ValueError("sample has no nonempty words")
+    text = "".join(s for s in sample.codes if len(s) == top)
+    total = Fraction(len(text))
+    values = tuple(Fraction(text.count(chr(i))) / total for i in range(len(sample.alphabet)))
+    return FrequencyVector(sample.alphabet, values, mode="empirical")
 
 
-def perron_frequency(m: RationalMatrix) -> FrequencyVector:
+def perron_frequency(rows, letters) -> FrequencyVector:
     """Dominant-eigenvector frequencies of an incidence matrix, such as
-    `incidence_matrix(sigma)` or a product of them, over its row labels.
+    `incidence_counts(sigma)` or a product of them, whose rows are these
+    letters.
 
     Refused (ValueError) unless the matrix is nonnegative, as the radius
     tests below need, and its spectral radius rho is an integer whose
     eigenspace is one-dimensional: otherwise no single eigenvector, hence
     no single frequency vector, is determined by the matrix.
     """
-    if not m.is_square():
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("perron frequencies need an endomorphism")
-    if any(x < 0 for row in m.rows for x in row):
+    if any(x < 0 for row in rows for x in row):
         raise ValueError("perron frequencies need a nonnegative matrix")
     # lam = floor(rho) by bisection, as rho is at most the largest column sum.
-    lam, hi = 0, math.floor(max(map(sum, zip(*m.rows)), default=0)) + 1
+    lam, hi = 0, math.floor(max(map(sum, zip(*rows)), default=0)) + 1
     while hi - lam > 1:
         mid = (lam + hi) // 2
-        lam, hi = (lam, mid) if _radius_below(m.rows, mid) else (mid, hi)
-    if not _is_spectral_radius(m, lam):
+        lam, hi = (lam, mid) if _radius_below(rows, mid) else (mid, hi)
+    if not _is_spectral_radius(rows, lam):
         raise ValueError(f"spectral radius is not an integer (it lies between {lam} and {lam + 1})")
-    basis = kernel_basis(_shifted(m.rows, lam))
+    basis = kernel_basis(shifted(rows, lam))
     if not basis:
         raise ValueError("dominant eigenvalue has trivial kernel")
     if len(basis) > 1:
@@ -228,29 +215,19 @@ def perron_frequency(m: RationalMatrix) -> FrequencyVector:
     values = tuple(v / total for v in kern)
     if any(v < 0 for v in values):
         raise ValueError("dominant eigenvector is not nonnegative")
-    return FrequencyVector(Alphabet(m.row_labels), values, mode="perron")
-
-
-def _shifted(rows, t: int) -> RationalMatrix:
-    """t*I - A for the square matrix A with these rows."""
-    return RationalMatrix.from_rows(
-        [(t if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(rows)
-    )
+    return FrequencyVector(Alphabet(letters), values, mode="perron")
 
 
 def _radius_below(rows, t: int) -> bool:
     """Is rho(A) < t for the square nonnegative matrix A with these rows?
     Exactly when every leading principal minor of t*I - A is positive (a
     nonsingular M-matrix)."""
-    shifted = _shifted(rows, t).rows
-    return all(
-        det(RationalMatrix(tuple(row[:k] for row in shifted[:k]))) > 0
-        for k in range(1, len(rows) + 1)
-    )
+    gap = shifted(rows, t)
+    return all(det([row[:k] for row in gap[:k]]) > 0 for k in range(1, len(rows) + 1))
 
 
-def _is_spectral_radius(m: RationalMatrix, lam: int) -> bool:
-    """Is lam the spectral radius of the nonnegative matrix m?
+def _is_spectral_radius(rows, lam: int) -> bool:
+    """Is lam the spectral radius of the nonnegative matrix with these rows?
 
     The spectral radius is the largest rho(B) over the diagonal blocks B of
     the strongly connected letter classes, the mutual-reach sets, so lam
@@ -259,19 +236,19 @@ def _is_spectral_radius(m: RationalMatrix, lam: int) -> bool:
     rho(B) = lam iff the kernel of lam*I - B is spanned by one strictly
     positive vector (Perron-Frobenius).
     """
-    reached = reach(m.rows)
+    reached = reach(rows)
     classes = {
         tuple(sorted(j for j in out if i in reached[j]))
         for i, out in enumerate(reached)
         if i in out
     }
     for cls in sorted(classes):
-        block = [[m.entry(i, j) for j in cls] for i in cls]
+        block = [[rows[i][j] for j in cls] for i in cls]
         if _radius_below(block, lam):
             continue
         # kernel_basis sets a free coordinate to 1, so a strictly positive
         # spanning vector is returned as one.
-        basis = kernel_basis(_shifted(block, lam))
+        basis = kernel_basis(shifted(block, lam))
         if len(basis) != 1 or any(v <= 0 for v in basis[0]):
             return False
     return True
@@ -327,13 +304,11 @@ def lift_frequency(f: FrequencyVector, substitution: Substitution) -> LiftedFreq
     """
     if f.alphabet != substitution.codomain:
         raise ValueError("frequency vector must live over the substitution codomain")
-    m = incidence_matrix(substitution)
-    inv = invert(m)
-    lifted = mat_vec(inv, list(f.values))
+    lifted = mat_vec(invert(incidence_counts(substitution)), f.values)
     total = sum(lifted, Fraction(0))
     return LiftedFrequency(
         alphabet=substitution.domain,
-        values=tuple(lifted),
+        values=lifted,
         total=total,
         normalized=total == 1,
         nonnegative=all(v >= 0 for v in lifted),

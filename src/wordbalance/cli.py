@@ -22,7 +22,7 @@ from .balance import (
     frequency_vector,
     perron_frequency,
 )
-from .exactmat import RationalMatrix, mat_vec
+from .exactmat import mat_vec
 from .language import (
     DirectiveSequence,
     ResourceLimitError,
@@ -179,14 +179,13 @@ def _level0_perron(d: DirectiveSequence) -> Optional[FrequencyVector]:
     if d.period is None:
         return None
     p, q = d.prefix_length, d.period_length
-    letters = d.level_alphabet(p).symbols
     try:
-        f_p = perron_frequency(RationalMatrix(_tower_counts(d, p, p + q), letters, letters))
+        f_p = perron_frequency(_tower_counts(d, p, p + q), d.level_alphabet(p).symbols)
     except ValueError:
         return None
     if p == 0:
         return f_p
-    pushed = mat_vec(RationalMatrix(_tower_counts(d, 0, p)), f_p.values)
+    pushed = mat_vec(_tower_counts(d, 0, p), f_p.values)
     total = sum(pushed, Fraction(0))
     if total <= 0:
         return None
@@ -293,7 +292,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
             entry["witness"] = _witness_dict(e.witness)
         entries.append(entry)
 
-    f_emp = frequency_vector(sample, "empirical")
+    f_emp = frequency_vector(sample)
     frequency: Dict[str, Any] = {
         "empirical": _frequency_map(f_emp),
         "empirical_deviation": rational_str(frequency_deviation(sample, f_emp)),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .limits import ResourceLimitError, check_budget
-from .exactmat import binary_power, reach
+from .exactmat import binary_power, mat_mul, reach
 from .substitution import Substitution, SubstitutionError, incidence_counts
 from .words import Alphabet, Symbol, Word, sort_words
 
@@ -159,11 +159,6 @@ def _deepest(levels: Iterable):
     return collections.deque(levels, maxlen=1)[0]
 
 
-def _int_mat_mul(x, y):
-    """The product of two integer matrices given as lists of rows."""
-    return [[sum(map(operator.mul, row, col)) for col in zip(*y)] for row in x]
-
-
 def _tower_counts(d: DirectiveSequence, k: int, n: int) -> List[List[int]]:
     """The integer incidence matrix of sigma_k . ... . sigma_{n-1}, the
     product of the levels' matrices; the identity when n == k.
@@ -175,7 +170,7 @@ def _tower_counts(d: DirectiveSequence, k: int, n: int) -> List[List[int]]:
     size = len(d.level_alphabet(k))
     identity = [[int(i == j) for j in range(size)] for i in range(size)]
     levels = map(incidence_counts, map(d.substitution_at, range(k, n)))
-    return functools.reduce(_int_mat_mul, levels, identity)
+    return functools.reduce(mat_mul, levels, identity)
 
 
 def _periodic_tower_lengths(d: DirectiveSequence, depth: int) -> Dict[Symbol, int]:
@@ -195,7 +190,7 @@ def _periodic_tower_lengths(d: DirectiveSequence, depth: int) -> Dict[Symbol, in
         return lengths
     symbols = d.level_alphabet(p + r).symbols
     tau = _tower_counts(d, p + r, p + r + q)
-    (deep,) = _int_mat_mul([[lengths[b] for b in symbols]], binary_power(tau, k, _int_mat_mul))
+    (deep,) = mat_mul([[lengths[b] for b in symbols]], binary_power(tau, k, mat_mul))
     return dict(zip(symbols, deep))
 
 
@@ -587,14 +582,14 @@ def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
     # tails[r] is T for residue r, and tails[q] the identity.
     tails = [_tower_counts(d, p, p)]
     for m in reversed(levels):
-        tails.append(_int_mat_mul(m, tails[-1]))
+        tails.append(mat_mul(m, tails[-1]))
     tails.reverse()
     # Row 0 of head holds the weights (column sums of pi's matrix), the
     # rest is H, so one product per level advances both.
     head = [list(map(sum, zip(*_tower_counts(d, 0, p))))] + _tower_counts(d, p, p)
     residues, exact = [], True
     for r in range(q):
-        tau = _int_mat_mul(tails[r], head[1:])
+        tau = mat_mul(tails[r], head[1:])
         weights = head[0]
         # images[a][b] counts letter b in tau(a); weights[b] is |pi(b)|.
         images = list(zip(*tau))
@@ -604,7 +599,7 @@ def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
             verdict, data, certain = _capped_growth_verdict(images, weights)
             exact = exact and certain
         residues.append({"residue": r, "verdict": verdict, **data})
-        head = _int_mat_mul(head, levels[r])
+        head = mat_mul(head, levels[r])
     return GrowthReport(
         growing=all(row["verdict"] for row in residues),
         exact=exact,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .exactmat import RationalMatrix
 from .words import (
     Alphabet,
     AlphabetError,
@@ -195,21 +194,14 @@ def properness_profile(sigma: Substitution) -> PropernessProfile:
 
 
 def incidence_counts(sigma: Substitution) -> List[List[int]]:
-    """The integer incidence rows: entry [i][j] counts the i-th codomain
-    letter in the image of the j-th domain letter."""
+    """The integer incidence matrix: entry [i][j] counts the i-th codomain
+    letter in the image of the j-th domain letter. Composition turns into
+    the matrix product: incidence(outer . inner) = incidence(outer) *
+    incidence(inner)."""
     return [
         [sigma.image(a).symbols.count(b) for a in sigma.domain.symbols]
         for b in sigma.codomain.symbols
     ]
-
-
-def incidence_matrix(sigma: Substitution) -> RationalMatrix:
-    """Rows indexed by codomain letters, columns by domain letters.
-
-    Entry (b, a) counts occurrences of b in sigma(a). Composition turns into
-    matrix product: incidence(outer . inner) = incidence(outer) * incidence(inner).
-    """
-    return RationalMatrix(incidence_counts(sigma), sigma.codomain.symbols, sigma.domain.symbols)
 
 
 @dataclass(frozen=True)

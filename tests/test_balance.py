@@ -25,7 +25,7 @@ from wordbalance.balance import (
     perron_frequency,
 )
 from wordbalance import balance
-from wordbalance.exactmat import EigenpairClaim, NotInvertibleError, RationalMatrix, eigencheck
+from wordbalance.exactmat import NotInvertibleError, eigencheck
 from wordbalance.language import (
     LanguageSample,
     SampleMeta,
@@ -35,7 +35,7 @@ from wordbalance.language import (
     factorial_closure,
     sample_level_language,
 )
-from wordbalance.substitution import Substitution, incidence_matrix
+from wordbalance.substitution import Substitution, incidence_counts
 from wordbalance.tms import parse_directive
 from wordbalance.words import Alphabet, Word, block_alphabet, sort_words
 
@@ -231,7 +231,7 @@ class TestWordsStayAtTheBoundary:
         assert report.sample_size == len(sample.codes)
         assert len(built) <= 6
         built.clear()
-        for f in (frequency_vector(sample), perron_frequency(incidence_matrix(M))):
+        for f in (frequency_vector(sample), perron_frequency(incidence_counts(M), BIN.symbols)):
             frequency_deviation(sample, f)
         assert built == []
         assert "words" not in vars(sample)
@@ -294,6 +294,8 @@ class TestFrequency:
         f = frequency_vector(tm_sample)
         assert f.values == (Fraction(1, 2), Fraction(1, 2))
         assert f.mode == "empirical"
+        f = perron_frequency(incidence_counts(M), BIN.symbols)
+        assert f.values == (Fraction(1, 2), Fraction(1, 2))
 
     def test_empirical_skewed(self, small_sample):
         f = frequency_vector(small_sample)  # single longest word "0011"
@@ -305,16 +307,6 @@ class TestFrequency:
         with pytest.raises(ValueError):
             frequency_vector(empty)
 
-    def test_unknown_mode(self, tm_sample):
-        with pytest.raises(ValueError):
-            frequency_vector(tm_sample, mode="spectral")
-
-    def test_perron_mode_needs_substitution(self, tm_sample):
-        with pytest.raises(ValueError):
-            frequency_vector(tm_sample, mode="perron")
-        f = frequency_vector(tm_sample, mode="perron", substitution=M)
-        assert f.values == (Fraction(1, 2), Fraction(1, 2))
-
     @pytest.mark.parametrize(
         "sub,want",
         [
@@ -324,26 +316,26 @@ class TestFrequency:
         ],
     )
     def test_perron_values(self, sub, want):
-        assert perron_frequency(incidence_matrix(sub)).values == want
+        assert perron_frequency(incidence_counts(sub), BIN.symbols).values == want
 
     def test_perron_refuses_a_plane_of_eigenvectors(self):
         with pytest.raises(ValueError, match="eigenspace has dimension 2"):
-            perron_frequency(incidence_matrix(Substitution.from_text("0->00;1->11")))
+            perron_frequency(incidence_counts(Substitution.from_text("0->00;1->11")), "01")
         with pytest.raises(ValueError, match="eigenspace has dimension 2"):
-            perron_frequency(incidence_matrix(Substitution.from_text("0->00;1->11;2->2")))
+            perron_frequency(incidence_counts(Substitution.from_text("0->00;1->11;2->2")), "012")
 
     def test_perron_accepts_a_jordan_block(self):
         # L's incidence [[1,1],[0,1]] has the double eigenvalue 1 but a
         # one-dimensional eigenspace, so its frequencies are unique.
-        assert incidence_matrix(L).rows == ((1, 1), (0, 1))
-        assert perron_frequency(incidence_matrix(L)).values == (Fraction(1), Fraction(0))
+        assert incidence_counts(L) == [[1, 1], [0, 1]]
+        assert perron_frequency(incidence_counts(L), BIN.symbols).values == (Fraction(1), Fraction(0))
 
     def test_perron_refuses_an_irrational_spectral_radius(self):
         # 1 is the largest integer eigenvalue, but the golden ratio of the
         # class {a, b} is the spectral radius.
         sub = Substitution.from_text("a->abc;b->a;c->c")
         with pytest.raises(ValueError, match="spectral radius is not an integer"):
-            perron_frequency(incidence_matrix(sub))
+            perron_frequency(incidence_counts(sub), "abc")
 
     @settings(max_examples=200)
     @given(
@@ -363,34 +355,34 @@ class TestFrequency:
         import numpy as np
 
         sub = Substitution.from_text(";".join(f"{a}->{w}" for a, w in zip("abcd", images)))
-        m = incidence_matrix(sub)
-        rho = max(abs(np.linalg.eigvals(np.array(m.rows, dtype=float))))
+        m = incidence_counts(sub)
+        rho = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
         k = round(rho)
         try:
-            f = perron_frequency(m)
+            f = perron_frequency(m, sub.codomain.symbols)
         except ValueError as exc:
             if "spectral radius is not an integer" in str(exc):
                 assert abs(rho - k) > 1e-3
             return
         assert abs(rho - k) < 1e-6
-        assert eigencheck(m, EigenpairClaim(f.values, k))
+        assert eigencheck(m, f.values, k)
         assert all(v >= 0 for v in f.values)
 
     def test_perron_refuses_a_negative_entry(self):
         # The eigenvalues are 1 and 3; the eigenvector of 3 is (1, -1), so
         # no frequency vector belongs to the spectral radius.
         with pytest.raises(ValueError, match="nonnegative matrix"):
-            perron_frequency(RationalMatrix.from_rows([[2, -1], [-1, 2]], "ab", "ab"))
+            perron_frequency([[2, -1], [-1, 2]], "ab")
 
     def test_perron_needs_endomorphism(self):
         widening = Substitution.from_text("0->012;1->01")
         with pytest.raises(ValueError):
-            perron_frequency(incidence_matrix(widening))
+            perron_frequency(incidence_counts(widening), "012")
 
     def test_perron_needs_integer_eigenvalue(self):
         irrational = Substitution.from_text("0->1;1->00")
         with pytest.raises(ValueError):
-            perron_frequency(incidence_matrix(irrational))
+            perron_frequency(incidence_counts(irrational), "01")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -429,7 +421,7 @@ class TestLift:
         assert lifted.alphabet == BIN
 
     def test_fixed_vector_of_left_incidence(self):
-        f = perron_frequency(incidence_matrix(L))
+        f = perron_frequency(incidence_counts(L), BIN.symbols)
         lifted = lift_frequency(f, L)
         assert lifted.values == tuple(f.values)
         assert lifted.normalized and lifted.nonnegative

@@ -313,6 +313,16 @@ class TestSizeGuards:
         assert out == ""
         assert err == "error: sample window needs more than 2^16397 characters, limit 60000000\n"
 
+    def test_huge_size_is_named_by_its_power_of_two(self, capsys):
+        # 1024 periods of ML: the window's size has about 980 digits, which
+        # would print in full; any size from 2^64 on is named by a power of 2.
+        code, out, err = run(
+            capsys, "analyze", "--directive", "|" + "ML" * 1024, "--max-length", "8"
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == "error: sample window needs more than 2^3252 characters, limit 60000000\n"
+
     def test_sample_window_level_guard_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("the tower was walked")

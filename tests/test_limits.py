@@ -25,6 +25,16 @@ def test_check_budget_passes_at_the_limit():
     check_budget("pattern list", 1024, 1024)
 
 
+def test_sizes_from_2_to_the_64_are_named_by_a_power_of_two():
+    with pytest.raises(ResourceLimitError) as exc:
+        check_budget("pattern list", 2**64 - 1, 1024)
+    assert str(exc.value) == f"pattern list needs {2**64 - 1} characters, limit 1024"
+    with pytest.raises(ResourceLimitError) as exc:
+        check_budget("pattern list", 3 * 2**64, 1024)
+    assert str(exc.value) == "pattern list needs more than 2^65 characters, limit 1024"
+    assert exc.value.requested == 3 * 2**64
+
+
 def test_a_scan_refusal_names_its_sizes():
     # |M at level 26: two letter texts of 2^26 characters, nothing clipped.
     with pytest.raises(ResourceLimitError) as exc:
