@@ -11,7 +11,6 @@ The top level holds the quickstart entry points; everything else is
 imported from its module, for example `wordbalance.balance`.
 """
 
-from .language import sample_level_language
-from .tms import parse_directive
+from .language import parse_directive, sample_level_language
 
 __all__ = ["parse_directive", "sample_level_language"]

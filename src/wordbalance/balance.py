@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exactmat import det, invert, kernel_basis, mat_vec, reach, shifted
 from .language import LanguageSample, _decode, _image_table, _letter_codes
 from .substitution import Substitution, incidence_counts
-from .words import Alphabet, Symbol, Word
+from .words import Alphabet, Symbol, Word, _Record
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Equal-length sample pair realizing an imbalance on one factor."""
 
     high: Word
@@ -38,8 +36,7 @@ class Witness:
         return self.count_high - self.count_low
 
 
-@dataclass(frozen=True)
-class BalanceEntry:
+class BalanceEntry(NamedTuple):
     """Exhaustive imbalance measurement for one factor length."""
 
     factor_length: int
@@ -48,8 +45,7 @@ class BalanceEntry:
     curve: Tuple[Tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     level: int
     max_length: int
     sample_size: int
@@ -147,21 +143,21 @@ def balance_report(sample: LanguageSample, n_max: int) -> BalanceReport:
     )
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
+class FrequencyVector(_Record):
     """Exact letter frequencies: nonnegative rationals summing to one."""
 
-    alphabet: Alphabet
-    values: Tuple[Fraction, ...]
-    mode: str = "given"
+    _fields = ("alphabet", "values", "mode")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.alphabet):
+    def __init__(self, alphabet: Alphabet, values: Tuple[Fraction, ...], mode: str = "given"):
+        if len(values) != len(alphabet):
             raise ValueError("one frequency per letter required")
-        if any(v < 0 for v in self.values):
+        if any(v < 0 for v in values):
             raise ValueError("frequencies must be nonnegative")
-        if sum(self.values, Fraction(0)) != 1:
+        if sum(values, Fraction(0)) != 1:
             raise ValueError("frequencies must sum to 1")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mode", mode)
 
     def __getitem__(self, symbol: Symbol) -> Fraction:
         return self.values[self.alphabet.index(symbol)]
@@ -275,8 +271,7 @@ def frequency_deviation(sample: LanguageSample, f: FrequencyVector) -> Fraction:
     return worst
 
 
-@dataclass(frozen=True)
-class LiftedFrequency:
+class LiftedFrequency(NamedTuple):
     """Preimage frequency candidate from an exact incidence solve.
 
     Normalization is checked, never forced: `normalized` and `nonnegative`
@@ -326,8 +321,7 @@ class NotRepresentable(Exception):
         )
 
 
-@dataclass(frozen=True)
-class ImageDecomposition:
+class ImageDecomposition(NamedTuple):
     """w = head . sigma(core) . tail with head a strict suffix of a letter
     image (or empty), core a sample member, and tail a strict prefix of a
     letter image, possibly extended by whole letter images."""

@@ -10,6 +10,7 @@ resource limit.
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import sys
 from fractions import Fraction
@@ -29,20 +30,34 @@ from .language import (
     _letter_codes,
     _tower_counts,
     is_everywhere_growing,
+    parse_directive,
     sample_level_language,
 )
 from .limits import check_budget
 from .report import FORMATS, build_report, rational_str, render_report
-from .scan import window_imbalance_curve
 from .substitution import Substitution
-from .tms import (
-    classify,
-    level_scan_texts,
-    parse_directive,
-    witness_growth_curve,
-    witness_pair,
-)
 from .words import MAX_BLOCK_ALPHABET, render_symbol
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for module.name that imports the module when called.
+
+    An exact analyze calls nothing from tms or scan, so it skips loading
+    (and, without a bytecode cache, compiling) them. Each stand-in is a
+    cli global, looked up at call time, so a caller can wrap it here.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+level_scan_texts = _deferred(".tms", "level_scan_texts")
+witness_pair = _deferred(".tms", "witness_pair")
+witness_growth_curve = _deferred(".tms", "witness_growth_curve")
+window_imbalance_curve = _deferred(".scan", "window_imbalance_curve")
 
 EXIT_SUCCESS = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -334,6 +349,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
+    from .tms import classify
+
     registry = _parse_registry(args.register)
     d = parse_directive(args.directive, registry)
     c = classify(d)

@@ -14,13 +14,12 @@ import functools
 import itertools
 import operator
 import sys
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .limits import ResourceLimitError, check_budget
 from .exactmat import binary_power, mat_mul, reach
 from .substitution import Substitution, SubstitutionError, incidence_counts
-from .words import Alphabet, Symbol, Word, sort_words
+from .words import Alphabet, Symbol, Word, _Record, sort_words
 
 MAX_SAMPLE_CHARS = 60_000_000
 # Levels the default sampling depth may walk down before giving up.
@@ -103,6 +102,41 @@ class DirectiveSequence:
         p = ",".join(s.to_text() for s in self.prefix)
         q = ",".join(s.to_text() for s in self.period) if self.period else ""
         return f"[{p}]|[{q}]"
+
+
+SUB_L = Substitution.from_text("0->0;1->10")
+SUB_M = Substitution.from_text("0->01;1->10")
+SUB_R = Substitution.from_text("0->01;1->1")
+
+
+def builtin_registry() -> Dict[str, Substitution]:
+    return {"L": SUB_L, "M": SUB_M, "R": SUB_R}
+
+
+def parse_directive(
+    text: str, registry: Optional[Dict[str, Substitution]] = None
+) -> DirectiveSequence:
+    """Parse 'PREFIX|PERIOD' over single-letter substitution names.
+
+    The names L, M and R are the builtin binary family (see tms.py), and a
+    registry adds or overrides names. The period part repeats forever; an
+    empty period gives a finite directive, an empty prefix a purely
+    periodic one.
+    """
+    table = dict(builtin_registry())
+    if registry:
+        table.update(registry)
+    if text.count("|") != 1:
+        raise ValueError("directive must contain exactly one '|' separator")
+    prefix_part, period_part = text.split("|")
+    try:
+        prefix = [table[name] for name in prefix_part]
+        period = [table[name] for name in period_part] if period_part else None
+    except KeyError as exc:
+        raise ValueError(f"unknown substitution name: {exc.args[0]!r}") from None
+    return DirectiveSequence(
+        prefix, period, prefix_names=prefix_part, period_names=period_part or None
+    )
 
 
 def _tower_lengths(
@@ -258,16 +292,14 @@ def _clipped_image(word: str, table: Mapping[int, str], clip: int) -> str:
     return word.translate(table)
 
 
-@dataclass(frozen=True)
-class SampleMeta:
+class SampleMeta(NamedTuple):
     depth: int
     window: int
     exact: bool
     saturated: bool
 
 
-@dataclass(frozen=True)
-class LanguageSample:
+class LanguageSample(_Record):
     """Finite factorial truncation of a language: all words up to max_length.
 
     The words are kept as `codes`, strings of one character per letter where
@@ -276,11 +308,16 @@ class LanguageSample:
     the same words as Words, decoded on first use.
     """
 
-    alphabet: Alphabet
-    level: int
-    max_length: int
-    codes: frozenset
-    meta: SampleMeta
+    _fields = ("alphabet", "level", "max_length", "codes", "meta")
+
+    def __init__(
+        self, alphabet: Alphabet, level: int, max_length: int, codes: frozenset, meta: SampleMeta
+    ):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "max_length", max_length)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "meta", meta)
 
     @functools.cached_property
     def words(self) -> frozenset:
@@ -533,8 +570,7 @@ def _exact_fixed_point_sample(
     )
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     growing: bool
     exact: bool
     certificate: dict

@@ -12,8 +12,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .language import _tower_lengths
 from .limits import check_budget
@@ -94,8 +103,7 @@ def _occurrence_indicator(text: str, pattern: str) -> np.ndarray:
     return match
 
 
-@dataclass(frozen=True)
-class ScanWitness:
+class ScanWitness(NamedTuple):
     """Equal-length window pair with extremal counts of one pattern."""
 
     pattern: str

@@ -9,9 +9,8 @@ that coding then substituting agrees with substituting then coding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .words import (
     Alphabet,
@@ -167,8 +166,7 @@ def compose(outer: Substitution, inner: Substitution) -> Substitution:
     )
 
 
-@dataclass(frozen=True)
-class PropernessProfile:
+class PropernessProfile(NamedTuple):
     """Whether all letter images share their first (left) or last (right) letter."""
 
     left_proper: bool
@@ -204,8 +202,7 @@ def incidence_counts(sigma: Substitution) -> List[List[int]]:
     ]
 
 
-@dataclass(frozen=True)
-class BlockSubstitution:
+class BlockSubstitution(NamedTuple):
     """A substitution lifted to sliding-window block letters.
 
     `substitution` maps the restricted block alphabet (the admissible length-n

@@ -6,17 +6,26 @@ its one-sided Sturmian-type companions (0 -> 0 / 1 -> 10 and 0 -> 01 /
 the generated language fails to be balanced for length two exactly when the
 directive tail is eventually all-M, and this module constructs the
 equal-length witness pairs whose length-2 block counts drift apart linearly.
+It also builds the level scan texts of any directive, and the Thue-Morse
+factors and image counts that verify checks.
+
+The three substitutions (SUB_L, SUB_M, SUB_R), builtin_registry and
+parse_directive live in language.py, next to DirectiveSequence, so that
+parsing a directive loads neither this module nor scan.py; they are
+re-exported here.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .language import (
+    SUB_L,
+    SUB_M,
+    SUB_R,
     DirectiveSequence,
     _deepest,
     _letter_codes,
@@ -25,6 +34,8 @@ from .language import (
     _short_factors,
     _tower_lengths,
     _tower_texts,
+    builtin_registry,
+    parse_directive,
 )
 from .limits import ResourceLimitError, check_budget
 from .scan import (
@@ -48,10 +59,6 @@ if TYPE_CHECKING:
 
 BINARY = Alphabet.from_text("01")
 
-SUB_L = Substitution.from_text("0->0;1->10")
-SUB_M = Substitution.from_text("0->01;1->10")
-SUB_R = Substitution.from_text("0->01;1->1")
-
 _M_STEP = {ord("0"): "01", ord("1"): "10"}
 _FLIP = str.maketrans("01", "10")
 _BLOCK_PATTERNS = ("00", "01", "10", "11")
@@ -72,10 +79,6 @@ _FACTOR_MAX_DEPTH = 26
 _MAX_SCAN_LETTERS = 200
 
 
-def builtin_registry() -> Dict[str, Substitution]:
-    return {"L": SUB_L, "M": SUB_M, "R": SUB_R}
-
-
 def builtin(name: str) -> Substitution:
     """The registered substitution for one of the names L, M, R."""
     try:
@@ -90,38 +93,13 @@ def composition(names: str) -> Substitution:
     return functools.reduce(compose, map(builtin, names), Substitution.identity(BINARY))
 
 
-def parse_directive(
-    text: str, registry: Optional[Dict[str, Substitution]] = None
-) -> DirectiveSequence:
-    """Parse 'PREFIX|PERIOD' over single-letter substitution names.
-
-    The period part repeats forever; an empty period gives a finite
-    directive, an empty prefix a purely periodic one.
-    """
-    table = dict(builtin_registry())
-    if registry:
-        table.update(registry)
-    if text.count("|") != 1:
-        raise ValueError("directive must contain exactly one '|' separator")
-    prefix_part, period_part = text.split("|")
-    try:
-        prefix = [table[name] for name in prefix_part]
-        period = [table[name] for name in period_part] if period_part else None
-    except KeyError as exc:
-        raise ValueError(f"unknown substitution name: {exc.args[0]!r}") from None
-    return DirectiveSequence(
-        prefix, period, prefix_names=prefix_part, period_names=period_part or None
-    )
-
-
 def is_lmr_directive(d: DirectiveSequence) -> bool:
     family = (SUB_L, SUB_M, SUB_R)
     pool = list(d.prefix) + list(d.period or ())
     return all(s in family for s in pool)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str
     reason: str
     primitive: bool
@@ -256,29 +234,40 @@ def witness_strings(index: int) -> Tuple[str, str]:
     twice and strips fixed borders: the double image of w equals 0.w_next.0
     at odd steps and 1.w_next.1 at even steps, while the double image of w'
     equals w'_next followed by 01 (odd) or 10 (even). Both words have
-    length (4^index + 2) / 3 and lie in the Thue-Morse language.
+    length (4^index + 2) / 3 and lie in the Thue-Morse language. The
+    length is checked against MAX_WITNESS_CHARS before any step runs.
     """
-    expected_len = _witness_length(index)
-    check_budget("witness pair", expected_len, MAX_WITNESS_CHARS)
-    w, wp = "00", "01"
-    for k in range(1, index):
-        border = "0" if k % 2 == 1 else "1"
-        img = _double_step(w)
-        if not (img.startswith(border) and img.endswith(border)):
-            raise RuntimeError("witness recursion border mismatch")
-        w = img[1:-1]
-        tail = "01" if k % 2 == 1 else "10"
-        imgp = _double_step(wp)
-        if not imgp.endswith(tail):
-            raise RuntimeError("witness recursion tail mismatch")
-        wp = imgp[:-2]
-    if len(w) != expected_len or len(wp) != expected_len:
+    check_budget("witness pair", _witness_length(index), MAX_WITNESS_CHARS)
+    return _witness_step(index)
+
+
+@functools.lru_cache(maxsize=None)
+def _witness_step(index: int) -> Tuple[str, str]:
+    """witness_strings(index), built from the pair at index - 1.
+
+    Memoised, as factor_spans is: the pairs are immutable, and `witness
+    --n k` asks for the pairs at k and at every even index up to it, so
+    each step runs once. The cache holds about 4/3 of the largest pair.
+    """
+    if index == 1:
+        return "00", "01"
+    w, wp = _witness_step(index - 1)
+    k = index - 1
+    border = "0" if k % 2 == 1 else "1"
+    img = _double_step(w)
+    if not (img.startswith(border) and img.endswith(border)):
+        raise RuntimeError("witness recursion border mismatch")
+    tail = "01" if k % 2 == 1 else "10"
+    imgp = _double_step(wp)
+    if not imgp.endswith(tail):
+        raise RuntimeError("witness recursion tail mismatch")
+    w, wp = img[1:-1], imgp[:-2]
+    if len(w) != _witness_length(index) or len(wp) != len(w):
         raise RuntimeError("witness recursion length mismatch")
     return w, wp
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     """Certified equal-length Thue-Morse pair with drifting block counts."""
 
     index: int

@@ -11,9 +11,8 @@ targets: tampering with any of them must turn the suite red.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import report as report_mod
 from .balance import (
@@ -39,6 +38,7 @@ from .language import (
     factorial_closure,
     is_everywhere_growing,
     is_factorial,
+    parse_directive,
     sample_level_language,
 )
 from .scan import window_imbalance_curve, window_spreads
@@ -62,7 +62,6 @@ from .tms import (
     factor_spans,
     imbalance_milestones,
     level_scan_texts,
-    parse_directive,
     shared_image_tail,
     witness_closed_forms,
     witness_pair,
@@ -118,13 +117,12 @@ EXPECTED_PERRON: Dict[str, Tuple[Fraction, Fraction]] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one verification check, with JSON-native details."""
 
     check_id: str
     passed: bool
-    details: Dict[str, Any] = field(default_factory=dict)
+    details: Dict[str, Any]
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -7,10 +7,9 @@ base position, so sliding-window codings stay exact and comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Hashable, Iterable, Iterator, Mapping, Tuple
+from typing import Hashable, Iterable, Iterator, Tuple
 
 from .limits import check_budget
 
@@ -23,28 +22,57 @@ class AlphabetError(ValueError):
     """Symbol set problem: duplicates, unknown symbols, or mixed alphabets."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """Immutable value object. Each field named in _fields is set once, in
+    __init__, through object.__setattr__; equality, hash and repr follow
+    the fields, and objects of two different classes never compare equal."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Record):
     """Ordered finite set of symbols; the order drives all tie-breaking."""
 
-    symbols: Tuple[Symbol, ...]
-    _index: Mapping[Symbol, int] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
-    _hash: int = field(init=False, repr=False, compare=False, hash=False, default=0)
+    _fields = ("symbols",)
 
-    def __post_init__(self) -> None:
-        symbols = tuple(self.symbols)
-        object.__setattr__(self, "symbols", symbols)
+    def __init__(self, symbols: Iterable[Symbol]) -> None:
+        symbols = tuple(symbols)
         index = {s: i for i, s in enumerate(symbols)}
         if len(index) != len(symbols):
             raise AlphabetError(f"duplicate symbols in alphabet: {symbols!r}")
+        object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_hash", hash(symbols))
-
-    def __hash__(self) -> int:
         # Cached: a block alphabet has up to 2^20 symbols, and every hash of
         # a Word over it would otherwise re-hash them all.
+        object.__setattr__(self, "_hash", hash(symbols))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.symbols == other.symbols
+
+    def __hash__(self) -> int:
         return self._hash
 
     @classmethod
@@ -68,21 +96,26 @@ class Alphabet:
         return len(self.symbols)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """Immutable word over a fixed alphabet. The empty word is valid."""
 
-    symbols: Tuple[Symbol, ...]
-    alphabet: Alphabet
+    _fields = ("symbols", "alphabet")
 
-    def __post_init__(self) -> None:
-        symbols = tuple(self.symbols)
-        object.__setattr__(self, "symbols", symbols)
+    def __init__(self, symbols: Iterable[Symbol], alphabet: Alphabet) -> None:
+        symbols = tuple(symbols)
         for s in symbols:
-            if s not in self.alphabet:
-                raise AlphabetError(
-                    f"symbol {s!r} not in alphabet {self.alphabet.symbols!r}"
-                )
+            if s not in alphabet:
+                raise AlphabetError(f"symbol {s!r} not in alphabet {alphabet.symbols!r}")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "alphabet", alphabet)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.symbols, self.alphabet) == (other.symbols, other.alphabet)
+
+    def __hash__(self) -> int:
+        return hash((self.symbols, self.alphabet))
 
     @classmethod
     def from_text(cls, text: str, alphabet: Alphabet) -> "Word":
@@ -96,7 +129,7 @@ class Word:
     @classmethod
     def _from_checked(cls, symbols: Tuple[Symbol, ...], alphabet: Alphabet) -> "Word":
         """Word from a tuple whose symbols are already known to lie in the
-        alphabet (parts of checked words): skips the per-symbol check."""
+        alphabet (parts of checked words): skips __init__ and its check."""
         w = object.__new__(cls)
         object.__setattr__(w, "symbols", symbols)
         object.__setattr__(w, "alphabet", alphabet)

@@ -218,9 +218,9 @@ class TestWordsStayAtTheBoundary:
     def test_balance_and_frequencies_decode_only_witnesses(self, monkeypatch):
         sample = sample_level_language(parse_directive("|M"), 0, 40)
         built = []
-        real = Word.__post_init__
-        monkeypatch.setattr(Word, "__post_init__", lambda w: built.append(w) or real(w))
-        # Words built from checked parts skip __post_init__; count them too.
+        real = Word.__init__
+        monkeypatch.setattr(Word, "__init__", lambda w, *args: built.append(w) or real(w, *args))
+        # Words built from checked parts skip __init__; count them too.
         real_checked = Word._from_checked
         monkeypatch.setattr(
             Word,

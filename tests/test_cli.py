@@ -567,6 +567,36 @@ class TestImportCost:
         assert json.loads(out)["command"] == "analyze"
         assert err.strip() == "0 False"
 
+    def test_exact_analyze_loads_neither_tms_scan_numpy_nor_dataclasses(self):
+        # Every process pays for what it imports (and, without a bytecode
+        # cache, compiles); an exact analyze needs none of these.
+        code = (
+            "import sys\n"
+            "unwanted = ('dataclasses', 'wordbalance.tms', 'wordbalance.scan', 'numpy')\n"
+            "import wordbalance\n"
+            "print(sorted(set(unwanted) & set(sys.modules)), file=sys.stderr)\n"
+            "from wordbalance.cli import main\n"
+            "code = main(['analyze', '--directive', '|M', '--max-length', '40'])\n"
+            "print(code, sorted(set(unwanted) & set(sys.modules)), file=sys.stderr)\n"
+        )
+        out, err = run_fresh_python(code)
+        assert json.loads(out)["results"]["sample"]["exact"] is True
+        assert err.splitlines() == ["[]", "0 []"]
+
+    def test_no_module_loads_dataclasses(self):
+        src = Path(wordbalance.__file__).resolve().parent
+        names = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+        assert "verification" in names and "tms" in names
+        code = (
+            "import importlib, sys\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module('wordbalance.' + name)\n"
+            "print(len([m for m in sys.modules if m.startswith('wordbalance.')]),"
+            " 'dataclasses' in sys.modules)\n"
+        )
+        out, _ = run_fresh_python(code)
+        assert out.split() == [str(len(names)), "False"]
+
     def test_cli_import_does_not_load_verification(self):
         # Only verify needs the suite; every other command skips its imports.
         code = "import sys, wordbalance.cli; print('wordbalance.verification' in sys.modules)"

@@ -586,7 +586,7 @@ class TestGrowthDecision:
             return wrapper
 
         monkeypatch.setattr(Substitution, "__init__", counting(Substitution.__init__))
-        monkeypatch.setattr(Word, "__post_init__", counting(Word.__post_init__))
+        monkeypatch.setattr(Word, "__init__", counting(Word.__init__))
         reports = [is_everywhere_growing(d) for d in directives]
         assert cli._level0_perron(directives[0]) is not None
         half = Fraction(1, 2)

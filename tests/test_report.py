@@ -1,10 +1,15 @@
 """Report assembly, exact number encoding, and the three output formats."""
 
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import wordbalance
+from wordbalance.balance import FrequencyVector
+from wordbalance.language import parse_directive, sample_level_language
 from wordbalance.report import (
     FORMATS,
     SCHEMA_VERSION,
@@ -74,6 +79,49 @@ class TestBuildReport:
             build_report("analyze", {}, {"value": Fraction(1, 2)})
         with pytest.raises(TypeError):
             build_report("analyze", {}, {"value": {1, 2}})
+
+
+def package_records():
+    """One instance of every record class in the package: each NamedTuple
+    with small ints as fields (each a valid report value on its own), and
+    the four immutable value classes."""
+    modules = [
+        importlib.import_module(f"wordbalance.{m.name}")
+        for m in pkgutil.iter_modules(wordbalance.__path__)
+    ]
+    tuples = sorted(
+        {
+            obj
+            for module in modules
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+            and obj.__module__.startswith("wordbalance.")
+        },
+        key=lambda cls: cls.__name__,
+    )
+    sample = sample_level_language(parse_directive("|M"), 0, 4)
+    values = [sample.alphabet, next(iter(sample.words)), sample, FrequencyVector(
+        sample.alphabet, (Fraction(1, 2), Fraction(1, 2)))]
+    return [cls._make(range(len(cls._fields))) for cls in tuples] + values
+
+
+RECORDS = package_records()
+
+
+def test_every_named_tuple_record_is_found():
+    assert sorted(type(r).__name__ for r in RECORDS if isinstance(r, tuple)) == [
+        "BalanceEntry", "BalanceReport", "BlockSubstitution", "CheckResult",
+        "Classification", "GrowthReport", "ImageDecomposition", "LiftedFrequency",
+        "PropernessProfile", "SampleMeta", "ScanWitness", "Witness", "WitnessPair",
+    ]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_records_never_leak_into_a_report(record):
+    # A NamedTuple is a tuple, and a report holds lists, never tuples.
+    for results in ({"value": record}, {"list": [1, record]}, {"nested": {"x": [record]}}):
+        with pytest.raises(TypeError, match="^unsupported report value"):
+            build_report("analyze", {}, results)
 
 
 SAMPLE = {

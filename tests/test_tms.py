@@ -1,6 +1,7 @@
 """The builtin three-substitution family and its certified witness machinery."""
 
 import itertools
+import json
 import operator
 import random
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wordbalance import tms
+from wordbalance import cli, tms
 from wordbalance.exactmat import eigencheck
 from wordbalance.language import ResourceLimitError
 from wordbalance.scan import MAX_TEXT_CHARS, count_overlapping, expand_text
@@ -276,6 +277,22 @@ class TestWitnessStrings:
             witness_strings(0)
         with pytest.raises(ResourceLimitError):
             witness_strings(15)
+
+    def test_witness_command_runs_each_step_once(self, monkeypatch, capsys):
+        # witness --n k asks for the pair at k and, for its growth curve, the
+        # pairs at every even index up to k: k - 1 steps of two double steps.
+        steps = []
+        real = tms._double_step
+        monkeypatch.setattr(tms, "_double_step", lambda s: steps.append(len(s)) or real(s))
+        tms._witness_step.cache_clear()
+        try:
+            assert cli.main(["witness", "--n", "8"]) == 0
+        finally:
+            tms._witness_step.cache_clear()
+        report = json.loads(capsys.readouterr().out)
+        assert [length for length, _ in report["results"]["growth_curve"]] == [6, 86, 1366, 21846]
+        assert len(steps) == 2 * 7
+        assert sorted(steps) == sorted(2 * [(4**k + 2) // 3 for k in range(1, 8)])
 
 
 @pytest.fixture(scope="module")

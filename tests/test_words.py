@@ -1,9 +1,14 @@
 """Words, alphabets, factors, and block codings."""
 
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
+from wordbalance import language
+from wordbalance.balance import FrequencyVector
+from wordbalance.language import parse_directive, sample_level_language
 from wordbalance.limits import ResourceLimitError
 from wordbalance.words import (
     Alphabet,
@@ -176,3 +181,97 @@ class TestSorting:
     def test_sort_by_length_then_lex(self):
         ws = [Word.from_text(t, BIN) for t in ["10", "0", "1", "01", "", "00"]]
         assert [w.render() for w in sort_words(ws)] == ["", "0", "1", "00", "01", "10"]
+
+
+# The immutable value classes: a factory for two equal objects, and the one
+# field read by hand (the rest are checked through _fields).
+RECORDS = {
+    "Alphabet": lambda: Alphabet(("0", "1")),
+    "Word": lambda: Word(("0", "1", "1"), Alphabet.from_text("01")),
+    "FrequencyVector": lambda: FrequencyVector(
+        Alphabet.from_text("01"), (Fraction(1, 3), Fraction(2, 3)), mode="perron"
+    ),
+    "LanguageSample": lambda: sample_level_language(parse_directive("|M"), 0, 6),
+}
+
+
+def twin(x):
+    """x's fields in an instance of a subclass, built without __init__."""
+    y = object.__new__(type("Twin", (type(x),), {}))
+    y.__dict__.update(x.__dict__)
+    return y
+
+
+@pytest.mark.parametrize("make", list(RECORDS.values()), ids=list(RECORDS))
+class TestRecordSemantics:
+    def test_equal_values_give_equal_objects_and_hashes(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_hash_and_repr_follow_the_fields(self, make):
+        x = make()
+        values = tuple(getattr(x, name) for name in x._fields)
+        # The same hashes and reprs as frozen dataclasses with these fields;
+        # an Alphabet hashes as its symbols (cached).
+        assert hash(x) == (hash(x.symbols) if isinstance(x, Alphabet) else hash(values))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(x._fields, values))
+        assert repr(x) == f"{type(x).__name__}({fields})"
+
+    def test_assignment_and_deletion_raise(self, make):
+        x = make()
+        before = dict(vars(x))
+        for name in x._fields + ("unknown",):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert vars(x) == before
+
+    def test_two_classes_never_compare_equal(self, make):
+        x = make()
+        y = twin(x)
+        assert x.__eq__(y) is NotImplemented
+        assert x != y and y != x
+        assert x != tuple(getattr(x, name) for name in x._fields)
+        assert all(x != other() for name, other in RECORDS.items() if name != type(x).__name__)
+
+
+class TestRecordFields:
+    def test_fields_are_the_constructor_arguments(self):
+        assert {name: make()._fields for name, make in RECORDS.items()} == {
+            "Alphabet": ("symbols",),
+            "Word": ("symbols", "alphabet"),
+            "FrequencyVector": ("alphabet", "values", "mode"),
+            "LanguageSample": ("alphabet", "level", "max_length", "codes", "meta"),
+        }
+
+    def test_words_over_two_alphabets_differ(self):
+        w = Word(("0", "1"), Alphabet.from_text("01"))
+        v = Word(("0", "1"), Alphabet.from_text("012"))
+        assert w != v
+        assert hash(w) == hash((w.symbols, w.alphabet)) != hash(w.symbols)
+
+    def test_alphabets_in_another_order_differ(self):
+        assert Alphabet.from_text("01") != Alphabet.from_text("10")
+
+    def test_frequency_vectors_differ_by_mode(self):
+        values = (Fraction(1, 2), Fraction(1, 2))
+        assert FrequencyVector(BIN, values) != FrequencyVector(BIN, values, mode="perron")
+        assert FrequencyVector(BIN, values).mode == "given"
+
+    def test_language_sample_words_are_decoded_once(self, monkeypatch):
+        decoded = []
+        real = language._decode
+        monkeypatch.setattr(language, "_decode", lambda s, a: decoded.append(s) or real(s, a))
+        sample = sample_level_language(parse_directive("|M"), 0, 6)
+        fresh = sample_level_language(parse_directive("|M"), 0, 6)
+        words = sample.words
+        assert sorted(decoded) == sorted(sample.codes)
+        assert sample.words is words and len(decoded) == len(sample.codes)
+        # Decoded words are a cache, not a field.
+        assert "words" not in sample._fields
+        assert sample == fresh and hash(sample) == hash(fresh)
