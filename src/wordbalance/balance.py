@@ -146,9 +146,9 @@ def balance_report(sample: LanguageSample, n_max: int) -> BalanceReport:
 class FrequencyVector(_Record):
     """Exact letter frequencies: nonnegative rationals summing to one."""
 
-    _fields = ("alphabet", "values", "mode")
+    _fields = ("alphabet", "values")
 
-    def __init__(self, alphabet: Alphabet, values: Tuple[Fraction, ...], mode: str = "given"):
+    def __init__(self, alphabet: Alphabet, values: Tuple[Fraction, ...]):
         if len(values) != len(alphabet):
             raise ValueError("one frequency per letter required")
         if any(v < 0 for v in values):
@@ -157,7 +157,6 @@ class FrequencyVector(_Record):
             raise ValueError("frequencies must sum to 1")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mode", mode)
 
     def __getitem__(self, symbol: Symbol) -> Fraction:
         return self.values[self.alphabet.index(symbol)]
@@ -175,7 +174,7 @@ def frequency_vector(sample: LanguageSample) -> FrequencyVector:
     text = "".join(s for s in sample.codes if len(s) == top)
     total = Fraction(len(text))
     values = tuple(Fraction(text.count(chr(i))) / total for i in range(len(sample.alphabet)))
-    return FrequencyVector(sample.alphabet, values, mode="empirical")
+    return FrequencyVector(sample.alphabet, values)
 
 
 def perron_frequency(rows, letters) -> FrequencyVector:
@@ -211,7 +210,7 @@ def perron_frequency(rows, letters) -> FrequencyVector:
     values = tuple(v / total for v in kern)
     if any(v < 0 for v in values):
         raise ValueError("dominant eigenvector is not nonnegative")
-    return FrequencyVector(Alphabet(letters), values, mode="perron")
+    return FrequencyVector(Alphabet(letters), values)
 
 
 def _radius_below(rows, t: int) -> bool:

@@ -204,11 +204,7 @@ def _level0_perron(d: DirectiveSequence) -> Optional[FrequencyVector]:
     total = sum(pushed, Fraction(0))
     if total <= 0:
         return None
-    return FrequencyVector(
-        d.level_alphabet(0),
-        tuple(v / total for v in pushed),
-        mode="perron",
-    )
+    return FrequencyVector(d.level_alphabet(0), tuple(v / total for v in pushed))
 
 
 def _window_grid(max_length: int) -> List[int]:
@@ -433,8 +429,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     rendered = render_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(rendered)
     return code

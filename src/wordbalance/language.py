@@ -75,9 +75,6 @@ class DirectiveSequence:
     def period_length(self) -> int:
         return len(self.period) if self.period else 0
 
-    def is_eventually_periodic(self) -> bool:
-        return self.period is not None
-
     def substitution_at(self, j: int) -> Substitution:
         if j < 0:
             raise IndexError("negative level")

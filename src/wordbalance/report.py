@@ -32,14 +32,6 @@ def rational_str(value: Union[int, Fraction]) -> Union[int, str]:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def parse_rational(value: Union[int, str]) -> Fraction:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not a rational encoding: {value!r}")
-
-
 def build_report(
     command: str, config: Dict[str, Any], results: Dict[str, Any],
     checks: Optional[List[Dict[str, Any]]] = None,

@@ -82,11 +82,6 @@ class Substitution:
     def is_non_erasing(self) -> bool:
         return self.min_image_len() >= 1
 
-    def is_identity(self) -> bool:
-        return self.domain == self.codomain and all(
-            w.symbols == (a,) for a, w in self._images.items()
-        )
-
     def _key(self):
         return (
             self.domain.symbols,

@@ -6,8 +6,13 @@ its one-sided Sturmian-type companions (0 -> 0 / 1 -> 10 and 0 -> 01 /
 the generated language fails to be balanced for length two exactly when the
 directive tail is eventually all-M, and this module constructs the
 equal-length witness pairs whose length-2 block counts drift apart linearly.
-It also builds the level scan texts of any directive, and the Thue-Morse
-factors and image counts that verify checks.
+It also builds the level scan texts of any directive.
+
+Three helpers here serve only verify: thue_morse_text, imbalance_milestones
+and factor_spans. They stay because they are the callers of expand_text and
+window_imbalance_curve that the benchmark tracer hooks in this module's
+namespace. The reference constructions that one verify check each calls
+live in verification.py, next to their checks.
 
 The three substitutions (SUB_L, SUB_M, SUB_R), builtin_registry and
 parse_directive live in language.py, next to DirectiveSequence, so that
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .language import (
@@ -37,22 +41,10 @@ from .language import (
     builtin_registry,
     parse_directive,
 )
-from .limits import ResourceLimitError, check_budget
-from .scan import (
-    MAX_TEXT_CHARS,
-    ScanWitness,
-    _occurrence_indicator,
-    count_overlapping,
-    expand_text,
-    window_imbalance_curve,
-)
-from .substitution import (
-    BlockSubstitution,
-    Substitution,
-    compose,
-    induced_block_substitution,
-)
-from .words import Alphabet, Symbol, Word, n_coding, recast
+from .limits import ResourceLimitError, check_budget, refuse_huge
+from .scan import MAX_TEXT_CHARS, ScanWitness, expand_text, window_imbalance_curve
+from .substitution import Substitution, compose
+from .words import Alphabet, Symbol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,10 +97,6 @@ class Classification(NamedTuple):
     primitive: bool
     tail_all_doubling: bool
 
-    @property
-    def factor_balanced(self) -> bool:
-        return self.verdict == "FactorBalanced"
-
 
 def is_primitive(d: DirectiveSequence) -> bool:
     """True iff the periodic tail is neither all-L nor all-R.
@@ -154,31 +142,6 @@ def classify(d: DirectiveSequence) -> Classification:
         primitive=primitive,
         tail_all_doubling=False,
     )
-
-
-def shared_image_tail(prefix_names: str) -> Word:
-    """Common tail w with sigma(01) = 01.w and sigma(10) = 10.w.
-
-    Here sigma is the composition of the named one-sided substitutions
-    (L or R only) in directive order, rightmost applied first. Such a
-    common tail always exists: both builtins fix the leading block of 01
-    and 10 and append the same suffix, and composition preserves that
-    shape. Raises if the identity fails (it must never fire).
-    """
-    if any(name not in ("L", "R") for name in prefix_names):
-        raise ValueError("shared-tail identity applies to L/R prefixes only")
-    sigma = composition(prefix_names)
-    im01 = sigma.apply(Word.from_text("01", BINARY))
-    im10 = sigma.apply(Word.from_text("10", BINARY))
-    tail01 = im01.sub(2, len(im01))
-    tail10 = im10.sub(2, len(im10))
-    if (
-        im01.sub(0, 2) != Word.from_text("01", BINARY)
-        or im10.sub(0, 2) != Word.from_text("10", BINARY)
-        or tail01 != tail10
-    ):
-        raise RuntimeError("shared-tail identity violated")
-    return tail01
 
 
 def _thue_morse_depth(min_chars: int) -> int:
@@ -235,8 +198,11 @@ def witness_strings(index: int) -> Tuple[str, str]:
     at odd steps and 1.w_next.1 at even steps, while the double image of w'
     equals w'_next followed by 01 (odd) or 10 (even). Both words have
     length (4^index + 2) / 3 and lie in the Thue-Morse language. The
-    length is checked against MAX_WITNESS_CHARS before any step runs.
+    length is checked against MAX_WITNESS_CHARS before any step runs, and
+    a huge one from its bit length, 2 * index - 1 for index >= 2, before
+    4^index is built.
     """
+    refuse_huge("witness pair", 2 * index - 1, MAX_WITNESS_CHARS)
     check_budget("witness pair", _witness_length(index), MAX_WITNESS_CHARS)
     return _witness_step(index)
 
@@ -298,6 +264,10 @@ def witness_pair(index: int, max_chars: int = MAX_WITNESS_CHARS) -> WitnessPair:
     first in the 2^d one, where any earlier start would end inside the
     shorter prefix too.
     """
+    # 24 * (4^index + 2) / 3 + 16 = 2^(2 * index + 3) + 32, so depth is
+    # 2 * index + 4 and 2^depth has one bit more: a huge 2^depth is refused
+    # from that bit length before it or 4^index is built.
+    refuse_huge("certification text", 2 * index + 5, max_chars)
     min_chars = 24 * _witness_length(index) + 16
     depth = _thue_morse_depth(min_chars)
     check_budget("certification text", 1 << depth, max_chars)
@@ -326,39 +296,16 @@ def witness_pair(index: int, max_chars: int = MAX_WITNESS_CHARS) -> WitnessPair:
     )
 
 
-_GROWTH_VEC = (1, 2, 2, 1)  # eigenvalue 2 (dominant)
-_DRIFT_VEC = (1, -1, -1, 1)  # eigenvalue -1 (the unbounded drift direction)
-_NULL_VEC = (1, 0, 0, -1)  # eigenvalue 0
-_ALT_VEC = (1, -1, 1, -1)  # eigenvalue 1
-
+# The integer eigenpairs of the 2-block incidence matrix of M: 2 is the
+# dominant eigenvalue, and -1 the one whose eigenvector the witness pairs'
+# block counts drift along without bound.
 BLOCK_EIGENPAIRS: Tuple[Tuple[int, Tuple[int, int, int, int]], ...] = (
-    (2, _GROWTH_VEC),
-    (-1, _DRIFT_VEC),
-    (0, _NULL_VEC),
-    (1, _ALT_VEC),
+    (2, (1, 2, 2, 1)),
+    (-1, (1, -1, -1, 1)),
+    (0, (1, 0, 0, -1)),
+    (1, (1, -1, 1, -1)),
 )
-
-
-def witness_closed_forms(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Exact block-count vectors of the index-2n witness pair, in closed form.
-
-    Both are rational combinations of the block-incidence eigenvectors for
-    eigenvalues 2, -1, 0 that happen to be integral: the dominant
-    coefficient (4^{2n}-1)/18 and null coefficient -1/2 are shared, while
-    the drift coefficient is 2n/3 for the first word and -n/3 for the
-    second, so the pair's difference is n times the drift eigenvector.
-    """
-    lead = Fraction(4 ** (2 * n) - 1, 18)
-    out = []
-    for drift in (Fraction(2 * n, 3), Fraction(-n, 3)):
-        vec = tuple(
-            lead * a + drift * b - Fraction(1, 2) * c
-            for a, b, c in zip(_GROWTH_VEC, _DRIFT_VEC, _NULL_VEC)
-        )
-        if any(v.denominator != 1 for v in vec):
-            raise RuntimeError("closed form is not integral")
-        out.append(tuple(int(v) for v in vec))
-    return out[0], out[1]
+_DRIFT_VEC = BLOCK_EIGENPAIRS[1][1]
 
 
 def witness_growth_curve(n_max: int = 4) -> List[Tuple[int, int]]:
@@ -383,56 +330,6 @@ def witness_growth_curve(n_max: int = 4) -> List[Tuple[int, int]]:
             raise RuntimeError("witness block-count drift mismatch")
         curve.append((len(w), n))
     return curve
-
-
-def block_substitution() -> BlockSubstitution:
-    """The induced action of the doubling substitution on 2-block codings."""
-    return induced_block_substitution(SUB_M, 2, 2, Word.empty(BINARY))
-
-
-def block_recursion_checks(index_max: int) -> List[dict]:
-    """Verify the block-coding recursions of the witness words.
-
-    For the 2-codings under the squared induced block substitution:
-    squared(code(w_k)) framed by (01)(11) / (10)(00) reproduces code(w_{k+1})
-    shifted by one block, and squared(code(w'_k)) equals code(w'_{k+1}) with
-    a two-letter block appended.
-    """
-    bs = block_substitution()
-    sub = bs.substitution
-    out_alpha = sub.codomain
-
-    def code(s: str) -> Word:
-        w = Word.from_text(s, BINARY)
-        return recast(n_coding(w, 2), sub.domain) if len(w) >= 2 else Word.empty(sub.domain)
-
-    def blocks(*pairs: str) -> Word:
-        return Word(tuple(tuple(p) for p in pairs), out_alpha)
-
-    results = []
-    for k in range(1, index_max + 1):
-        wk, wpk = witness_strings(k)
-        wk1, wpk1 = witness_strings(k + 1)
-        sq = sub.apply(sub.apply(code(wk)))
-        sqp = sub.apply(sub.apply(code(wpk)))
-        if k % 2 == 1:
-            lhs = sq.concat(blocks("01", "11"))
-            rhs = blocks("01").concat(code(wk1))
-            tail = blocks("10")
-        else:
-            lhs = sq.concat(blocks("10", "00"))
-            rhs = blocks("10").concat(code(wk1))
-            tail = blocks("01")
-        lhs_p = sqp.concat(tail)
-        rhs_p = code(wpk1)
-        results.append(
-            {
-                "index": k,
-                "word_recursion": lhs == rhs,
-                "prime_recursion": lhs_p == rhs_p,
-            }
-        )
-    return results
 
 
 def imbalance_milestones(
@@ -581,143 +478,3 @@ def factor_spans(
     starts = np.fromiter(map(text.find, factors), dtype=np.int64, count=len(factors))
     starts.flags.writeable = False
     return factors, starts, text, depth, stable
-
-
-def padded_compositions(depth: int) -> List[Tuple[str, Substitution]]:
-    """Compositions of 1..depth factors drawn from {identity, L, M, R}.
-
-    Identity slots (written I) are allowed, so each arity contributes
-    4^arity named expressions; many expressions share the same underlying
-    substitution. For depth 3 this yields 4 + 16 + 64 = 84 compositions.
-    """
-    reg = dict(builtin_registry())
-    reg["I"] = Substitution.identity(BINARY)
-    out: List[Tuple[str, Substitution]] = []
-    frontier: List[Tuple[str, Substitution]] = [("", Substitution.identity(BINARY))]
-    for _ in range(depth):
-        nxt = []
-        for name, sub in frontier:
-            for letter in "ILMR":
-                nxt.append((name + letter, compose(sub, reg[letter])))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
-def image_pattern_counts(
-    sub: Substitution,
-    text: str,
-    starts: Sequence[int],
-    lengths: Sequence[int],
-    pattern: str = "011",
-) -> "np.ndarray":
-    """|sigma(w)|_{sigma(pattern)} for each factor w = text[p : p + n].
-
-    With P[j] = |sigma(text[:j])|, the image sigma(w) is exactly the
-    substring sigma(text)[P[p] : P[p + n]], so its occurrences of
-    sigma(pattern) are the occurrences in sigma(text) that start in
-    [P[p], P[p + n] - |sigma(pattern)|]. One occurrence prefix sum over
-    sigma(text) therefore answers every factor in O(1); the text is
-    translated once, not once per factor. The domain's symbols must be
-    single latin-1 characters, and sigma(pattern) must be nonempty.
-    """
-    import numpy as np
-
-    table = {ord(a): "".join(sub.image(a).symbols) for a in sub.domain.symbols}
-    image = text.translate(table)
-    target = pattern.translate(table)
-    ind = _occurrence_indicator(image, target)
-    occ = np.zeros(len(ind) + 1, dtype=np.int64)  # occurrences starting before i
-    np.cumsum(ind, dtype=np.int64, out=occ[1:])
-    image_len = np.zeros(256, dtype=np.int64)
-    for a, img in table.items():
-        image_len[a] = len(img)
-    letters = np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
-    offsets = np.concatenate([[0], np.cumsum(image_len[letters])])
-    starts = np.asarray(starts, dtype=np.int64)
-    # Clipping lo to len(ind) only touches images too short to hold target.
-    lo = np.minimum(offsets[starts], len(ind))
-    hi = offsets[starts + np.asarray(lengths, dtype=np.int64)] - len(target) + 1
-    return occ[np.maximum(lo, hi)] - occ[lo]
-
-
-def preservation_violations(
-    comps: Sequence[Tuple[str, Substitution]],
-    factors: Sequence[str],
-    text: str,
-    starts: Sequence[int],
-) -> Tuple[List[dict], int]:
-    """Factors w of text with |sigma(w)|_{sigma(011)} != |w|_{011}.
-
-    Image counts come from image_pattern_counts; the factor's own count
-    comes from count_overlapping, so the two sides share no counting code.
-    Functionally identical compositions are evaluated once and the result
-    reused for each expression naming them. factors[i] must be
-    text[starts[i] : starts[i] + len(factors[i])]. Returns the violations,
-    one {"composition", "word"} entry per pair, and the number of distinct
-    substitutions evaluated.
-    """
-    import numpy as np
-
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.array([len(w) for w in factors], dtype=np.int64)
-    expected = np.array([count_overlapping(w, "011") for w in factors], dtype=np.int64)
-    violations: List[dict] = []
-    cache: Dict[Substitution, List[str]] = {}
-    for name, sub in comps:
-        if sub not in cache:
-            got = image_pattern_counts(sub, text, starts, lengths)
-            cache[sub] = [factors[i] for i in np.flatnonzero(got != expected)]
-        violations.extend({"composition": name, "word": w} for w in cache[sub])
-    return violations, len(cache)
-
-
-def count_preservation_violations(
-    max_word_len: int = 100, composition_depth: int = 3
-) -> dict:
-    """Check |sigma(w)|_{sigma(011)} = |w|_{011} over Thue-Morse factors.
-
-    The block 111 never occurs in the Thue-Morse language, which forces
-    every occurrence of the image of 011 to align with an occurrence of
-    011; this holds for every composition of the builtin family (identity
-    slots included, via padded_compositions). Returns a summary with any
-    violations (expected none); `checked` counts (expression, factor) pairs.
-
-    Every factor w is a substring of the Thue-Morse expansion T whose
-    factors were collected, say w = T[p : p + |w|]. Then sigma(w) is the
-    substring sigma(T)[P[p] : P[p + |w|]] with P[j] = |sigma(T[:j])|, so
-    |sigma(w)|_{sigma(011)} equals the number of occurrences of sigma(011)
-    in sigma(T) starting in [P[p], P[p + |w|] - |sigma(011)|], which a
-    prefix sum over sigma(T) gives directly (image_pattern_counts).
-    """
-    factors, starts, text, depth, stable = factor_spans(max_word_len)
-    comps = padded_compositions(composition_depth)
-    violations, distinct = preservation_violations(comps, factors, text, starts)
-    return {
-        "compositions": len(comps),
-        "distinct_substitutions": distinct,
-        "factors": len(factors),
-        "factor_depth": depth,
-        "factor_set_stable": stable,
-        "checked": len(comps) * len(factors),
-        "violations": violations,
-    }
-
-
-def eleven_count_range(
-    text: str, starts: Sequence[int], lengths: Sequence[int]
-) -> Tuple[int, int]:
-    """Range of |w|_11 - |w|_011 over the factors w = text[p : p + n] of a
-    binary text, for p, n in zip(starts, lengths) (expected within [0, 1]).
-
-    Each count is read from one occurrence prefix sum over the text, as
-    image_pattern_counts reads it under the identity. (0, 0) when there is
-    no factor.
-    """
-    if not len(starts):
-        return 0, 0
-    identity = Substitution.identity(BINARY)
-    d = image_pattern_counts(identity, text, starts, lengths, "11") - image_pattern_counts(
-        identity, text, starts, lengths, "011"
-    )
-    return int(d.min()), int(d.max())

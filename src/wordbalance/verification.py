@@ -5,14 +5,15 @@ frozen expectations or against bounds that hold for arbitrary
 factorial languages (finite samples included), and reports a CheckResult
 with JSON-native details. Randomized checks use a fixed seed, so the whole
 suite is deterministic. The EXPECTED_* constants double as fault-injection
-targets: tampering with any of them must turn the suite red.
+targets: tampering with any of them must turn the suite red. A reference
+construction that only one check uses is defined next to that check.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import report as report_mod
 from .balance import (
@@ -30,21 +31,25 @@ from .balance import (
 )
 from .exactmat import eigencheck, integer_eigenvalues, mat_mul, mat_vec
 from .language import (
+    SUB_M,
     LanguageSample,
     _code_closure,
     _decode,
     _image_table,
     _letter_codes,
+    builtin_registry,
     factorial_closure,
     is_everywhere_growing,
     is_factorial,
     parse_directive,
     sample_level_language,
 )
-from .scan import window_imbalance_curve, window_spreads
+from .scan import _occurrence_indicator, count_overlapping, window_imbalance_curve, window_spreads
 from .substitution import (
+    BlockSubstitution,
     Substitution,
     coding_identity_sides,
+    compose,
     incidence_counts,
     induced_block_substitution,
 )
@@ -52,22 +57,19 @@ from .tms import (
     BINARY,
     BLOCK_EIGENPAIRS,
     block_abelianization,
-    block_recursion_checks,
-    block_substitution,
     builtin,
     classify,
     composition,
-    count_preservation_violations,
-    eleven_count_range,
     factor_spans,
     imbalance_milestones,
     level_scan_texts,
-    shared_image_tail,
-    witness_closed_forms,
     witness_pair,
     witness_strings,
 )
-from .words import Alphabet, Word
+from .words import Alphabet, Word, n_coding
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SEED = 20260816
 
@@ -169,6 +171,11 @@ def _image_closure(source: LanguageSample, sigma: Substitution) -> LanguageSampl
 # ---------------------------------------------------------------------------
 
 
+def block_substitution() -> BlockSubstitution:
+    """The induced action of the doubling substitution on 2-block codings."""
+    return induced_block_substitution(SUB_M, 2, 2, Word.empty(BINARY))
+
+
 def check_block_coding_table() -> CheckResult:
     """The induced 2-block substitution table and its incidence matrix."""
     bs = block_substitution()
@@ -245,6 +252,29 @@ def check_witness_pairs() -> CheckResult:
     return CheckResult("witness-pairs-certified", passed, {"pairs": rows})
 
 
+def witness_closed_forms(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Exact block-count vectors of the index-2n witness pair, in closed form.
+
+    Both are rational combinations of the block-incidence eigenvectors for
+    eigenvalues 2, -1, 0 that happen to be integral: the dominant
+    coefficient (4^{2n}-1)/18 and null coefficient -1/2 are shared, while
+    the drift coefficient is 2n/3 for the first word and -n/3 for the
+    second, so the pair's difference is n times the drift eigenvector.
+    """
+    vectors = dict(BLOCK_EIGENPAIRS)
+    lead = Fraction(4 ** (2 * n) - 1, 18)
+    out = []
+    for drift in (Fraction(2 * n, 3), Fraction(-n, 3)):
+        vec = tuple(
+            lead * a + drift * b - Fraction(1, 2) * c
+            for a, b, c in zip(vectors[2], vectors[-1], vectors[0])
+        )
+        if any(v.denominator != 1 for v in vec):
+            raise RuntimeError("closed form is not integral")
+        out.append(tuple(int(v) for v in vec))
+    return out[0], out[1]
+
+
 def check_witness_closed_forms() -> CheckResult:
     """Closed-form block counts equal direct recounts for n = 1..4."""
     rows = []
@@ -264,6 +294,46 @@ def check_witness_closed_forms() -> CheckResult:
             }
         )
     return CheckResult("witness-closed-forms", passed, {"rows": rows})
+
+
+def block_recursion_checks(index_max: int) -> List[dict]:
+    """Verify the block-coding recursions of the witness words.
+
+    For the 2-codings under the squared induced block substitution:
+    squared(code(w_k)) framed by (01)(11) / (10)(00) reproduces code(w_{k+1})
+    shifted by one block, and squared(code(w'_k)) equals code(w'_{k+1}) with
+    a two-letter block appended.
+    """
+    sub = block_substitution().substitution
+
+    def code(s: str) -> Word:
+        return Word(n_coding(Word.from_text(s, BINARY), 2).symbols, sub.domain)
+
+    def blocks(*pairs: str) -> Word:
+        return Word(tuple(tuple(p) for p in pairs), sub.codomain)
+
+    results = []
+    for k in range(1, index_max + 1):
+        wk, wpk = witness_strings(k)
+        wk1, wpk1 = witness_strings(k + 1)
+        sq = sub.apply(sub.apply(code(wk)))
+        sqp = sub.apply(sub.apply(code(wpk)))
+        if k % 2 == 1:
+            lhs = sq.concat(blocks("01", "11"))
+            rhs = blocks("01").concat(code(wk1))
+            tail = blocks("10")
+        else:
+            lhs = sq.concat(blocks("10", "00"))
+            rhs = blocks("10").concat(code(wk1))
+            tail = blocks("01")
+        results.append(
+            {
+                "index": k,
+                "word_recursion": lhs == rhs,
+                "prime_recursion": sqp.concat(tail) == code(wpk1),
+            }
+        )
+    return results
 
 
 def check_witness_block_recursions() -> CheckResult:
@@ -527,6 +597,135 @@ def check_image_balance_bounds() -> CheckResult:
     return CheckResult("image-balance-bounds", passed, {"cases": rows})
 
 
+def padded_compositions(depth: int) -> List[Tuple[str, Substitution]]:
+    """Compositions of 1..depth factors drawn from {identity, L, M, R}.
+
+    Identity slots (written I) are allowed, so each arity contributes
+    4^arity named expressions; many expressions share the same underlying
+    substitution. For depth 3 this yields 4 + 16 + 64 = 84 compositions.
+    """
+    reg = dict(builtin_registry())
+    reg["I"] = Substitution.identity(BINARY)
+    out: List[Tuple[str, Substitution]] = []
+    frontier: List[Tuple[str, Substitution]] = [("", Substitution.identity(BINARY))]
+    for _ in range(depth):
+        nxt = []
+        for name, sub in frontier:
+            for letter in "ILMR":
+                nxt.append((name + letter, compose(sub, reg[letter])))
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def _span_counts(text: str, pattern: str, lo: "np.ndarray", hi: "np.ndarray") -> "np.ndarray":
+    """Occurrences of pattern in text[lo[i] : hi[i]] for each i, read from
+    one occurrence prefix sum over text (lo <= hi <= len(text))."""
+    import numpy as np
+
+    ind = _occurrence_indicator(text, pattern)
+    occ = np.zeros(len(ind) + 1, dtype=np.int64)  # occurrences starting before i
+    np.cumsum(ind, dtype=np.int64, out=occ[1:])
+    # Clipping lo to len(ind) only touches spans too short to hold pattern.
+    lo = np.minimum(lo, len(ind))
+    return occ[np.maximum(lo, hi - len(pattern) + 1)] - occ[lo]
+
+
+def image_pattern_counts(
+    sub: Substitution,
+    text: str,
+    starts: Sequence[int],
+    lengths: Sequence[int],
+    pattern: str = "011",
+) -> "np.ndarray":
+    """|sigma(w)|_{sigma(pattern)} for each factor w = text[p : p + n].
+
+    With P[j] = |sigma(text[:j])|, the image sigma(w) is exactly the
+    substring sigma(text)[P[p] : P[p + n]], so its occurrences of
+    sigma(pattern) are the occurrences in sigma(text) that start in
+    [P[p], P[p + n] - |sigma(pattern)|]. One occurrence prefix sum over
+    sigma(text) therefore answers every factor in O(1); the text is
+    translated once, not once per factor. The domain's symbols must be
+    single latin-1 characters, and sigma(pattern) must be nonempty.
+    """
+    import numpy as np
+
+    table = {ord(a): "".join(sub.image(a).symbols) for a in sub.domain.symbols}
+    image_len = np.zeros(256, dtype=np.int64)
+    for a, img in table.items():
+        image_len[a] = len(img)
+    letters = np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+    offsets = np.concatenate([[0], np.cumsum(image_len[letters])])
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = starts + np.asarray(lengths, dtype=np.int64)
+    return _span_counts(
+        text.translate(table), pattern.translate(table), offsets[starts], offsets[ends]
+    )
+
+
+def preservation_violations(
+    comps: Sequence[Tuple[str, Substitution]],
+    factors: Sequence[str],
+    text: str,
+    starts: Sequence[int],
+) -> Tuple[List[dict], int]:
+    """Factors w of text with |sigma(w)|_{sigma(011)} != |w|_{011}.
+
+    Image counts come from image_pattern_counts; the factor's own count
+    comes from count_overlapping, so the two sides share no counting code.
+    Functionally identical compositions are evaluated once and the result
+    reused for each expression naming them. factors[i] must be
+    text[starts[i] : starts[i] + len(factors[i])]. Returns the violations,
+    one {"composition", "word"} entry per pair, and the number of distinct
+    substitutions evaluated.
+    """
+    import numpy as np
+
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.array([len(w) for w in factors], dtype=np.int64)
+    expected = np.array([count_overlapping(w, "011") for w in factors], dtype=np.int64)
+    violations: List[dict] = []
+    cache: Dict[Substitution, List[str]] = {}
+    for name, sub in comps:
+        if sub not in cache:
+            got = image_pattern_counts(sub, text, starts, lengths)
+            cache[sub] = [factors[i] for i in np.flatnonzero(got != expected)]
+        violations.extend({"composition": name, "word": w} for w in cache[sub])
+    return violations, len(cache)
+
+
+def count_preservation_violations(
+    max_word_len: int = 100, composition_depth: int = 3
+) -> dict:
+    """Check |sigma(w)|_{sigma(011)} = |w|_{011} over Thue-Morse factors.
+
+    The block 111 never occurs in the Thue-Morse language, which forces
+    every occurrence of the image of 011 to align with an occurrence of
+    011; this holds for every composition of the builtin family (identity
+    slots included, via padded_compositions). Returns a summary with any
+    violations (expected none); `checked` counts (expression, factor) pairs.
+
+    Every factor w is a substring of the Thue-Morse expansion T whose
+    factors were collected, say w = T[p : p + |w|]. Then sigma(w) is the
+    substring sigma(T)[P[p] : P[p + |w|]] with P[j] = |sigma(T[:j])|, so
+    |sigma(w)|_{sigma(011)} equals the number of occurrences of sigma(011)
+    in sigma(T) starting in [P[p], P[p + |w|] - |sigma(011)|], which a
+    prefix sum over sigma(T) gives directly (image_pattern_counts).
+    """
+    factors, starts, text, depth, stable = factor_spans(max_word_len)
+    comps = padded_compositions(composition_depth)
+    violations, distinct = preservation_violations(comps, factors, text, starts)
+    return {
+        "compositions": len(comps),
+        "distinct_substitutions": distinct,
+        "factors": len(factors),
+        "factor_depth": depth,
+        "factor_set_stable": stable,
+        "checked": len(comps) * len(factors),
+        "violations": violations,
+    }
+
+
 def check_occurrence_preservation() -> CheckResult:
     """Zero violations of the image-count identity over 84 compositions."""
     summary = count_preservation_violations(max_word_len=100, composition_depth=3)
@@ -538,6 +737,25 @@ def check_occurrence_preservation() -> CheckResult:
     details = dict(summary)
     details["violations"] = len(summary["violations"])
     return CheckResult("occurrence-preservation", passed, details)
+
+
+def eleven_count_range(
+    text: str, starts: Sequence[int], lengths: Sequence[int]
+) -> Tuple[int, int]:
+    """Range of |w|_11 - |w|_011 over the factors w = text[p : p + n] of a
+    binary text, for p, n in zip(starts, lengths) (expected within [0, 1]).
+
+    Each count is read from one occurrence prefix sum over the text. (0, 0)
+    when there is no factor.
+    """
+    import numpy as np
+
+    if not len(starts):
+        return 0, 0
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = starts + np.asarray(lengths, dtype=np.int64)
+    d = _span_counts(text, "11", starts, ends) - _span_counts(text, "011", starts, ends)
+    return int(d.min()), int(d.max())
 
 
 def check_eleven_count_window() -> CheckResult:
@@ -627,6 +845,31 @@ def check_frequency_lift() -> CheckResult:
             "perron_frequency": [_frac_str(v) for v in f_perron.values],
         },
     )
+
+
+def shared_image_tail(prefix_names: str) -> Word:
+    """Common tail w with sigma(01) = 01.w and sigma(10) = 10.w.
+
+    Here sigma is the composition of the named one-sided substitutions
+    (L or R only) in directive order, rightmost applied first. Such a
+    common tail always exists: both builtins fix the leading block of 01
+    and 10 and append the same suffix, and composition preserves that
+    shape. Raises if the identity fails (it must never fire).
+    """
+    if any(name not in ("L", "R") for name in prefix_names):
+        raise ValueError("shared-tail identity applies to L/R prefixes only")
+    sigma = composition(prefix_names)
+    im01 = sigma.apply(Word.from_text("01", BINARY))
+    im10 = sigma.apply(Word.from_text("10", BINARY))
+    tail01 = im01.sub(2, len(im01))
+    tail10 = im10.sub(2, len(im10))
+    if (
+        im01.sub(0, 2) != Word.from_text("01", BINARY)
+        or im10.sub(0, 2) != Word.from_text("10", BINARY)
+        or tail01 != tail10
+    ):
+        raise RuntimeError("shared-tail identity violated")
+    return tail01
 
 
 def check_shared_prefix_tail() -> CheckResult:

@@ -157,9 +157,6 @@ class Word(_Record):
             raise AlphabetError("cannot concatenate words over different alphabets")
         return Word._from_checked(self.symbols + other.symbols, self.alphabet)
 
-    def reverse(self) -> "Word":
-        return Word._from_checked(self.symbols[::-1], self.alphabet)
-
     def render(self) -> str:
         return "".join(render_symbol(s) for s in self.symbols)
 
@@ -206,11 +203,6 @@ def n_coding(w: Word, n: int) -> Word:
     blocks = block_alphabet(w.alphabet, n)
     ws = w.symbols
     return Word._from_checked(tuple(ws[i : i + n] for i in range(len(ws) - n + 1)), blocks)
-
-
-def recast(w: Word, alphabet: Alphabet) -> Word:
-    """Same symbol sequence as a word over another alphabet containing them."""
-    return Word(w.symbols, alphabet)
 
 
 def sort_words(words: Iterable[Word]) -> list:

@@ -40,15 +40,14 @@ from wordbalance.substitution import (
 from wordbalance.tms import (
     builtin,
     classify,
-    count_preservation_violations,
     imbalance_milestones,
     level_scan_texts,
     parse_directive,
     thue_morse_text,
-    witness_closed_forms,
     witness_pair,
     witness_strings,
 )
+from wordbalance.verification import count_preservation_violations, witness_closed_forms
 from wordbalance.words import Alphabet, Word, block_alphabet
 
 BIN = Alphabet.from_text("01")
@@ -433,7 +432,7 @@ def test_criterion_12_classifier_exactness(capsys):
             doubling_only = set(period) == {"M"}
             for prefix in ("", "LR"):
                 verdict = classify(parse_directive(f"{prefix}|{period}"))
-                assert verdict.factor_balanced is (not doubling_only)
+                assert (verdict.verdict == "FactorBalanced") is (not doubling_only)
 
         patterns = list(BLOCKS2)
         for period in periods:

@@ -293,7 +293,6 @@ class TestFrequency:
     def test_empirical_thue_morse(self, tm_sample):
         f = frequency_vector(tm_sample)
         assert f.values == (Fraction(1, 2), Fraction(1, 2))
-        assert f.mode == "empirical"
         f = perron_frequency(incidence_counts(M), BIN.symbols)
         assert f.values == (Fraction(1, 2), Fraction(1, 2))
 

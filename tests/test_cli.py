@@ -274,6 +274,21 @@ class TestWitness:
         assert err.startswith("error: certification text needs ")
         assert err.endswith(" characters, limit 45000000\n")
 
+    @pytest.mark.parametrize(
+        "n,size",
+        [
+            (11, "67108864"),
+            (29, str(2**62)),
+            (30, "more than 2^64"),
+            (1000, "more than 2^2004"),
+            (30_000_000, "more than 2^60000004"),
+        ],
+    )
+    def test_refusal_line_is_pinned(self, capsys, n, size):
+        code, out, err = run(capsys, "witness", "--n", str(n))
+        assert (code, out) == (EXIT_RESOURCE_LIMIT, "")
+        assert err == f"error: certification text needs {size} characters, limit 45000000\n"
+
 
 class TestSizeGuards:
     def test_text_codec_guard_exits_3(self, capsys):
@@ -534,6 +549,13 @@ class TestUsage:
         code, out, _ = run(capsys, "--help")
         assert code == EXIT_SUCCESS
         assert "analyze" in out
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "classify", "--directive", "|M", "--out", path)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def run_fresh_python(code):

@@ -33,13 +33,13 @@ class TestDirectiveSequence:
     def test_prefix_and_period_structure(self):
         d = parse_directive("LM|R")
         assert d.prefix_length == 2 and d.period_length == 1
-        assert d.is_eventually_periodic()
+        assert d.period is not None
         assert d.max_defined_level() is None
         assert d.describe() == "LM|R"
 
     def test_finite_directive(self):
         d = parse_directive("LM|")
-        assert not d.is_eventually_periodic()
+        assert d.period is None
         assert d.max_defined_level() == 2
         with pytest.raises(SubstitutionError):
             d.substitution_at(2)
@@ -728,7 +728,7 @@ def tower_perron(d):
     total = sum(pushed)
     if total <= 0:
         return None
-    return FrequencyVector(d.level_alphabet(0), tuple(v / total for v in pushed), mode="perron")
+    return FrequencyVector(d.level_alphabet(0), tuple(v / total for v in pushed))
 
 
 class TestIncidenceProductsAgainstComposedTowers:

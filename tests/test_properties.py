@@ -11,7 +11,6 @@ from wordbalance.language import factorial_closure
 from wordbalance.report import (
     from_csv,
     from_json,
-    parse_rational,
     rational_str,
     to_csv,
     to_json,
@@ -23,7 +22,7 @@ from wordbalance.substitution import (
     compose,
     incidence_counts,
 )
-from wordbalance.tms import block_substitution
+from wordbalance.verification import block_substitution
 from wordbalance.words import (
     Alphabet,
     Word,
@@ -166,7 +165,7 @@ class TestReportProperties:
 
     @given(st.fractions(max_denominator=10**6))
     def test_rational_round_trip(self, f):
-        assert parse_rational(rational_str(f)) == f
+        assert Fraction(rational_str(f)) == f
 
 
 class TestBalanceProperties:

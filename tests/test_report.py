@@ -16,7 +16,6 @@ from wordbalance.report import (
     build_report,
     from_csv,
     from_json,
-    parse_rational,
     rational_str,
     render_report,
     to_csv,
@@ -38,20 +37,10 @@ class TestRationalEncoding:
     def test_booleans_rejected(self):
         with pytest.raises(TypeError):
             rational_str(True)
-        with pytest.raises(TypeError):
-            parse_rational(False)
-
-    def test_parse(self):
-        assert parse_rational(7) == Fraction(7)
-        assert parse_rational("1/2") == Fraction(1, 2)
-        assert parse_rational("-5/4") == Fraction(-5, 4)
-        assert parse_rational("3") == Fraction(3)
-        with pytest.raises(TypeError):
-            parse_rational(0.5)
 
     def test_round_trip(self):
         for f in (Fraction(0), Fraction(22, 7), Fraction(-9, 8), Fraction(4)):
-            assert parse_rational(rational_str(f)) == f
+            assert Fraction(rational_str(f)) == f
 
 
 class TestBuildReport:

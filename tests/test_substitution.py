@@ -93,8 +93,10 @@ class TestApplication:
 
     def test_identity(self):
         ident = Substitution.identity(BIN)
-        assert ident.is_identity()
-        assert not M.is_identity()
+        assert all(ident.image(a).symbols == (a,) for a in BIN) and ident.domain == ident.codomain
+        assert ident != M
+        w = Word.from_text("0110", BIN)
+        assert ident.apply(w) == w != M.apply(w)
 
     def test_norms(self):
         assert L.norm() == 2 and L.min_image_len() == 1
@@ -272,6 +274,10 @@ class TestCodingIdentity:
             coding_identity_sides(bs, Word.empty(BIN))
 
 
+def reverse(w: Word) -> Word:
+    return Word(w.symbols[::-1], w.alphabet)
+
+
 def reference_block_lifting(sigma, n, m, anchor, side="prefix", domain_blocks=None):
     """The Word-based block lifting, kept as an oracle: every block, context
     and image is a checked Word. Returns (window bound, domain blocks,
@@ -315,13 +321,13 @@ def reference_block_lifting(sigma, n, m, anchor, side="prefix", domain_blocks=No
             )
     if side == "suffix":
         sigma = Substitution(
-            sigma.domain, sigma.codomain, {a: w.reverse() for a, w in sigma.images.items()}
+            sigma.domain, sigma.codomain, {a: reverse(w) for a, w in sigma.images.items()}
         )
-        anchor = anchor.reverse()
+        anchor = reverse(anchor)
     out_alpha = block_alphabet(sigma.codomain, m)
     images = {}
     for b in blocks:
-        read = b.reverse() if side == "suffix" else b
+        read = reverse(b) if side == "suffix" else b
         head = sigma.image(read[0])
         tail = sigma.apply(read.sub(1, n)).concat(anchor)
         stretched = head.concat(prefix(tail, m - 1))

@@ -19,30 +19,32 @@ from wordbalance.tms import (
     BLOCK_EIGENPAIRS,
     SUB_M,
     block_abelianization,
-    block_recursion_checks,
-    block_substitution,
     builtin,
     builtin_registry,
     classify,
-    count_preservation_violations,
-    eleven_count_range,
     factor_spans,
-    image_pattern_counts,
     imbalance_milestones,
     is_lmr_directive,
     is_primitive,
     level_scan_texts,
-    padded_compositions,
     parse_directive,
-    preservation_violations,
-    shared_image_tail,
     thue_morse_text,
-    witness_closed_forms,
     witness_growth_curve,
     witness_pair,
     witness_strings,
 )
-from wordbalance.verification import run_checks
+from wordbalance.verification import (
+    block_recursion_checks,
+    block_substitution,
+    count_preservation_violations,
+    eleven_count_range,
+    image_pattern_counts,
+    padded_compositions,
+    preservation_violations,
+    run_checks,
+    shared_image_tail,
+    witness_closed_forms,
+)
 from wordbalance.words import Word
 
 TM32 = "01101001100101101001011001101001"
@@ -134,10 +136,10 @@ class TestClassification:
 
     def test_fields(self):
         c = classify(parse_directive("R|M"))
-        assert c.tail_all_doubling and c.primitive and not c.factor_balanced
+        assert c.tail_all_doubling and c.primitive and c.verdict == "NotFactorBalanced"
         assert "doubling" in c.reason
         c2 = classify(parse_directive("|L"))
-        assert not c2.tail_all_doubling and not c2.primitive and c2.factor_balanced
+        assert not c2.tail_all_doubling and not c2.primitive and c2.verdict == "FactorBalanced"
 
     def test_primitivity(self):
         assert is_primitive(parse_directive("|M"))
@@ -374,6 +376,26 @@ class TestWitnessPair:
             witness_pair(11)
         with pytest.raises(ValueError):
             witness_pair(0)
+
+    @pytest.mark.parametrize(
+        "fn,message",
+        [
+            (witness_pair, "certification text needs more than 2^60000004 characters"),
+            (witness_strings, "witness pair needs more than 2^59999998 characters"),
+        ],
+        ids=["witness_pair", "witness_strings"],
+    )
+    def test_a_huge_index_is_refused_before_its_powers_are_built(self, fn, message):
+        # 4^k alone would take 7.5 MB at k = 30,000,000.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as exc:
+                fn(30_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"{message}, limit 45000000"
+        assert peak < 2**20
 
 
 class TestBlockStructure:
@@ -613,7 +635,8 @@ class TestCompositions:
             "LL", "LM", "LR", "ML", "MM", "MR", "RL", "RM", "RR",
         }
         by_name = dict(comps)
-        assert by_name["I"].is_identity() and by_name["II"].is_identity()
+        identity = Substitution.identity(builtin("L").domain)
+        assert by_name["I"] == identity and by_name["II"] == identity
         zero = Word.from_text("0", builtin("L").domain)
         assert by_name["LM"].apply(zero).render() == "010"  # L after M
         assert by_name["ML"].apply(zero).render() == "01"

@@ -17,7 +17,6 @@ from wordbalance.words import (
     block_alphabet,
     n_coding,
     prefix,
-    recast,
     render_symbol,
     sort_words,
     suffix,
@@ -97,12 +96,10 @@ class TestWord:
         with pytest.raises(AlphabetError):
             Word.from_text("012", BIN)
 
-    def test_sub_concat_reverse(self):
+    def test_sub_concat(self):
         w = Word.from_text("0110", BIN)
         assert w.sub(1, 3).render() == "11"
         assert w.concat(Word.from_text("01", BIN)).render() == "011001"
-        assert w.reverse().render() == "0110"
-        assert Word.from_text("001", BIN).reverse().render() == "100"
 
     def test_concat_requires_same_alphabet(self):
         other = Alphabet.from_text("ab")
@@ -162,13 +159,6 @@ class TestBlockCoding:
             coded = n_coding(w, n)
             assert brute_count(coded.symbols, (tuple(pat),)) == brute_count(text, pat)
 
-    def test_recast(self):
-        bigger = Alphabet.from_text("012")
-        w = recast(Word.from_text("01", BIN), bigger)
-        assert w.alphabet == bigger
-        with pytest.raises(AlphabetError):
-            recast(Word.from_text("2", Alphabet.from_text("2")), BIN)
-
 
 class TestRendering:
     def test_tuple_symbols_render_with_parentheses(self):
@@ -189,7 +179,7 @@ RECORDS = {
     "Alphabet": lambda: Alphabet(("0", "1")),
     "Word": lambda: Word(("0", "1", "1"), Alphabet.from_text("01")),
     "FrequencyVector": lambda: FrequencyVector(
-        Alphabet.from_text("01"), (Fraction(1, 3), Fraction(2, 3)), mode="perron"
+        Alphabet.from_text("01"), (Fraction(1, 3), Fraction(2, 3))
     ),
     "LanguageSample": lambda: sample_level_language(parse_directive("|M"), 0, 6),
 }
@@ -245,7 +235,7 @@ class TestRecordFields:
         assert {name: make()._fields for name, make in RECORDS.items()} == {
             "Alphabet": ("symbols",),
             "Word": ("symbols", "alphabet"),
-            "FrequencyVector": ("alphabet", "values", "mode"),
+            "FrequencyVector": ("alphabet", "values"),
             "LanguageSample": ("alphabet", "level", "max_length", "codes", "meta"),
         }
 
@@ -257,11 +247,6 @@ class TestRecordFields:
 
     def test_alphabets_in_another_order_differ(self):
         assert Alphabet.from_text("01") != Alphabet.from_text("10")
-
-    def test_frequency_vectors_differ_by_mode(self):
-        values = (Fraction(1, 2), Fraction(1, 2))
-        assert FrequencyVector(BIN, values) != FrequencyVector(BIN, values, mode="perron")
-        assert FrequencyVector(BIN, values).mode == "given"
 
     def test_language_sample_words_are_decoded_once(self, monkeypatch):
         decoded = []
