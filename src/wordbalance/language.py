@@ -478,10 +478,16 @@ def sample_level_language(
     window_chars = sum(sum(lengths.values()) for lengths in charged)
     check_budget("sample window", window_chars, MAX_SAMPLE_CHARS)
     levels = itertools.islice(_tower_texts(subs, _letter_codes(alphabet)), depth - k, None)
-    factor_sets = [_short_factors(texts.values(), max_length) for texts in levels]
-
-    core = set.intersection(*factor_sets[: window + 1])
-    shifted = set.intersection(*factor_sets[step : step + window + 1])
+    # Intersected as the levels arrive, so that only the current level's
+    # factor set, the core (levels 0..window of the window) and the shifted
+    # one (levels step..step + window) are alive.
+    core = shifted = None
+    for i, texts in enumerate(levels):
+        found = _short_factors(texts.values(), max_length)
+        if i <= window:
+            core = found if core is None else core & found
+        if i >= step:
+            shifted = found if shifted is None else shifted & found
     return LanguageSample(
         alphabet=alphabet,
         level=k,

@@ -10,6 +10,7 @@ all occur in the text).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from typing import (
@@ -19,7 +20,6 @@ from typing import (
     Iterator,
     List,
     NamedTuple,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -92,14 +92,26 @@ def _occurrence_indicator(text: str, pattern: str) -> np.ndarray:
     """indicator[i] is True iff text[i:i+len(pattern)] == pattern."""
     import numpy as np
 
+    n = max(len(text) - len(pattern) + 1, 0)
+    if not pattern:
+        return np.zeros(n, dtype=bool)
+    return _match_into(text, pattern, np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+
+
+def _match_into(text: str, pattern: str, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The occurrence indicator of a nonempty pattern, written into out's
+    first len(text) - len(pattern) + 1 entries (scratch is as long and is
+    overwritten); returns that view of out."""
+    import numpy as np
+
     data = np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
-    pat = np.frombuffer(pattern.encode("latin-1"), dtype=np.uint8)
-    m, t = len(pat), len(data)
-    if m == 0 or t < m:
-        return np.zeros(max(t - m + 1, 0), dtype=bool)
-    match = data[: t - m + 1] == pat[0]
-    for j in range(1, m):
-        match &= data[j : t - m + 1 + j] == pat[j]
+    codes = pattern.encode("latin-1")
+    n = max(len(data) - len(codes) + 1, 0)
+    match, other = out[:n], scratch[:n]
+    np.equal(data[:n], codes[0], out=match)
+    for j in range(1, len(codes)):
+        np.equal(data[j : j + n], codes[j], out=other)
+        match &= other
     return match
 
 
@@ -147,12 +159,18 @@ def window_imbalance_curve(
     """Largest count spread of any pattern, per window length, over all texts,
     with a witness window pair.
 
-    Runs pattern by pattern: one pattern's occurrence prefix sums (one per
-    text) are built, serve every window length, and are dropped before the
-    next pattern's. A text without the pattern gets none: its counts are
-    all zero. Lengths no text can fit are omitted from the result.
-    Deterministic: texts and patterns are scanned in the given order, first
-    achiever wins. The complement-letter skip of `_scanned_patterns` applies.
+    Runs pattern by pattern, and inside a pattern text by text: a text's
+    occurrence prefix sum is built, serves every window length the text
+    fits, and is overwritten by the next text's. A text without the pattern
+    gets none: its counts are all zero. Lengths no text can fit are omitted
+    from the result. Deterministic: texts and patterns are scanned in the
+    given order, first achiever wins. The complement-letter skip of
+    `_scanned_patterns` applies.
+
+    Besides the texts and one latin-1 copy of the text being scanned, it
+    holds one prefix sum and one count buffer at the longest text's size,
+    each 2 bytes per character when every window length is below 2^16 and
+    4 bytes below 2^32.
 
     Each window length costs one pass over every text, so this kernel is for
     witnesses, or for a sparse length grid on long texts; `window_spreads`
@@ -167,7 +185,12 @@ def window_imbalance_curve(
     # (or half) of the memory traffic of int64.
     top = lens[-1] if lens else 0
     dtype = np.uint16 if top < 2**16 else np.uint32 if top < 2**32 else np.uint64
-    buf = np.empty(max(map(len, texts), default=0), dtype=dtype)
+    longest = max(map(len, texts), default=0)
+    # One prefix sum and one count buffer serve every (pattern, text). The
+    # occurrence indicator is built in the count buffer's bytes, with its
+    # scratch in the prefix sum's, before the prefix sum is taken from it.
+    prefix = np.empty(longest + 1, dtype=dtype)
+    buf = np.empty(longest, dtype=dtype)
     best: Dict[int, ScanWitness] = {}
     for pattern in _scanned_patterns(texts, patterns):
         m = len(pattern)
@@ -177,22 +200,24 @@ def window_imbalance_curve(
         # length some text fits has one).
         if best and not any(present):
             continue
-        prefixes = []
-        for text, here in zip(texts, present):
-            prefix = None
-            if here:
-                ind = _occurrence_indicator(text, pattern)
-                prefix = np.zeros(len(ind) + 1, dtype=dtype)
-                np.cumsum(ind, dtype=dtype, out=prefix[1:])
-            prefixes.append(prefix)
-        for window_len in lens:
-            hi: Optional[Tuple[int, int, int]] = None
-            lo: Optional[Tuple[int, int, int]] = None
-            for ti, (text, prefix) in enumerate(zip(texts, prefixes)):
-                t = len(text)
-                if t < window_len:
-                    continue
-                if prefix is None or window_len < m:
+        # The extremes per length over the texts so far, as (count, text,
+        # start). Texts arrive in order and only a strict improvement
+        # replaces one, so the first text achieving it wins.
+        hi: Dict[int, Tuple[int, int, int]] = {}
+        lo: Dict[int, Tuple[int, int, int]] = {}
+        for ti, text in enumerate(texts):
+            t = len(text)
+            counted = m > 0 and present[ti]
+            if counted:
+                ind = _match_into(text, pattern, buf.view(bool), prefix.view(bool))
+                prefix[0] = 0
+                # Summed in place: a cumsum that casts from bool would
+                # first copy the whole indicator to dtype.
+                cum = prefix[1 : len(ind) + 1]
+                cum[:] = ind
+                np.cumsum(cum, out=cum)
+            for window_len in lens[: bisect.bisect_right(lens, t)]:
+                if not counted or window_len < m:
                     mx = mn = am = an = 0
                 else:
                     span = window_len - m + 1
@@ -204,22 +229,21 @@ def window_imbalance_curve(
                     # extremes through them keeps the smallest-start rule.
                     am, an = int(counts.argmax()), int(counts.argmin())
                     mx, mn = int(counts[am]), int(counts[an])
-                if hi is None or mx > hi[0]:
-                    hi = (mx, ti, am)
-                if lo is None or mn < lo[0]:
-                    lo = (mn, ti, an)
-            if hi is None or lo is None:
-                continue
-            spread = hi[0] - lo[0]
+                if window_len not in hi or mx > hi[window_len][0]:
+                    hi[window_len] = (mx, ti, am)
+                if window_len not in lo or mn < lo[window_len][0]:
+                    lo[window_len] = (mn, ti, an)
+        for window_len, (mx, th, ah) in hi.items():
+            mn, tl, al = lo[window_len]
             # Patterns arrive in order, so a strict improvement keeps the
             # first pattern achieving the largest spread.
-            if window_len not in best or spread > best[window_len].imbalance:
+            if window_len not in best or mx - mn > best[window_len].imbalance:
                 best[window_len] = ScanWitness(
                     pattern=pattern,
                     window_len=window_len,
-                    imbalance=spread,
-                    high_window=texts[hi[1]][hi[2] : hi[2] + window_len],
-                    low_window=texts[lo[1]][lo[2] : lo[2] + window_len],
+                    imbalance=mx - mn,
+                    high_window=texts[th][ah : ah + window_len],
+                    low_window=texts[tl][al : al + window_len],
                 )
     return {m: best[m] for m in lens if m in best}
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .language import (
@@ -35,7 +36,6 @@ from .language import (
     _letter_codes,
     _periodic_tower_lengths,
     _periodic_tower_texts,
-    _short_factors,
     _tower_lengths,
     _tower_texts,
     builtin_registry,
@@ -340,8 +340,12 @@ def imbalance_milestones(
     For each index i, scans all windows of length (4^{2i}+2)/3 of a deep
     doubling expansion; every reported window pair consists of genuine
     Thue-Morse factors, so the spread is a true imbalance lower bound, and
-    it is at least i by the witness construction.
+    it is at least i by the witness construction. A huge text is refused
+    from its bit length before any window length is built.
     """
+    # 24 * (4^(2i) + 2) / 3 + 16 = 2^(4i + 3) + 32, so the text has 2^(4i + 4)
+    # characters, a size of 4i + 5 bits.
+    refuse_huge("Thue-Morse text", 4 * max(indices) + 5, max_chars)
     lengths = [(4 ** (2 * i) + 2) // 3 for i in indices]
     text = thue_morse_text(min_chars=24 * max(lengths) + 16, max_chars=max_chars)
     curve = window_imbalance_curve([text], _BLOCK_PATTERNS, lengths)
@@ -448,33 +452,60 @@ def _checked_lengths(
 @functools.lru_cache(maxsize=None)
 def factor_spans(
     max_len: int, max_depth: int = _FACTOR_MAX_DEPTH
-) -> Tuple[Tuple[str, ...], "np.ndarray", str, int, bool]:
-    """Distinct Thue-Morse factors up to max_len, with a stability flag.
+) -> Tuple["np.ndarray", "np.ndarray", str, int, bool]:
+    """Distinct Thue-Morse factors up to max_len, as spans of a text, with a
+    stability flag.
 
     Expands the doubling fixed point until the factor set stops changing
     between consecutive depths (expansions are prefixes of each other, so
-    the sets grow monotonically). Returns (factors, starts, text, depth,
-    stable): the factors in sorted order, each one's first start in text
-    (a read-only int64 array), and text, the expansion they were collected
-    from, so that factors[i] == text[starts[i] : starts[i] + len(factors[i])].
+    the sets grow monotonically). Returns (starts, lengths, text, depth,
+    stable): factor i is text[starts[i] : starts[i] + lengths[i]], listed
+    in sorted order of the factors (two read-only int64 arrays), and text
+    is the expansion they were collected from.
+
+    The factors are the prefixes of the distinct windows text[i : i +
+    max_len] (cut short at the end of the text), and no factor is held as
+    a string. In the sorted windows, a window's prefixes longer than its
+    common prefix with the window before it are the factors not listed
+    yet, and they come next in sorted order. Each factor's start is the
+    first start of the first window, in sorted order, that begins with it:
+    an occurrence, not always the first one. Any occurrence serves the
+    counts read from a span.
 
     Memoised: every value returned is immutable, and verify asks twice.
     """
     depth = max(4, (16 * max_len).bit_length())
     text = expand_text(SUB_M, "0", depth)
-    pool = _short_factors([text], max_len)
+    width = max(max_len, 0)
+    windows = _first_windows(text, width)
     stable = False
     while depth < max_depth:
         text += text.translate(_FLIP)
         depth += 1
-        bigger = _short_factors([text], max_len)
-        if bigger == pool:
+        bigger = _first_windows(text, width)
+        # Every factor of a text lies in one of its full windows: a window
+        # cut short at the end is a suffix of the last full one. So the
+        # factor set is unchanged iff the full windows are.
+        if all(w in windows for w in bigger if len(w) == width):
             stable = True
             break
-        pool = bigger
+        windows = bigger
     import numpy as np
 
-    factors = tuple(sorted(pool))
-    starts = np.fromiter(map(text.find, factors), dtype=np.int64, count=len(factors))
-    starts.flags.writeable = False
-    return factors, starts, text, depth, stable
+    ordered = sorted(windows)
+    common = [len(os.path.commonprefix(pair)) for pair in zip([""] + ordered, ordered)]
+    new = np.array([len(w) for w in ordered], dtype=np.int64) - common
+    starts = np.repeat(np.array([windows[w] for w in ordered], dtype=np.int64), new)
+    # Window k lists the lengths common[k] + 1 .. len(w) from its run's first
+    # index, first[k], on.
+    first = np.cumsum(new) - new
+    lengths = np.arange(len(starts), dtype=np.int64)
+    lengths -= np.repeat(first - common - 1, new)
+    starts.flags.writeable = lengths.flags.writeable = False
+    return starts, lengths, text, depth, stable
+
+
+def _first_windows(text: str, n: int) -> Dict[str, int]:
+    """The distinct windows text[i : i + n], each with its first start."""
+    # Later starts are written first, so the first start is the one kept.
+    return {text[i : i + n]: i for i in range(len(text) - 1, -1, -1)}

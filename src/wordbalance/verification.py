@@ -665,31 +665,36 @@ def image_pattern_counts(
 
 def preservation_violations(
     comps: Sequence[Tuple[str, Substitution]],
-    factors: Sequence[str],
     text: str,
     starts: Sequence[int],
+    lengths: Sequence[int],
 ) -> Tuple[List[dict], int]:
-    """Factors w of text with |sigma(w)|_{sigma(011)} != |w|_{011}.
+    """Factors w = text[p : p + n] with |sigma(w)|_{sigma(011)} != |w|_{011},
+    for p, n in zip(starts, lengths).
 
     Image counts come from image_pattern_counts; the factor's own count
-    comes from count_overlapping, so the two sides share no counting code.
-    Functionally identical compositions are evaluated once and the result
-    reused for each expression naming them. factors[i] must be
-    text[starts[i] : starts[i] + len(factors[i])]. Returns the violations,
-    one {"composition", "word"} entry per pair, and the number of distinct
-    substitutions evaluated.
+    comes from count_overlapping on the factor sliced from text, so the two
+    sides share no counting code. Functionally identical compositions are
+    evaluated once and the result reused for each expression naming them.
+    Returns the violations, one {"composition", "word"} entry per pair, and
+    the number of distinct substitutions evaluated.
     """
     import numpy as np
 
     starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.array([len(w) for w in factors], dtype=np.int64)
-    expected = np.array([count_overlapping(w, "011") for w in factors], dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    expected = np.fromiter(
+        (count_overlapping(text[p : p + n], "011") for p, n in zip(starts, lengths)),
+        dtype=np.int64,
+        count=len(starts),
+    )
     violations: List[dict] = []
     cache: Dict[Substitution, List[str]] = {}
     for name, sub in comps:
         if sub not in cache:
             got = image_pattern_counts(sub, text, starts, lengths)
-            cache[sub] = [factors[i] for i in np.flatnonzero(got != expected)]
+            bad = np.flatnonzero(got != expected)
+            cache[sub] = [text[starts[i] : starts[i] + lengths[i]] for i in bad]
         violations.extend({"composition": name, "word": w} for w in cache[sub])
     return violations, len(cache)
 
@@ -712,16 +717,16 @@ def count_preservation_violations(
     in sigma(T) starting in [P[p], P[p + |w|] - |sigma(011)|], which a
     prefix sum over sigma(T) gives directly (image_pattern_counts).
     """
-    factors, starts, text, depth, stable = factor_spans(max_word_len)
+    starts, lengths, text, depth, stable = factor_spans(max_word_len)
     comps = padded_compositions(composition_depth)
-    violations, distinct = preservation_violations(comps, factors, text, starts)
+    violations, distinct = preservation_violations(comps, text, starts, lengths)
     return {
         "compositions": len(comps),
         "distinct_substitutions": distinct,
-        "factors": len(factors),
+        "factors": len(starts),
         "factor_depth": depth,
         "factor_set_stable": stable,
-        "checked": len(comps) * len(factors),
+        "checked": len(comps) * len(starts),
         "violations": violations,
     }
 
@@ -760,13 +765,13 @@ def eleven_count_range(
 
 def check_eleven_count_window() -> CheckResult:
     """0 <= |w|_11 - |w|_011 <= 1 over stabilized factors up to length 100."""
-    factors, starts, text, depth, stable = factor_spans(100)
-    lo, hi = eleven_count_range(text, starts, [len(w) for w in factors])
+    starts, lengths, text, depth, stable = factor_spans(100)
+    lo, hi = eleven_count_range(text, starts, lengths)
     passed = stable and 0 <= lo and hi <= 1
     return CheckResult(
         "eleven-count-window",
         passed,
-        {"factors": len(factors), "depth": depth, "range": [lo, hi]},
+        {"factors": len(starts), "depth": depth, "range": [lo, hi]},
     )
 
 

@@ -427,9 +427,9 @@ class TestSizeGuards:
 
     def test_scan_builds_indicators_only_for_occurring_patterns(self, capsys, monkeypatch):
         calls = []
-        real = scan._occurrence_indicator
+        real = scan._match_into
         monkeypatch.setattr(
-            scan, "_occurrence_indicator", lambda t, p: calls.append(p) or real(t, p)
+            scan, "_match_into", lambda t, p, *bufs: calls.append(p) or real(t, p, *bufs)
         )
         rep = run_json(
             capsys, "analyze", *self._wide_directive(198),

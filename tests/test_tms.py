@@ -63,6 +63,32 @@ def tm_prefix(depth: int) -> str:
     return text
 
 
+def spanned(text: str, starts, lengths) -> list:
+    """The factors text[p : p + n] that factor_spans lists as spans."""
+    return [text[p : p + n] for p, n in zip(starts.tolist(), lengths.tolist())]
+
+
+def reference_factor_spans(max_len: int, max_depth: int = 26):
+    """factor_spans's sorted factors, depth and stability flag, from whole
+    factor sets compared between consecutive depths."""
+
+    def factor_set(text):
+        windows = {text[i : i + max_len] for i in range(len(text))}
+        return {w[:j] for w in windows for j in range(1, len(w) + 1)}
+
+    depth = max(4, (16 * max_len).bit_length())
+    pool = factor_set(tm_prefix(depth))
+    stable = False
+    while depth < max_depth:
+        depth += 1
+        bigger = factor_set(tm_prefix(depth))
+        if bigger == pool:
+            stable = True
+            break
+        pool = bigger
+    return sorted(pool), depth, stable
+
+
 def reference_scan_texts(d, min_chars: int, clip: int, max_depth: int):
     """Depth and texts of level_scan_texts, by full builds, then clipped.
 
@@ -427,6 +453,27 @@ class TestBlockStructure:
 
 
 class TestMilestones:
+    @pytest.mark.parametrize(
+        "index, size",
+        [(7, "4294967296"), (10**5, "more than 2^400004"), (10**6, "more than 2^4000004")],
+    )
+    def test_refusals_name_the_text_size(self, index, size):
+        with pytest.raises(ResourceLimitError) as exc:
+            imbalance_milestones((1, index))
+        assert str(exc.value) == f"Thue-Morse text needs {size} characters, limit 45000000"
+
+    def test_a_huge_index_is_refused_before_its_window_length_is_built(self):
+        # 4^(2i) alone takes 0.5 MB at i = 10^6, and the window length and
+        # text size built from it about 1.8 MB in all.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                imbalance_milestones((10**6,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     def test_first_two(self):
         rows = imbalance_milestones((1, 2))
         assert [(i, sw.window_len, sw.imbalance) for i, sw in rows] == [
@@ -588,7 +635,8 @@ class TestScanHelpers:
         assert bool(powers) == (letters <= tms._SQUARING_LETTERS)
 
     def test_collect_factors(self):
-        factors, starts, text, depth, stable = factor_spans(8)
+        starts, lengths, text, depth, stable = factor_spans(8)
+        factors = spanned(text, starts, lengths)
         assert stable
         assert len(factors) == 92
         per_len = [sum(1 for f in factors if len(f) == n) for n in range(1, 9)]
@@ -599,7 +647,25 @@ class TestScanHelpers:
         assert list(factors) == sorted(oracle)
         assert depth >= 1
         assert text == tm_prefix(depth)
-        assert list(starts) == [text.find(w) for w in factors]
+        assert not starts.flags.writeable and not lengths.flags.writeable
+
+    @pytest.mark.parametrize("max_len", range(1, 101))
+    def test_factor_spans_match_the_set_construction(self, max_len):
+        factors, depth, stable = reference_factor_spans(max_len)
+        starts, lengths, text, got_depth, got_stable = factor_spans(max_len)
+        assert spanned(text, starts, lengths) == factors
+        assert (got_depth, got_stable) == (depth, stable)
+        assert text == tm_prefix(depth)
+
+    @pytest.mark.parametrize("max_len, max_depth", [(0, 26), (1, 2), (40, 10), (40, 11)])
+    def test_factor_spans_edges_match_the_set_construction(self, max_len, max_depth):
+        # No factors; a depth cap at or below the first depth (10 for
+        # max_len 40), so nothing is doubled and the set is not stable; a
+        # cap one doubling deeper.
+        factors, depth, stable = reference_factor_spans(max_len, max_depth)
+        starts, lengths, text, got_depth, got_stable = factor_spans(max_len, max_depth)
+        assert spanned(text, starts, lengths) == factors
+        assert (got_depth, got_stable) == (depth, stable)
 
 
 class TestSturmianOracle:
@@ -660,11 +726,26 @@ class TestCompositions:
         indep = len({sub.to_text() for _, sub in padded_compositions(2)})
         assert summary["distinct_substitutions"] == indep
 
+    def test_count_preservation_holds_no_factor_strings(self):
+        # Measured (numpy 2.4, Python 3.11): a 1.7 MB peak with the factors
+        # held as spans of one text, 5.0 MB with all 15,812 held as strings.
+        import numpy  # noqa: F401  (loaded before tracing starts)
+
+        tms.factor_spans.cache_clear()
+        tracemalloc.start()
+        try:
+            summary = count_preservation_violations(100, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (summary["factors"], summary["checked"]) == (15812, 1_328_208)
+        assert peak < 2_400_000
+
     @pytest.mark.parametrize("composition_depth", [2, 3])
     def test_image_counts_match_direct_recount(self, composition_depth):
-        factors, _, _, depth, _ = factor_spans(30)
+        starts, lengths, _, depth, _ = factor_spans(30)
         text = tm_prefix(depth)
-        words = sorted(factors)
+        words = sorted(spanned(text, starts, lengths))
         starts = [text.find(w) for w in words]
         lengths = [len(w) for w in words]
         subs = {sub.to_text(): sub for _, sub in padded_compositions(composition_depth)}
@@ -698,13 +779,14 @@ class TestCompositions:
                 assert list(got) == want
 
     def test_identity_breaking_substitution_is_reported(self):
-        factors, _, _, depth, _ = factor_spans(30)
+        starts, lengths, _, depth, _ = factor_spans(30)
         text = tm_prefix(depth)
-        words = sorted(factors)
+        words = sorted(spanned(text, starts, lengths))
         ones = Substitution.from_text("0->1;1->1")  # sigma(011) = 111
         starts = [text.find(w) for w in words]
+        lengths = [len(w) for w in words]
         violations, distinct = preservation_violations(
-            [("A", ones), ("B", ones)], words, text, starts
+            [("A", ones), ("B", ones)], text, starts, lengths
         )
         assert distinct == 1
         # sigma(w) = 1^|w| holds max(|w| - 2, 0) copies of 111.
@@ -713,7 +795,7 @@ class TestCompositions:
         assert violations == [{"composition": "A", "word": w} for w in bad] + [
             {"composition": "B", "word": w} for w in bad
         ]
-        clean, _ = preservation_violations(padded_compositions(2), words, text, starts)
+        clean, _ = preservation_violations(padded_compositions(2), text, starts, lengths)
         assert clean == []
 
 
@@ -753,8 +835,8 @@ class TestElevenCounts:
         assert eleven_count_range(text, *zip(*spans)) == (min(want), max(want))
 
     def test_fixed_point_window(self):
-        factors, starts, text, _, _ = factor_spans(10)
-        lo, hi = eleven_count_range(text, starts, [len(w) for w in factors])
+        starts, lengths, text, _, _ = factor_spans(10)
+        lo, hi = eleven_count_range(text, starts, lengths)
         assert 0 <= lo <= hi <= 1
-        diffs = [eleven_difference(w) for w in factors]
+        diffs = [eleven_difference(w) for w in spanned(text, starts, lengths)]
         assert (lo, hi) == (min(diffs), max(diffs))
