@@ -54,7 +54,7 @@ def _deferred(module: str, name: str):
     return call
 
 
-level_scan_texts = _deferred(".tms", "level_scan_texts")
+level_scan_texts = _deferred(".scan", "level_scan_texts")
 witness_pair = _deferred(".tms", "witness_pair")
 witness_growth_curve = _deferred(".tms", "witness_growth_curve")
 window_imbalance_curve = _deferred(".scan", "window_imbalance_curve")

@@ -96,23 +96,39 @@ def det(a: Sequence[Sequence]) -> Fraction:
     return sign * m[n - 1][n - 1]
 
 
+def _reduce(rows: List[list], width: int) -> List[int]:
+    """Gauss-Jordan elimination of rows, in place, over their first width
+    columns; returns the pivot columns. A column's pivot is the first row,
+    from the next pivot row down, with a nonzero entry there; a column
+    with none is skipped."""
+    pivots: List[int] = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv_p = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv_p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
+
+
 def invert(a: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Exact inverse via Gauss-Jordan; raises NotInvertibleError when singular."""
+    """Exact inverse via Gauss-Jordan on [a | I]; raises NotInvertibleError
+    when singular."""
     if any(len(row) != len(a) for row in a):
         raise NotInvertibleError("non-square matrix")
     n = len(a)
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NotInvertibleError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    if len(_reduce(aug, n)) < n:
+        raise NotInvertibleError("singular matrix")
     return [r[n:] for r in aug]
 
 
@@ -125,25 +141,9 @@ def eigencheck(a: Sequence[Sequence], vector: Sequence, eigenvalue) -> bool:
 
 def kernel_basis(a: Sequence[Sequence]) -> Tuple[Vector, ...]:
     """A basis of the rational solutions of a*x = 0, one vector per free column."""
-    n, m = len(a), len(a[0]) if a else 0
+    m = len(a[0]) if a else 0
     rows = [list(r) for r in a]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv_p = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv_p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
+    pivots = _reduce(rows, m)
     basis = []
     for c0 in (c for c in range(m) if c not in pivots):
         x = [Fraction(0)] * m

@@ -9,7 +9,6 @@ truncation, `saturated` marks a window-stable approximation.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import operator
@@ -17,7 +16,7 @@ import sys
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .limits import ResourceLimitError, check_budget
-from .exactmat import binary_power, mat_mul, reach
+from .exactmat import mat_mul, reach
 from .substitution import Substitution, SubstitutionError, incidence_counts
 from .words import Alphabet, Symbol, Word, _Record, sort_words
 
@@ -185,11 +184,6 @@ def _tower_texts(
         yield texts
 
 
-def _deepest(levels: Iterable):
-    """The last level of a tower walk."""
-    return collections.deque(levels, maxlen=1)[0]
-
-
 def _tower_counts(d: DirectiveSequence, k: int, n: int) -> List[List[int]]:
     """The integer incidence matrix of sigma_k . ... . sigma_{n-1}, the
     product of the levels' matrices; the identity when n == k.
@@ -202,91 +196,6 @@ def _tower_counts(d: DirectiveSequence, k: int, n: int) -> List[List[int]]:
     identity = [[int(i == j) for j in range(size)] for i in range(size)]
     levels = map(incidence_counts, map(d.substitution_at, range(k, n)))
     return functools.reduce(mat_mul, levels, identity)
-
-
-def _periodic_tower_lengths(d: DirectiveSequence, depth: int) -> Dict[Symbol, int]:
-    """The level-`depth` letter lengths of _tower_lengths, for depth >= p.
-
-    With depth = p + r + k*q and 0 <= r < q, sigma_[0,depth) is
-    sigma_[0,p+r) . tau^k, where tau = sigma_[p+r,p+r+q) is the period
-    read from level p+r. Level p+r comes from a lengths walk, and the
-    lengths k periods deeper from the k-th power of tau's incidence matrix,
-    in integers: with Fraction entries the powers took 15 to 30 times longer.
-    """
-    p, q = d.prefix_length, d.period_length
-    k, r = divmod(depth - p, q)
-    levels = map(d.substitution_at, range(p + r))
-    lengths = _deepest(_tower_lengths(levels, d.level_alphabet(0)))
-    if not k:
-        return lengths
-    symbols = d.level_alphabet(p + r).symbols
-    tau = _tower_counts(d, p + r, p + r + q)
-    (deep,) = mat_mul([[lengths[b] for b in symbols]], binary_power(tau, k, mat_mul))
-    return dict(zip(symbols, deep))
-
-
-def _periodic_tower_texts(
-    d: DirectiveSequence, depth: int, clip: int
-) -> Dict[Symbol, str]:
-    """The level-`depth` letter-code texts of _tower_texts(levels 0..depth-1,
-    clip), for depth >= p + q and a non-erasing eventually periodic d.
-
-    With depth = p + r + k*q and 0 <= r < q, sigma_[0,depth) is
-    sigma_[0,p+r) . tau^k, where tau = sigma_[p+r,p+r+q). The clipped texts
-    of tau^k come by binary powering on letter-code strings: for a
-    non-erasing f, the first clip characters of f(g(a)) depend only on the
-    first clip letters of g(a) and on the clipped images of f. Level p+r
-    comes from a walk. At most three letter maps are held at once, and
-    _clipped_image builds at most 3*clip more characters at a time.
-    """
-    p, q = d.prefix_length, d.period_length
-    k, r = divmod(depth - p, q)
-    codes = _letter_codes(d.level_alphabet(p + r))
-
-    def table(texts):  # a letter map as a str.translate table over codes
-        return {ord(codes[a]): t for a, t in texts.items()}
-
-    def after(f, g):  # f . g, both clipped tables
-        return {c: _clipped_image(t, f, clip) for c, t in g.items()}
-
-    tau = map(d.substitution_at, range(p + r, p + r + q))
-    power = binary_power(table(_deepest(_tower_texts(tau, codes, clip))), k, after)
-    chars = _letter_codes(d.level_alphabet(0))
-    top = table(_deepest(_tower_texts(map(d.substitution_at, range(p + r)), chars, clip)))
-    return {a: _clipped_image(power[ord(c)], top, clip) for a, c in codes.items()}
-
-
-def _clipped_image(word: str, table: Mapping[int, str], clip: int) -> str:
-    """word.translate(table)[:clip], translating only as much of word as
-    the clip needs.
-
-    Image lengths are read off str.count: the prefix of word that is
-    translated grows by doubling until its image reaches clip, and the last
-    step is halved back until it adds at most clip characters. So no more
-    than 2*clip characters are built, whatever the image lengths.
-    """
-    sizes = [(chr(c), len(t)) for c, t in table.items()]
-
-    def size(lo: int, hi: int) -> int:
-        return sum(word.count(c, lo, hi) * n for c, n in sizes)
-
-    end, total = 0, 0  # word[:end] translates to total < clip characters
-    step = -(-clip // max(n for _, n in sizes))
-    while end < len(word):
-        hi = min(len(word), end + step)
-        grown = size(end, hi)
-        if total + grown < clip:
-            end, total, step = hi, total + grown, 2 * step
-            continue
-        while grown > clip and hi - end > 1:
-            mid = (end + hi) // 2
-            part = size(end, mid)
-            if total + part >= clip:
-                hi, grown = mid, part
-            else:
-                end, total, grown = mid, total + part, grown - part
-        return word[:hi].translate(table)[:clip]
-    return word.translate(table)
 
 
 class SampleMeta(NamedTuple):
@@ -447,19 +356,20 @@ def sample_level_language(
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
     alphabet = d.level_alphabet(k)
+    # Charging the window walks every level down to depth + window with
+    # integer lengths that can grow by a digit per level, so a deep or wide
+    # request is refused before that quadratic walk; a wide window also on
+    # the exact path, which has none and would ignore it.
+    if window is not None:
+        check_budget("sample window", window, MAX_DEPTH_LEVELS, "levels")
 
     seed = _exact_mode_letter(d, k)
     if seed is not None and depth is None:
         return _exact_fixed_point_sample(d, k, max_length, seed, alphabet)
 
     q = d.period_length
-    # Charging the window walks every level down to depth + window with
-    # integer lengths that can grow by a digit per level, so a deep or wide
-    # request is refused before that quadratic walk.
     if window is None:
         window = max(3, q)
-    else:
-        check_budget("sample window", window, MAX_DEPTH_LEVELS, "levels")
     if depth is None:
         depth = _default_depth(d, k, max_length)
     else:

@@ -6,45 +6,25 @@ its one-sided Sturmian-type companions (0 -> 0 / 1 -> 10 and 0 -> 01 /
 the generated language fails to be balanced for length two exactly when the
 directive tail is eventually all-M, and this module constructs the
 equal-length witness pairs whose length-2 block counts drift apart linearly.
-It also builds the level scan texts of any directive.
 
 Three helpers here serve only verify: thue_morse_text, imbalance_milestones
 and factor_spans. They stay because they are the callers of expand_text and
 window_imbalance_curve that the benchmark tracer hooks in this module's
 namespace. The reference constructions that one verify check each calls
 live in verification.py, next to their checks.
-
-The three substitutions (SUB_L, SUB_M, SUB_R), builtin_registry and
-parse_directive live in language.py, next to DirectiveSequence, so that
-parsing a directive loads neither this module nor scan.py; they are
-re-exported here.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
-from .language import (
-    SUB_L,
-    SUB_M,
-    SUB_R,
-    DirectiveSequence,
-    _deepest,
-    _letter_codes,
-    _periodic_tower_lengths,
-    _periodic_tower_texts,
-    _tower_lengths,
-    _tower_texts,
-    builtin_registry,
-    parse_directive,
-)
+from .language import SUB_L, SUB_M, SUB_R, DirectiveSequence, builtin_registry
 from .limits import ResourceLimitError, check_budget, refuse_huge
-from .scan import MAX_TEXT_CHARS, ScanWitness, expand_text, window_imbalance_curve
+from .scan import ScanWitness, expand_text, window_imbalance_curve
 from .substitution import Substitution, compose
-from .words import Alphabet, Symbol
+from .words import Alphabet
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,19 +36,7 @@ _FLIP = str.maketrans("01", "10")
 _BLOCK_PATTERNS = ("00", "01", "10", "11")
 
 MAX_WITNESS_CHARS = 45_000_000
-# A walk through every level copies each level's texts once, so it costs
-# little on a tower that grows exponentially and reaches its scan depth in a
-# few dozen levels. Scan lengths and texts this many levels below the prefix
-# come from powers of the composed period instead (see _squared).
-_SQUARING_LEVELS = 256
-# Each power of the incidence matrix costs |A|^3 integer products. On a
-# linear tower scanned 3444 levels deep (Python 3.11, one Xeon core), the
-# powers took 10, 40, 111 and 678 ms at 8, 16, 24 and 48 letters, and the
-# walk 37, 68, 100 and 179 ms.
-_SQUARING_LETTERS = 16
 _FACTOR_MAX_DEPTH = 26
-# Scan texts are read as latin-1 bytes, so every letter code stays below 256.
-_MAX_SCAN_LETTERS = 200
 
 
 def builtin(name: str) -> Substitution:
@@ -361,92 +329,6 @@ def imbalance_milestones(
             )
         out.append((i, found))
     return out
-
-
-def level_scan_texts(
-    d: DirectiveSequence,
-    min_chars: int,
-    clip: int,
-    max_depth: int = 32768,
-) -> Tuple[List[str], Alphabet]:
-    """Clipped level-0 letter expansions, in letter codes, and their alphabet.
-
-    Every factor of an expansion of a letter through the directive tower is
-    a level-0 language member by definition, so any equal-length window
-    pair drawn from these texts certifies an imbalance lower bound. Depth
-    grows geometrically (x1.5, not x2: doubling the depth can square the
-    text length) until the longest letter text reaches min_chars or the
-    depth cap; each text is clipped to `clip`. The depth is chosen from
-    the text lengths alone, and then each text is built once, and only its
-    first clip characters. Where _squared holds, the lengths and texts
-    come from powers of the composed period instead of a walk through
-    every level.
-    """
-    if min_chars < 1 or clip < 1:
-        raise ValueError("min_chars and clip must be positive")
-    alphabet = d.level_alphabet(0)
-    check_budget("text codec", len(alphabet), _MAX_SCAN_LETTERS, "symbols")
-    depth = _scan_depth(d, alphabet, min_chars, clip, max_depth)
-    if _squared(d, clip, depth):
-        texts = _periodic_tower_texts(d, depth, clip)
-    else:
-        levels = map(d.substitution_at, range(depth))
-        texts = _deepest(_tower_texts(levels, _letter_codes(alphabet), clip))
-    return [t for t in texts.values() if t], alphabet
-
-
-def _squared(d: DirectiveSequence, clip: int, depth: int) -> bool:
-    """Do the scan lengths and texts at `depth` skip the level walk?
-
-    Yes at least _SQUARING_LEVELS levels, and one period, below the prefix
-    of an eventually periodic, non-erasing directive whose level alphabets
-    A all have at most _SQUARING_LETTERS letters and (3*|A| + 3) * clip <=
-    MAX_TEXT_CHARS. A level of the walk then keeps at most |A| * clip
-    characters, so its scan-expansion check could never refuse, and the
-    squaring, which holds three letter maps and builds at most 3*clip more
-    characters at a time, stays in the budget.
-    """
-    p, q = d.prefix_length, d.period_length
-    if d.period is None or depth - p < max(q, _SQUARING_LEVELS):
-        return False
-    if not all(s.is_non_erasing() for s in d.prefix + d.period):
-        return False
-    widest = max(len(d.level_alphabet(j)) for j in range(p + q))
-    return widest <= _SQUARING_LETTERS and (3 * widest + 3) * clip <= MAX_TEXT_CHARS
-
-
-def _scan_depth(
-    d: DirectiveSequence, alphabet: Alphabet, min_chars: int, clip: int, max_depth: int
-) -> int:
-    """The depth level_scan_texts builds, from letter-text lengths only.
-
-    Refused when some level up to that depth would keep more than
-    MAX_TEXT_CHARS characters, counting each letter text up to clip. Where
-    _squared holds, no level can, and the lengths come from powers of the
-    composed period's incidence matrix instead of the walk.
-    """
-    walk = enumerate(_checked_lengths(d, alphabet, clip))
-    depth = max(8, d.prefix_length + max(1, d.period_length))
-    while True:
-        if _squared(d, clip, depth):
-            lengths = _periodic_tower_lengths(d, depth)
-        else:
-            lengths = next(ls for level, ls in walk if level == depth)
-        if max(lengths.values()) >= min_chars or depth >= max_depth:
-            return depth
-        depth = min(max_depth, depth + max(1, depth // 2))
-
-
-def _checked_lengths(
-    d: DirectiveSequence, alphabet: Alphabet, clip: int
-) -> Iterable[Dict[Symbol, int]]:
-    """The lengths walk through every level of d, each level refused when
-    it would keep more than MAX_TEXT_CHARS characters, counting each letter
-    text up to clip."""
-    for lengths in _tower_lengths(map(d.substitution_at, itertools.count()), alphabet):
-        kept = sum(min(n, clip) for n in lengths.values())
-        check_budget("scan expansion", kept, MAX_TEXT_CHARS)
-        yield lengths
 
 
 @functools.lru_cache(maxsize=None)

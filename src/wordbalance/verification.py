@@ -44,7 +44,13 @@ from .language import (
     parse_directive,
     sample_level_language,
 )
-from .scan import _occurrence_indicator, count_overlapping, window_imbalance_curve, window_spreads
+from .scan import (
+    _occurrence_indicator,
+    count_overlapping,
+    level_scan_texts,
+    window_imbalance_curve,
+    window_spreads,
+)
 from .substitution import (
     BlockSubstitution,
     Substitution,
@@ -62,7 +68,6 @@ from .tms import (
     composition,
     factor_spans,
     imbalance_milestones,
-    level_scan_texts,
     witness_pair,
     witness_strings,
 )

@@ -27,8 +27,8 @@ from wordbalance.balance import (
 )
 from wordbalance.cli import main
 from wordbalance.exactmat import eigencheck
-from wordbalance.language import factorial_closure, sample_level_language
-from wordbalance.scan import count_overlapping, window_imbalance_curve
+from wordbalance.language import factorial_closure, parse_directive, sample_level_language
+from wordbalance.scan import count_overlapping, level_scan_texts, window_imbalance_curve
 from wordbalance.substitution import (
     Substitution,
     coding_identity_sides,
@@ -41,8 +41,6 @@ from wordbalance.tms import (
     builtin,
     classify,
     imbalance_milestones,
-    level_scan_texts,
-    parse_directive,
     thue_morse_text,
     witness_pair,
     witness_strings,

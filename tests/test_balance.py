@@ -33,10 +33,10 @@ from wordbalance.language import (
     _image_table,
     _letter_codes,
     factorial_closure,
+    parse_directive,
     sample_level_language,
 )
 from wordbalance.substitution import Substitution, incidence_counts
-from wordbalance.tms import parse_directive
 from wordbalance.words import Alphabet, Word, block_alphabet, sort_words
 
 BIN = Alphabet.from_text("01")

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -343,12 +344,16 @@ class TestSizeGuards:
             raise AssertionError("the tower was walked")
 
         monkeypatch.setattr(language, "_tower_lengths", boom)
-        code, out, err = run(
-            capsys, "analyze", "--directive", "|MM", "--max-length", "8", "--window", "100000"
-        )
-        assert code == EXIT_RESOURCE_LIMIT
-        assert out == ""
-        assert err == "error: sample window needs 100000 levels, limit 4096\n"
+        # |M takes the exact sampler, which has no window, but the request
+        # is refused all the same.
+        for directive in ("|MM", "|M"):
+            code, out, err = run(
+                capsys, "analyze", "--directive", directive, "--max-length", "8",
+                "--window", "100000",
+            )
+            assert code == EXIT_RESOURCE_LIMIT
+            assert out == ""
+            assert err == "error: sample window needs 100000 levels, limit 4096\n"
 
     def test_long_period_refused_by_the_sampler_not_the_growth_check(self, capsys):
         # The growth check reads incidence products of the 18-letter period;
@@ -605,6 +610,20 @@ class TestImportCost:
         assert json.loads(out)["results"]["sample"]["exact"] is True
         assert err.splitlines() == ["[]", "0 []"]
 
+    def test_scan_analyze_loads_scan_and_numpy_but_not_tms(self):
+        # The scan texts and their window scan both live in scan.py; tms
+        # holds only the L/M/R family, which a scan past the cap never reads.
+        code = (
+            "import sys\n"
+            "from wordbalance.cli import main\n"
+            "code = main(['analyze', '--directive', 'LMR|ML', '--max-length', '60'])\n"
+            "wanted = ('wordbalance.tms', 'wordbalance.scan', 'numpy')\n"
+            "print(code, sorted(set(wanted) & set(sys.modules)), file=sys.stderr)\n"
+        )
+        out, err = run_fresh_python(code)
+        assert "scan" in json.loads(out)["results"]
+        assert err.strip() == "0 ['numpy', 'wordbalance.scan']"
+
     def test_no_module_loads_dataclasses(self):
         src = Path(wordbalance.__file__).resolve().parent
         names = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
@@ -624,3 +643,16 @@ class TestImportCost:
         code = "import sys, wordbalance.cli; print('wordbalance.verification' in sys.modules)"
         out, _ = run_fresh_python(code)
         assert out.strip() == "False"
+
+
+class TestLayout:
+    def test_readme_layout_names_every_module(self):
+        # The Layout block of the README lists each module of the package
+        # once, as "  name.py  description"; description lines run on
+        # further indented.
+        src = Path(wordbalance.__file__).resolve().parent
+        readme = (src.parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Layout", 1)[1].split("```")[1]
+        listed = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
+        modules = sorted(p.name for p in src.glob("*.py") if p.stem != "__init__")
+        assert sorted(listed) == modules

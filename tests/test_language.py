@@ -20,10 +20,10 @@ from wordbalance.language import (
     factorial_closure,
     is_everywhere_growing,
     is_factorial,
+    parse_directive,
     sample_level_language,
 )
 from wordbalance.substitution import Substitution, SubstitutionError, compose, incidence_counts
-from wordbalance.tms import parse_directive
 from wordbalance.words import Alphabet, Word, block_alphabet, n_coding
 
 BIN = Alphabet.from_text("01")

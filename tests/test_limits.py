@@ -5,9 +5,9 @@ import itertools
 import pytest
 
 from wordbalance import language, tms
-from wordbalance.language import GrowthReport, sample_level_language
+from wordbalance.language import GrowthReport, parse_directive, sample_level_language
 from wordbalance.limits import ResourceLimitError, check_budget
-from wordbalance.tms import level_scan_texts, parse_directive
+from wordbalance.scan import level_scan_texts
 
 
 def test_check_budget_sets_the_attributes():

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordbalance import scan, tms
-from wordbalance.language import ResourceLimitError, _letter_codes, _short_factors
-from wordbalance.tms import level_scan_texts, parse_directive
+from wordbalance import scan
+from wordbalance.language import ResourceLimitError, _letter_codes, _short_factors, parse_directive
 from wordbalance.scan import (
     ScanWitness,
     count_overlapping,
     expand_text,
+    level_scan_texts,
     window_imbalance_curve,
     window_spreads,
 )
@@ -58,7 +58,7 @@ class TestScanTexts:
         assert alphabet == d.level_alphabet(0)
         assert set("".join(texts)) == {"\0", "\1"}
         code = _letter_codes(alphabet)
-        depth = tms._scan_depth(d, alphabet, 100, 100, 32768)
+        depth, _ = scan._scan_depth(d, alphabet, 100, 100, 32768)
         want = symbol_expansions(d, depth)
         assert texts == ["".join(map(code.__getitem__, w))[:100] for w in want.values()]
 

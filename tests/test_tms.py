@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wordbalance import cli, tms
+from wordbalance import cli, scan, tms
 from wordbalance.exactmat import eigencheck
-from wordbalance.language import ResourceLimitError
-from wordbalance.scan import MAX_TEXT_CHARS, count_overlapping, expand_text
+from wordbalance.language import ResourceLimitError, parse_directive
+from wordbalance.scan import MAX_TEXT_CHARS, count_overlapping, expand_text, level_scan_texts
 from wordbalance.substitution import Substitution, compose, incidence_counts
 from wordbalance.tms import (
     BLOCK_EIGENPAIRS,
@@ -26,8 +26,6 @@ from wordbalance.tms import (
     imbalance_milestones,
     is_lmr_directive,
     is_primitive,
-    level_scan_texts,
-    parse_directive,
     thue_morse_text,
     witness_growth_curve,
     witness_pair,
@@ -515,7 +513,7 @@ class TestScanHelpers:
         def boom(*args, **kwargs):
             raise AssertionError("a text was built")
 
-        monkeypatch.setattr(tms, "_tower_texts", boom)
+        monkeypatch.setattr(scan, "_tower_texts", boom)
         # |M reaches 10^8 characters at depth 27; two letter texts of 2^27
         # characters exceed the 80M budget when nothing is clipped away.
         with pytest.raises(ResourceLimitError, match="^scan expansion needs 134217728 characters"):
@@ -535,7 +533,7 @@ class TestScanHelpers:
         depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
         texts, alphabet = level_scan_texts(d, min_chars, clip, max_depth)
         assert alphabet.symbols == ("0", "1")
-        assert tms._scan_depth(d, alphabet, min_chars, clip, max_depth) == depth
+        assert scan._scan_depth(d, alphabet, min_chars, clip, max_depth)[0] == depth
         assert spelled(texts, alphabet) == want
 
     @pytest.mark.parametrize(
@@ -557,7 +555,7 @@ class TestScanHelpers:
         d = parse_directive(text)
         depth, want = reference_scan_texts(d, min_chars, clip, 32768)
         texts, alphabet = level_scan_texts(d, min_chars, clip)
-        assert tms._scan_depth(d, alphabet, min_chars, clip, 32768) == depth
+        assert scan._scan_depth(d, alphabet, min_chars, clip, 32768)[0] == depth
         assert spelled(texts, alphabet) == want
 
     @given(
@@ -575,7 +573,7 @@ class TestScanHelpers:
         d = parse_directive(f"{prefix}|{period}")
         depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
         texts, alphabet = level_scan_texts(d, min_chars, clip, max_depth)
-        assert tms._scan_depth(d, alphabet, min_chars, clip, max_depth) == depth
+        assert scan._scan_depth(d, alphabet, min_chars, clip, max_depth)[0] == depth
         assert spelled(texts, alphabet) == want
 
     def test_level_scan_matches_full_build_on_a_quadratic_tower(self):
@@ -590,15 +588,15 @@ class TestScanHelpers:
         depth, want = reference_scan_texts(d, 30000, 5000, 32768)
         assert depth > 256
         texts, alphabet = level_scan_texts(d, 30000, 5000)
-        assert tms._scan_depth(d, alphabet, 30000, 5000, 32768) == depth
+        assert scan._scan_depth(d, alphabet, 30000, 5000, 32768)[0] == depth
         assert spelled(texts, alphabet) == want
 
     def test_level_scan_refusal_on_a_wide_alphabet(self, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("a text was built")
 
-        monkeypatch.setattr(tms, "_tower_texts", boom)
-        monkeypatch.setattr(tms, "_periodic_tower_texts", boom)
+        monkeypatch.setattr(scan, "_tower_texts", boom)
+        monkeypatch.setattr(scan, "_periodic_tower_texts", boom)
         # Three letters of 2^j characters each at level j. With clip 3*10^7,
         # three clipped texts can hold more than 8*10^7 characters, so the
         # walk checks every level: level 25 keeps 3 * 3*10^7.
@@ -612,9 +610,9 @@ class TestScanHelpers:
     def test_squaring_stays_within_the_text_budget(self):
         # Two letters: the squaring may hold (3*2 + 3) * clip characters.
         d = parse_directive("|L")
-        assert tms._squared(d, MAX_TEXT_CHARS // 9, 256)
-        assert not tms._squared(d, MAX_TEXT_CHARS // 9 + 1, 256)
-        assert not tms._squared(d, MAX_TEXT_CHARS // 9, 255)
+        assert scan._squared(d, MAX_TEXT_CHARS // 9, 256)
+        assert not scan._squared(d, MAX_TEXT_CHARS // 9 + 1, 256)
+        assert not scan._squared(d, MAX_TEXT_CHARS // 9, 255)
 
     @pytest.mark.parametrize("letters", [16, 17])
     def test_level_scan_matches_full_build_on_wide_alphabets(self, letters, monkeypatch):
@@ -625,14 +623,14 @@ class TestScanHelpers:
         d = parse_directive("|T", {"T": Substitution.from_text(rules)})
         depth, want = reference_scan_texts(d, 400, 300, 32768)
         powers = []
-        real = tms._periodic_tower_lengths
+        real = scan._periodic_tower_lengths
         monkeypatch.setattr(
-            tms, "_periodic_tower_lengths", lambda *args: powers.append(args) or real(*args)
+            scan, "_periodic_tower_lengths", lambda *args: powers.append(args) or real(*args)
         )
         texts, alphabet = level_scan_texts(d, 400, 300)
         assert spelled(texts, alphabet) == want
-        assert tms._scan_depth(d, alphabet, 400, 300, 32768) == depth == 454
-        assert bool(powers) == (letters <= tms._SQUARING_LETTERS)
+        assert scan._scan_depth(d, alphabet, 400, 300, 32768)[0] == depth == 454
+        assert bool(powers) == (letters <= scan._SQUARING_LETTERS)
 
     def test_collect_factors(self):
         starts, lengths, text, depth, stable = factor_spans(8)

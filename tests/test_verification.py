@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from wordbalance.language import factorial_closure, sample_level_language
+from wordbalance.language import factorial_closure, parse_directive, sample_level_language
 from wordbalance.substitution import Substitution
-from wordbalance.tms import builtin, parse_directive
+from wordbalance.tms import builtin
 from wordbalance import verification
 from wordbalance.verification import CHECKS, _image_closure, run_checks
 
