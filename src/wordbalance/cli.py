@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--nmax",
         type=_positive_int,
-        default=2,
-        help="measure imbalance for factor lengths 1..nmax (default 2)",
+        default=None,
+        help="measure imbalance for factor lengths 1..nmax (default 2, capped at --max-length)",
     )
     p_analyze.add_argument(
         "--depth", type=_positive_int, default=None, help="sampling depth override"
@@ -275,6 +275,8 @@ def _scan_section(
 def _cmd_analyze(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
     registry = _parse_registry(args.register)
     d = parse_directive(args.directive, registry)
+    if args.nmax is None:
+        args.nmax = min(2, args.max_length)
     cap = min(args.max_length, EXHAUSTIVE_CAP)
     if args.max_length > cap:
         # A scan pattern is a block of nmax letters, each the first level-0

@@ -172,24 +172,37 @@ def _sorted_lens(window_lens: Iterable[int]) -> List[int]:
     return lens
 
 
+# Window starts per chunk of window_imbalance_curve, raised to the longest
+# window length so that the prefix entries a chunk carries over are never
+# more than the new ones it sums. A chunk's prefix array spans its starts
+# and the longest window past them, so the kernel holds
+# O(chunk + longest window) entries whatever the texts' lengths.
+_CHUNK_FLOOR = 2**16
+
+
 def window_imbalance_curve(
     texts: Sequence[str], patterns: Sequence[str], window_lens: Iterable[int]
 ) -> Dict[int, ScanWitness]:
     """Largest count spread of any pattern, per window length, over all texts,
     with a witness window pair.
 
-    Runs pattern by pattern, and inside a pattern text by text: a text's
-    occurrence prefix sum is built, serves every window length the text
-    fits, and is overwritten by the next text's. A text without the pattern
-    gets none: its counts are all zero. Lengths no text can fit are omitted
-    from the result. Deterministic: texts and patterns are scanned in the
-    given order, first achiever wins. The complement-letter skip of
+    Runs pattern by pattern, inside a pattern text by text, and inside a
+    text chunk by chunk of window starts (see _chunk_prefixes): each chunk's
+    occurrence prefix array serves every window length for the chunk's
+    starts, and the running extremes per length are kept. A text without
+    the pattern gets none: its counts are all zero. Lengths no text can fit
+    are omitted from the result. Deterministic: texts and patterns are
+    scanned in the given order, and the first achiever wins by pattern,
+    then text, then start. The complement-letter skip of
     `_scanned_patterns` applies.
 
-    Besides the texts and one latin-1 copy of the text being scanned, it
-    holds one prefix sum and one count buffer at the longest text's size,
-    each 2 bytes per character when every window length is below 2^16 and
-    4 bytes below 2^32.
+    Besides the texts it holds O(chunk + longest window) entries, chunk
+    being max(_CHUNK_FLOOR, longest window), each array capped at the
+    longest text's length: a prefix array of chunk + longest window
+    entries and a count buffer of chunk entries, each 2 bytes when every
+    window length is below 2^16 and 4 bytes below 2^32, and the latin-1
+    copy of the text slice being matched. `analyze --directive 'LMR|ML'
+    --max-length 200000 --nmax 3` peaks at about 48 MB of RSS.
 
     Each window length costs one pass over every text, so this kernel is for
     witnesses, or for a sparse length grid on long texts; `window_spreads`
@@ -205,11 +218,15 @@ def window_imbalance_curve(
     top = lens[-1] if lens else 0
     dtype = np.uint16 if top < 2**16 else np.uint32 if top < 2**32 else np.uint64
     longest = max(map(len, texts), default=0)
-    # One prefix sum and one count buffer serve every (pattern, text). The
-    # occurrence indicator is built in the count buffer's bytes, with its
-    # scratch in the prefix sum's, before the prefix sum is taken from it.
-    prefix = np.empty(longest + 1, dtype=dtype)
-    buf = np.empty(longest, dtype=dtype)
+    chunk = max(_CHUNK_FLOOR, top)
+    # A chunk reads prefix entries up to chunk - 1 + the longest span past
+    # its first start; one prefix array and one count buffer serve every
+    # (pattern, text). A chunk's indicator, at most chunk + top - 1 (or
+    # longest) entries, fits in the count buffer's 2 or more bytes per entry
+    # since chunk >= top.
+    size = min(chunk + top, longest + 1)
+    prefix = np.empty(size, dtype=dtype)
+    buf = np.empty(min(chunk, longest), dtype=dtype)
     best: Dict[int, ScanWitness] = {}
     for pattern in _scanned_patterns(texts, patterns):
         m = len(pattern)
@@ -219,39 +236,39 @@ def window_imbalance_curve(
         # length some text fits has one).
         if best and not any(present):
             continue
-        # The extremes per length over the texts so far, as (count, text,
-        # start). Texts arrive in order and only a strict improvement
-        # replaces one, so the first text achieving it wins.
+        # The extremes per length over the texts and chunks so far, as
+        # (count, text, start). Texts and chunks arrive in order and only a
+        # strict improvement replaces one, so the first achiever wins.
         hi: Dict[int, Tuple[int, int, int]] = {}
         lo: Dict[int, Tuple[int, int, int]] = {}
         for ti, text in enumerate(texts):
             t = len(text)
-            counted = m > 0 and present[ti]
-            if counted:
-                ind = _match_into(text, pattern, buf.view(bool), prefix.view(bool))
-                prefix[0] = 0
-                # Summed in place: a cumsum that casts from bool would
-                # first copy the whole indicator to dtype.
-                cum = prefix[1 : len(ind) + 1]
-                cum[:] = ind
-                np.cumsum(cum, out=cum)
-            for window_len in lens[: bisect.bisect_right(lens, t)]:
-                if not counted or window_len < m:
-                    mx = mn = am = an = 0
-                else:
+            fit = lens[: bisect.bisect_right(lens, t)]
+            # Windows shorter than the pattern, and every window of a text
+            # without it, count 0: the first start holds both extremes.
+            short = bisect.bisect_left(fit, m) if m and present[ti] else len(fit)
+            for window_len in fit[:short]:
+                hi.setdefault(window_len, (0, ti, 0))
+                if window_len not in lo or lo[window_len][0] > 0:
+                    lo[window_len] = (0, ti, 0)
+            counted = fit[short:]
+            if not counted:
+                continue
+            for c0, cum in _chunk_prefixes(text, pattern, chunk, t - counted[0] + 1, prefix, buf):
+                for window_len in counted:
+                    starts = min(t - window_len + 1 - c0, chunk)
+                    if starts <= 0:
+                        break
                     span = window_len - m + 1
-                    starts = t - window_len + 1
-                    counts = np.subtract(
-                        prefix[span : span + starts], prefix[:starts], out=buf[:starts]
-                    )
+                    counts = np.subtract(cum[span : span + starts], cum[:starts], out=buf[:starts])
                     # argmax/argmin return the first achiever, so reading the
                     # extremes through them keeps the smallest-start rule.
                     am, an = int(counts.argmax()), int(counts.argmin())
                     mx, mn = int(counts[am]), int(counts[an])
-                if window_len not in hi or mx > hi[window_len][0]:
-                    hi[window_len] = (mx, ti, am)
-                if window_len not in lo or mn < lo[window_len][0]:
-                    lo[window_len] = (mn, ti, an)
+                    if window_len not in hi or mx > hi[window_len][0]:
+                        hi[window_len] = (mx, ti, c0 + am)
+                    if window_len not in lo or mn < lo[window_len][0]:
+                        lo[window_len] = (mn, ti, c0 + an)
         for window_len, (mx, th, ah) in hi.items():
             mn, tl, al = lo[window_len]
             # Patterns arrive in order, so a strict improvement keeps the
@@ -265,6 +282,45 @@ def window_imbalance_curve(
                     low_window=texts[tl][al : al + window_len],
                 )
     return {m: best[m] for m in lens if m in best}
+
+
+def _chunk_prefixes(
+    text: str, pattern: str, chunk: int, stop: int, prefix: np.ndarray, buf: np.ndarray
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """(c0, cum) for the chunk starts c0 = 0, chunk, 2 chunk, ... below stop:
+    cum[k] is the number of occurrences of pattern in text that start before
+    c0 + k, modulo the range of prefix's dtype, for k up to
+    min(len(prefix) - 1, n - c0), n = len(text) - len(pattern) + 1.
+
+    cum is a view of prefix, overwritten by the next chunk's. Each chunk
+    matches only the text its predecessor did not: the entries from chunk
+    on are carried to the front, and the indicator past them is summed on
+    from the last carried count. The indicator is built in buf's bytes.
+    """
+    import numpy as np
+
+    m = len(pattern)
+    n = len(text) - m + 1
+    reach = len(prefix) - 1
+    # The indicator's scratch takes prefix's last bytes: the carried and the
+    # new entries number at most len(prefix), at 2 or more bytes each, so
+    # one byte per new entry at the end stays clear of the carried ones.
+    tail = prefix.view(bool)
+    prefix[0] = 0
+    known = 0
+    for c0 in range(0, stop, chunk):
+        if c0:
+            known = end - chunk
+            prefix[: known + 1] = prefix[chunk : end + 1]
+        end = min(reach, n - c0)
+        scratch = tail[len(tail) - (end - known) :]
+        ind = _match_into(text[c0 + known : c0 + end + m - 1], pattern, buf.view(bool), scratch)
+        cum = prefix[known : end + 1]
+        cum[1:] = ind
+        # Summed in place: a cumsum that casts from bool would first copy
+        # the indicator to dtype.
+        np.cumsum(cum, out=cum)
+        yield c0, prefix[: end + 1]
 
 
 def window_spreads(
@@ -365,15 +421,17 @@ def _span_table(a, shift, count, reduce, stop, side, buf) -> np.ndarray:
     Each step takes _SPAN_BLOCK values of k at once from a (block, width)
     strided view of a, and searchsorted cuts the block at stop. a must
     extend _SPAN_BLOCK - 1 entries past shift + count - 1, padded so that
-    the out-of-range entries of a row leave its kept values unchanged.
+    the out-of-range entries of a row leave its kept values unchanged. The
+    views come from the ndarray constructor, which checks them against a's
+    buffer at about a third of as_strided's cost.
     """
-    from numpy.lib.stride_tricks import as_strided
     import numpy as np
 
     table = []
     for k0 in range(0, count, _SPAN_BLOCK):
         rows, width = min(_SPAN_BLOCK, count - k0), count - k0
-        view = as_strided(a[shift + k0 :], (rows, width), a.strides * 2, writeable=False)
+        offset = (shift + k0) * a.itemsize
+        view = np.ndarray((rows, width), a.dtype, buffer=a, offset=offset, strides=a.strides * 2)
         values = reduce(np.subtract(view, a[:width], out=buf[:rows, :width]), axis=1)
         cut = int(np.searchsorted(values, stop, side=side))
         table.append(values[:cut])

@@ -389,6 +389,21 @@ class TestSizeGuards:
         rep = run_json(capsys, "analyze", "--directive", "|M", "--max-length", "40", "--nmax", "40")
         assert [e["factor_length"] for e in rep["results"]["balance"]] == list(range(1, 41))
 
+    def test_default_nmax_fits_max_length_one(self, capsys):
+        # The default is 2 only where --max-length allows it; an explicit
+        # --nmax past --max-length is still refused.
+        rep = run_json(capsys, "analyze", "--directive", "|M", "--max-length", "1")
+        assert rep["config"]["nmax"] == 1
+        assert [e["factor_length"] for e in rep["results"]["balance"]] == [1]
+        rep = run_json(capsys, "analyze", "--directive", "|M", "--max-length", "2")
+        assert rep["config"]["nmax"] == 2
+        code, out, err = run(
+            capsys, "analyze", "--directive", "|M", "--max-length", "1", "--nmax", "2"
+        )
+        assert code == EXIT_RESOURCE_LIMIT
+        assert out == ""
+        assert err == "error: --nmax factor length needs 2 letters, limit 1\n"
+
     @staticmethod
     def _wide_directive(extra_letters, fold=True):
         # Q adds the extra letters to {0, 1}; P maps each to 0 when fold is

@@ -502,10 +502,10 @@ class TestOneTextAtATime:
     @pytest.mark.parametrize("top, bound", [(60_000, 6.0), (70_000, 10.0)])
     def test_peak_per_character_of_the_longest_text(self, top, bound):
         # Two 1,000,000-character texts. Measured (numpy 2.4, Python 3.11):
-        # 5.1 bytes per character below window length 2^16 and 9.1 above,
-        # the prefix sum and the count buffer at 2 (4) bytes each and the
-        # latin-1 copy of one text. The scan that held one prefix sum per
-        # text peaked at 9.1 and 17.2.
+        # 0.8 bytes per character below window length 2^16 and 1.3 above,
+        # the chunk buffers only (see TestChunkedScan). The scan that held
+        # a prefix sum and a count buffer as long as the text peaked at 5.1
+        # and 9.1, the one that held one prefix sum per text at 9.1 and 17.2.
         rng = random.Random(top)
         n = 1_000_000
         texts = ["".join(rng.choices("01", k=n)) for _ in range(2)]
@@ -516,6 +516,92 @@ class TestOneTextAtATime:
         finally:
             tracemalloc.stop()
         assert peak / n < bound
+
+
+class TestChunkedScan:
+    """window_imbalance_curve reads each text's window starts in chunks of
+    max(_CHUNK_FLOOR, longest window). With the floor lowered, short texts
+    straddle many chunks; the curves, witnesses included, stay those of
+    the scans that read whole texts."""
+
+    @given(
+        st.sampled_from([1, 2, 5]),
+        st.sampled_from(["01", "012"]).flatmap(
+            lambda letters: st.tuples(
+                # The first text is repeated, so equal extremes recur in a
+                # later chunk; texts may be shorter than some windows.
+                st.lists(st.text(alphabet=letters, max_size=30), min_size=1, max_size=3)
+                .map(lambda ts: ts + [ts[0] * 2]),
+                st.lists(st.text(alphabet="012", min_size=1, max_size=3), min_size=1, max_size=5),
+            )
+        ),
+        st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    )
+    def test_matches_whole_text_scans(self, floor, texts_and_patterns, lens):
+        texts, patterns = texts_and_patterns
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scan, "_CHUNK_FLOOR", floor)
+            curve = window_imbalance_curve(texts, patterns, lens)
+        assert curve == python_curve(texts, patterns, lens)
+        assert curve == all_texts_curve(texts, patterns, lens)
+
+    @pytest.mark.parametrize("floor", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "texts, patterns, lens",
+        [
+            # "0110" and "11" occurrences cross every chunk edge.
+            (["0110" * 6], ["0110", "11", "1"], [1, 2, 3, 4, 5, 9]),
+            # Windows shorter than the pattern, longer than a text, and a
+            # pattern absent from one text or from all.
+            (["0011100", "000", "0101"], ["111", "2", "01"], [1, 2, 3, 4, 8]),
+            (["0120210", "21"], ["0", "12", "2", "20"], [1, 2, 3, 6]),
+        ],
+    )
+    def test_chunk_edges(self, monkeypatch, floor, texts, patterns, lens):
+        monkeypatch.setattr(scan, "_CHUNK_FLOOR", floor)
+        assert window_imbalance_curve(texts, patterns, lens) == python_curve(texts, patterns, lens)
+
+    def test_earlier_chunk_wins_a_tie(self, monkeypatch):
+        # Windows of 3 hold "1" twice at starts 0, 1, 3 and 4; the chunks are
+        # starts [0, 3) and [3, 5), so the later chunk ties the first.
+        monkeypatch.setattr(scan, "_CHUNK_FLOOR", 1)
+        assert window_imbalance_curve(["1101011"], ["1"], [3]) == {
+            3: ScanWitness("1", 3, 1, "110", "010")
+        }
+
+    def test_each_chunk_matches_only_new_text(self, monkeypatch):
+        # The slices handed to _match_into overlap by len(pattern) - 1
+        # characters and together make up the text: no indicator entry is
+        # built twice.
+        monkeypatch.setattr(scan, "_CHUNK_FLOOR", 4)
+        slices = []
+        real = scan._match_into
+        monkeypatch.setattr(
+            scan, "_match_into", lambda t, p, *bufs: slices.append(t) or real(t, p, *bufs)
+        )
+        text = "0110100110010110" * 2
+        curve = window_imbalance_curve([text], ["011"], [1, 3])
+        assert curve == python_curve([text], ["011"], [1, 3])
+        assert len(slices) == 8
+        assert slices[0] + "".join(s[2:] for s in slices[1:]) == text
+
+    @pytest.mark.parametrize("top", [60_000, 70_000])
+    def test_peak_does_not_grow_with_text_length(self, top):
+        # Measured (numpy 2.4, Python 3.11): 0.77 MB below window length
+        # 2^16 and 1.27 MB at 70,000, within 5 KB at both text lengths.
+        rng = random.Random(top)
+        sizes = (1_000_000, 2_000_000)
+        texts = {n: ["".join(rng.choices("01", k=n)) for _ in range(2)] for n in sizes}
+        peaks = {}
+        for n in sizes:
+            tracemalloc.start()
+            try:
+                window_imbalance_curve(texts[n], ["0", "1", "01", "11"], [10, 1000, top])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2_000_000] <= peaks[1_000_000] + 2**16
+        assert max(peaks.values()) < 1.5 * 2**20
 
 
 def spreads_of(curve):
