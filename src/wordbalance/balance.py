@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exactmat import det, invert, kernel_basis, mat_vec, reach, shifted
+from .exactmat import invert, kernel_basis, mat_vec, radius_below, reach, shifted
 from .language import LanguageSample, _decode, _image_table, _letter_codes
 from .substitution import Substitution, incidence_counts
 from .words import Alphabet, Symbol, Word, _Record
@@ -43,15 +43,6 @@ class BalanceEntry(NamedTuple):
     empirical_c: int
     witness: Optional[Witness]
     curve: Tuple[Tuple[int, int], ...]
-
-
-class BalanceReport(NamedTuple):
-    level: int
-    max_length: int
-    sample_size: int
-    exact: bool
-    saturated: bool
-    entries: Tuple[BalanceEntry, ...]
 
 
 def imbalance(sample: LanguageSample, n: int) -> BalanceEntry:
@@ -130,17 +121,10 @@ def _imbalance(sample: LanguageSample, classes: Dict[int, List[str]], n: int) ->
     )
 
 
-def balance_report(sample: LanguageSample, n_max: int) -> BalanceReport:
+def balance_report(sample: LanguageSample, n_max: int) -> Tuple[BalanceEntry, ...]:
+    """The imbalance entries of factor lengths 1..n_max, in that order."""
     classes = _length_classes(sample)
-    entries = tuple(_imbalance(sample, classes, n) for n in range(1, n_max + 1))
-    return BalanceReport(
-        level=sample.level,
-        max_length=sample.max_length,
-        sample_size=len(sample),
-        exact=sample.meta.exact,
-        saturated=sample.meta.saturated,
-        entries=entries,
-    )
+    return tuple(_imbalance(sample, classes, n) for n in range(1, n_max + 1))
 
 
 class FrequencyVector(_Record):
@@ -183,7 +167,7 @@ def perron_frequency(rows, letters) -> FrequencyVector:
     letters.
 
     Refused (ValueError) unless the matrix is nonnegative, as the radius
-    tests below need, and its spectral radius rho is an integer whose
+    test needs, and its spectral radius rho is an integer whose
     eigenspace is one-dimensional: otherwise no single eigenvector, hence
     no single frequency vector, is determined by the matrix.
     """
@@ -195,7 +179,7 @@ def perron_frequency(rows, letters) -> FrequencyVector:
     lam, hi = 0, math.floor(max(map(sum, zip(*rows)), default=0)) + 1
     while hi - lam > 1:
         mid = (lam + hi) // 2
-        lam, hi = (lam, mid) if _radius_below(rows, mid) else (mid, hi)
+        lam, hi = (lam, mid) if radius_below(rows, mid) else (mid, hi)
     if not _is_spectral_radius(rows, lam):
         raise ValueError(f"spectral radius is not an integer (it lies between {lam} and {lam + 1})")
     basis = kernel_basis(shifted(rows, lam))
@@ -213,21 +197,13 @@ def perron_frequency(rows, letters) -> FrequencyVector:
     return FrequencyVector(Alphabet(letters), values)
 
 
-def _radius_below(rows, t: int) -> bool:
-    """Is rho(A) < t for the square nonnegative matrix A with these rows?
-    Exactly when every leading principal minor of t*I - A is positive (a
-    nonsingular M-matrix)."""
-    gap = shifted(rows, t)
-    return all(det([row[:k] for row in gap[:k]]) > 0 for k in range(1, len(rows) + 1))
-
-
 def _is_spectral_radius(rows, lam: int) -> bool:
     """Is lam the spectral radius of the nonnegative matrix with these rows?
 
     The spectral radius is the largest rho(B) over the diagonal blocks B of
     the strongly connected letter classes, the mutual-reach sets, so lam
     >= 0 is it iff no class has rho(B) > lam; a letter on no cycle is a
-    block [0]. Per class, exactly: rho(B) < lam by _radius_below, and
+    block [0]. Per class, exactly: rho(B) < lam by radius_below, and
     rho(B) = lam iff the kernel of lam*I - B is spanned by one strictly
     positive vector (Perron-Frobenius).
     """
@@ -239,7 +215,7 @@ def _is_spectral_radius(rows, lam: int) -> bool:
     }
     for cls in sorted(classes):
         block = [[rows[i][j] for j in cls] for i in cls]
-        if _radius_below(block, lam):
+        if radius_below(block, lam):
             continue
         # kernel_basis sets a free coordinate to 1, so a strictly positive
         # spanning vector is returned as one.
@@ -283,11 +259,6 @@ class LiftedFrequency(NamedTuple):
     normalized: bool
     nonnegative: bool
 
-    def __getitem__(self, symbol: Symbol) -> Fraction:
-        return self.values[self.alphabet.index(symbol)]
-
-    def items(self) -> Tuple[Tuple[Symbol, Fraction], ...]:
-        return tuple(zip(self.alphabet.symbols, self.values))
 
 
 def lift_frequency(f: FrequencyVector, substitution: Substitution) -> LiftedFrequency:

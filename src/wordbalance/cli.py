@@ -292,10 +292,9 @@ def _cmd_analyze(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
     # would only add all-zero entries.
     check_budget("--nmax factor length", args.nmax, args.max_length, "letters")
     sample = sample_level_language(d, 0, cap, depth=args.depth, window=args.window)
-    bal = balance_report(sample, args.nmax)
 
     entries = []
-    for e in bal.entries:
+    for e in balance_report(sample, args.nmax):
         entry: Dict[str, Any] = {
             "factor_length": e.factor_length,
             "imbalance": e.empirical_c,

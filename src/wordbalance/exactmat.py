@@ -1,5 +1,9 @@
 """Exact matrices as lists of rows of int or Fraction: products,
-determinants, inverses, kernels, eigenpairs, reachability.
+determinants, inverses, kernels, the spectral radius test, eigenpairs,
+reachability.
+
+One elimination loop, the Gauss-Jordan _reduce, serves determinants,
+inverses, kernels and the radius test.
 
 No floating point enters any result: every division goes through
 fractions.Fraction, so integer matrices keep integer products and every
@@ -73,35 +77,14 @@ def binary_power(base, k: int, mul):
         base = mul(base, base)
 
 
-def det(a: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = _square(a, "determinant")
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in r] for r in a]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _reduce(rows: List[list], width: int) -> List[int]:
+def _reduce(rows: List[list], width: int) -> Tuple[List[Tuple[int, Fraction]], int]:
     """Gauss-Jordan elimination of rows, in place, over their first width
-    columns; returns the pivot columns. A column's pivot is the first row,
-    from the next pivot row down, with a nonzero entry there; a column
-    with none is skipped."""
-    pivots: List[int] = []
+    columns. A column's pivot is the first row, from the next pivot row
+    down, with a nonzero entry there; a column with none is skipped.
+    Returns each pivot's column and its value before its row is scaled,
+    and the number of row swaps."""
+    pivots: List[Tuple[int, Fraction]] = []
+    swaps = 0
     for c in range(width):
         r = len(pivots)
         if r == len(rows):
@@ -109,15 +92,41 @@ def _reduce(rows: List[list], width: int) -> List[int]:
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv_p = Fraction(1) / rows[r][c]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            swaps += 1
+        p = rows[r][c]
+        inv_p = Fraction(1) / p
         rows[r] = [x * inv_p for x in rows[r]]
         for i, row in enumerate(rows):
             if i != r and row[c] != 0:
                 f = row[c]
                 rows[i] = [x - f * y for x, y in zip(row, rows[r])]
-        pivots.append(c)
-    return pivots
+        pivots.append((c, p))
+    return pivots, swaps
+
+
+def det(a: Sequence[Sequence]) -> Fraction:
+    """Exact determinant: (-1)^swaps times the product of _reduce's pivots,
+    0 when a column has no pivot."""
+    n = _square(a, "determinant")
+    pivots, swaps = _reduce([list(r) for r in a], n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return math.prod((p for _, p in pivots), start=Fraction(-1) ** swaps)
+
+
+def radius_below(a: Sequence[Sequence], t) -> bool:
+    """Is every leading principal minor of t*I - a positive? For a
+    nonnegative square a, that is exactly rho(a) < t (a nonsingular
+    M-matrix).
+
+    With no row swap, the k-th leading minor is the product of _reduce's
+    first k pivots; a swap at step k means that minor is 0.
+    """
+    n = _square(a, "radius test")
+    pivots, swaps = _reduce(shifted(a, t), n)
+    return swaps == 0 and len(pivots) == n and all(p > 0 for _, p in pivots)
 
 
 def invert(a: Sequence[Sequence]) -> List[List[Fraction]]:
@@ -127,7 +136,7 @@ def invert(a: Sequence[Sequence]) -> List[List[Fraction]]:
         raise NotInvertibleError("non-square matrix")
     n = len(a)
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    if len(_reduce(aug, n)) < n:
+    if len(_reduce(aug, n)[0]) < n:
         raise NotInvertibleError("singular matrix")
     return [r[n:] for r in aug]
 
@@ -143,7 +152,7 @@ def kernel_basis(a: Sequence[Sequence]) -> Tuple[Vector, ...]:
     """A basis of the rational solutions of a*x = 0, one vector per free column."""
     m = len(a[0]) if a else 0
     rows = [list(r) for r in a]
-    pivots = _reduce(rows, m)
+    pivots = [c for c, _ in _reduce(rows, m)[0]]
     basis = []
     for c0 in (c for c in range(m) if c not in pivots):
         x = [Fraction(0)] * m

@@ -410,14 +410,18 @@ def sample_level_language(
 def _default_depth(d: DirectiveSequence, k: int, max_length: int) -> int:
     """k + j for the first j where every letter image of sigma_[k,k+j) has
     at least max(max_length, 1) characters, and at least k + 1; k + 12 when
-    the directive is not everywhere growing."""
+    the directive is not everywhere growing. A finite directive is refused
+    when its last level comes first."""
     if not is_everywhere_growing(d).growing:
         return k + 12
-    subs = map(d.substitution_at, itertools.count(k))
+    top = d.max_defined_level()
+    subs = map(d.substitution_at, itertools.count(k) if top is None else range(k, top))
     walk = _tower_lengths(subs, d.level_alphabet(k))
     for j, lengths in enumerate(itertools.islice(walk, MAX_DEPTH_LEVELS)):
         if lengths and min(lengths.values()) >= max(max_length, 1):
             return k + max(j, 1)
+    if top is not None and top - k < MAX_DEPTH_LEVELS:
+        raise ValueError("finite directive too short for the requested window")
     raise ResourceLimitError(
         f"growth too slow: sample depth needs more than {MAX_DEPTH_LEVELS} levels, "
         f"limit {MAX_DEPTH_LEVELS}",

@@ -496,7 +496,8 @@ def _scan_depth(
     d: DirectiveSequence, alphabet: Alphabet, min_chars: int, clip: int, max_depth: int
 ) -> Tuple[int, bool]:
     """The depth level_scan_texts builds, from letter-text lengths only, and
-    whether _squared holds there.
+    whether _squared holds there. A finite directive's depth starts at
+    min(8, its last level) and never passes that level.
 
     Refused when some level up to that depth would keep more than
     MAX_TEXT_CHARS characters, counting each letter text up to clip. Where
@@ -504,7 +505,11 @@ def _scan_depth(
     composed period's incidence matrix instead of the walk.
     """
     walk = enumerate(_checked_lengths(d, alphabet, clip))
-    depth = max(8, d.prefix_length + max(1, d.period_length))
+    top = d.max_defined_level()
+    if top is None:
+        depth = max(8, d.prefix_length + max(1, d.period_length))
+    else:
+        depth, max_depth = min(8, top), min(max_depth, top)
     while True:
         squared = _squared(d, clip, depth)
         if squared:

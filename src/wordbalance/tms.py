@@ -221,7 +221,7 @@ class WitnessPair(NamedTuple):
         )
 
 
-def witness_pair(index: int, max_chars: int = MAX_WITNESS_CHARS) -> WitnessPair:
+def witness_pair(index: int) -> WitnessPair:
     """Witness pair with membership certificates in a doubling expansion.
 
     The certificate is the first position of each word in the 2^d prefix
@@ -235,10 +235,10 @@ def witness_pair(index: int, max_chars: int = MAX_WITNESS_CHARS) -> WitnessPair:
     # 24 * (4^index + 2) / 3 + 16 = 2^(2 * index + 3) + 32, so depth is
     # 2 * index + 4 and 2^depth has one bit more: a huge 2^depth is refused
     # from that bit length before it or 4^index is built.
-    refuse_huge("certification text", 2 * index + 5, max_chars)
+    refuse_huge("certification text", 2 * index + 5, MAX_WITNESS_CHARS)
     min_chars = 24 * _witness_length(index) + 16
     depth = _thue_morse_depth(min_chars)
-    check_budget("certification text", 1 << depth, max_chars)
+    check_budget("certification text", 1 << depth, MAX_WITNESS_CHARS)
     w, wp = witness_strings(index)
     # Doubled here rather than through a generator shared with
     # thue_morse_text: += grows text in place only while no caller holds it,
@@ -300,9 +300,7 @@ def witness_growth_curve(n_max: int = 4) -> List[Tuple[int, int]]:
     return curve
 
 
-def imbalance_milestones(
-    indices: Sequence[int] = (1, 2, 3), max_chars: int = MAX_WITNESS_CHARS
-) -> List[Tuple[int, ScanWitness]]:
+def imbalance_milestones(indices: Sequence[int] = (1, 2, 3)) -> List[Tuple[int, ScanWitness]]:
     """Certified length-2 imbalance lower bounds at the witness lengths.
 
     For each index i, scans all windows of length (4^{2i}+2)/3 of a deep
@@ -313,9 +311,9 @@ def imbalance_milestones(
     """
     # 24 * (4^(2i) + 2) / 3 + 16 = 2^(4i + 3) + 32, so the text has 2^(4i + 4)
     # characters, a size of 4i + 5 bits.
-    refuse_huge("Thue-Morse text", 4 * max(indices) + 5, max_chars)
+    refuse_huge("Thue-Morse text", 4 * max(indices) + 5, MAX_WITNESS_CHARS)
     lengths = [(4 ** (2 * i) + 2) // 3 for i in indices]
-    text = thue_morse_text(min_chars=24 * max(lengths) + 16, max_chars=max_chars)
+    text = thue_morse_text(min_chars=24 * max(lengths) + 16)
     curve = window_imbalance_curve([text], _BLOCK_PATTERNS, lengths)
     out = []
     for i, length in zip(indices, lengths):

@@ -11,6 +11,7 @@ construction that only one check uses is defined next to that check.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -37,7 +38,6 @@ from .language import (
     _decode,
     _image_table,
     _letter_codes,
-    builtin_registry,
     factorial_closure,
     is_everywhere_growing,
     is_factorial,
@@ -55,7 +55,6 @@ from .substitution import (
     BlockSubstitution,
     Substitution,
     coding_identity_sides,
-    compose,
     incidence_counts,
     induced_block_substitution,
 )
@@ -504,7 +503,7 @@ def check_coarsening_bound() -> CheckResult:
     for name, sample in samples:
         size = len(sample.alphabet.symbols)
         # One report sorts the sample once for all four factor lengths.
-        cs = {e.factor_length: e.empirical_c for e in balance_report(sample, 4).entries}
+        cs = {e.factor_length: e.empirical_c for e in balance_report(sample, 4)}
         ok = all(
             cs[k] <= coarsening_bound(cs[n], n, k, size)
             for n in range(2, 5)
@@ -579,11 +578,11 @@ def check_image_balance_bounds() -> CheckResult:
     passed = True
     for src_name, source in sources:
         size = len(source.alphabet.symbols)
-        c_1, c_2 = (e.empirical_c for e in balance_report(source, 2).entries)
+        c_1, c_2 = (e.empirical_c for e in balance_report(source, 2))
         for s_name, sigma in sigmas:
             closure = _image_closure(source, sigma)
             letter_bound = image_letter_bound(c_1, size, sigma.norm())
-            img_c1, img_c2 = (e.empirical_c for e in balance_report(closure, 2).entries)
+            img_c1, img_c2 = (e.empirical_c for e in balance_report(closure, 2))
             ok = img_c1 <= letter_bound
             window_bound_c = image_window_bound_constant(c_1, c_2, 2, size, sigma.norm())
             ok = ok and img_c2 <= window_bound_c
@@ -609,18 +608,8 @@ def padded_compositions(depth: int) -> List[Tuple[str, Substitution]]:
     4^arity named expressions; many expressions share the same underlying
     substitution. For depth 3 this yields 4 + 16 + 64 = 84 compositions.
     """
-    reg = dict(builtin_registry())
-    reg["I"] = Substitution.identity(BINARY)
-    out: List[Tuple[str, Substitution]] = []
-    frontier: List[Tuple[str, Substitution]] = [("", Substitution.identity(BINARY))]
-    for _ in range(depth):
-        nxt = []
-        for name, sub in frontier:
-            for letter in "ILMR":
-                nxt.append((name + letter, compose(sub, reg[letter])))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    names = ("".join(p) for k in range(1, depth + 1) for p in itertools.product("ILMR", repeat=k))
+    return [(name, composition(name.replace("I", ""))) for name in names]
 
 
 def _span_counts(text: str, pattern: str, lo: "np.ndarray", hi: "np.ndarray") -> "np.ndarray":

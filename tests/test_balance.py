@@ -100,11 +100,8 @@ class TestImbalance:
         assert imbalance(tm_sample, 1).empirical_c == 2
 
     def test_report_shape(self, small_sample):
-        rep = balance_report(small_sample, 2)
-        assert [e.factor_length for e in rep.entries] == [1, 2]
-        assert rep.sample_size == len(small_sample)
-        assert rep.exact and rep.saturated
-        assert rep.max_length == 4
+        entries = balance_report(small_sample, 2)
+        assert [e.factor_length for e in entries] == [1, 2]
 
 
 def overlapping_count(text, pattern):
@@ -227,8 +224,7 @@ class TestWordsStayAtTheBoundary:
             "_from_checked",
             classmethod(lambda cls, symbols, a: built.append(symbols) or real_checked(symbols, a)),
         )
-        report = balance_report(sample, 2)
-        assert report.sample_size == len(sample.codes)
+        balance_report(sample, 2)
         assert len(built) <= 6
         built.clear()
         for f in (frequency_vector(sample), perron_frequency(incidence_counts(M), BIN.symbols)):
@@ -260,8 +256,8 @@ class TestBalanceAgainstBruteForce:
 
     @given(small_factorial_samples(), st.integers(1, 4))
     def test_report_entries_are_imbalances(self, sample, n_max):
-        report = balance_report(sample, n_max)
-        assert report.entries == tuple(imbalance(sample, n) for n in range(1, n_max + 1))
+        entries = balance_report(sample, n_max)
+        assert entries == tuple(imbalance(sample, n) for n in range(1, n_max + 1))
 
     @given(small_factorial_samples(), st.lists(st.integers(0, 5), min_size=3, max_size=3))
     def test_frequency_deviation_matches_every_word(self, sample, weights):

@@ -155,6 +155,19 @@ class TestAnalyze:
                 assert set(e[key]) <= {"\u0100", "\u0101"}
             assert len(e["high_window"]) == len(e["low_window"]) == e["window"]
 
+    def test_finite_directive_shorter_than_the_default_depth(self, capsys):
+        # Letter images of 40 characters need six M levels; the prefix has five.
+        code, _, err = run(capsys, "analyze", "--directive", "MMMMM|", "--max-length", "40")
+        assert code == EXIT_USAGE
+        assert err == "error: finite directive too short for the requested window\n"
+
+    def test_finite_directive_scan_stops_at_its_last_level(self, capsys):
+        # The first 20 levels of both directives are the same tower.
+        finite = run_json(capsys, "analyze", "--directive", "M" * 20 + "|", "--max-length", "49")
+        periodic = run_json(capsys, "analyze", "--directive", "|M", "--max-length", "49")
+        assert finite["results"]["scan"] == periodic["results"]["scan"]
+        assert finite["results"]["scan"]["text_chars"] == [1192, 1192]
+
     def test_unknown_substitution_fails_usage(self, capsys):
         code, _, err = run(capsys, "analyze", "--directive", "|Q")
         assert code == EXIT_USAGE

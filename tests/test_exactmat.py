@@ -1,5 +1,6 @@
 """Exact linear algebra on lists of int/Fraction rows: products,
-determinants, inverses, eigenpairs, and the reachability closure."""
+determinants, inverses, the spectral radius test, eigenpairs, and the
+reachability closure."""
 
 from collections import deque
 from fractions import Fraction
@@ -19,6 +20,7 @@ from wordbalance.exactmat import (
     kernel_basis,
     mat_mul,
     mat_vec,
+    radius_below,
     reach,
     shifted,
 )
@@ -137,6 +139,8 @@ class TestDeterminant:
 
     def test_zero_pivot_needs_row_swap(self):
         assert det([[0, 1], [1, 0]]) == -1
+        # Columns 0 and 1 each take their pivot from a lower row.
+        assert det([[0, 0, 2], [3, 0, 0], [0, 5, 0]]) == 30
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -147,6 +151,50 @@ class TestDeterminant:
     @example([[2, 4], [1, 2]])
     def test_matches_leibniz_formula(self, rows):
         assert det(rows) == leibniz_det(rows)
+
+
+def leading_minors_positive(rows, t):
+    gap = shifted(rows, t)
+    return all(leibniz_det([row[:k] for row in gap[:k]]) > 0 for k in range(1, len(rows) + 1))
+
+
+@st.composite
+def radius_cases(draw):
+    """A nonnegative matrix of size 1..5 and t from 0 to its largest column
+    sum + 1, which bounds rho."""
+    n = draw(st.integers(1, 5))
+    rows = draw(matrices(n, n, st.integers(0, 3)))
+    return rows, draw(st.integers(0, max(map(sum, zip(*rows))) + 1))
+
+
+class TestRadiusBelow:
+    @given(radius_cases())
+    # A zero (0, 0) entry of t*I - A: the first pivot comes from row 1.
+    @example(([[2, 1], [1, 0]], 2))
+    # t*I - A singular: rho = t, and the second column has no pivot.
+    @example(([[1, 1], [1, 1]], 2))
+    @example(([[1]], 1))
+    def test_matches_leading_minors(self, case):
+        rows, t = case
+        assert radius_below(rows, t) == leading_minors_positive(rows, t)
+
+    @given(square_matrices, st.integers(-4, 4))
+    # t*I - A = [[0, 1], [1, 0]]: positive pivots after a row swap, but the
+    # first leading minor is 0.
+    @example([[0, -1], [-1, 0]], 0)
+    def test_signed_matrices_match_leading_minors(self, rows, t):
+        assert radius_below(rows, t) == leading_minors_positive(rows, t)
+
+    def test_known_radii(self):
+        # rho of the doubling matrix is 2; of [[1, 1], [1, 0]] the golden ratio.
+        assert radius_below([[1, 1], [1, 1]], 3)
+        assert not radius_below([[1, 1], [1, 1]], 2)
+        assert radius_below([[1, 1], [1, 0]], 2)
+        assert not radius_below([[1, 1], [1, 0]], 1)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            radius_below([[1, 2]], 3)
 
 
 class TestInverse:

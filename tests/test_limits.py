@@ -94,7 +94,7 @@ def test_the_cap_escalation_limit_is_named(monkeypatch):
 
 
 def test_a_short_witness_expansion_names_its_sizes(monkeypatch):
-    monkeypatch.setattr(tms, "thue_morse_text", lambda min_chars, max_chars: "0110")
+    monkeypatch.setattr(tms, "thue_morse_text", lambda min_chars: "0110")
     with pytest.raises(ResourceLimitError) as exc:
         tms.imbalance_milestones((1,))
     assert str(exc.value) == "expansion too short for the witness length"

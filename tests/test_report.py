@@ -99,7 +99,7 @@ RECORDS = package_records()
 
 def test_every_named_tuple_record_is_found():
     assert sorted(type(r).__name__ for r in RECORDS if isinstance(r, tuple)) == [
-        "BalanceEntry", "BalanceReport", "BlockSubstitution", "CheckResult",
+        "BalanceEntry", "BlockSubstitution", "CheckResult",
         "Classification", "GrowthReport", "ImageDecomposition", "LiftedFrequency",
         "PropernessProfile", "SampleMeta", "ScanWitness", "Witness", "WitnessPair",
     ]

@@ -62,6 +62,15 @@ class TestScanTexts:
         want = symbol_expansions(d, depth)
         assert texts == ["".join(map(code.__getitem__, w))[:100] for w in want.values()]
 
+    @given(st.text(alphabet="LMR", min_size=1, max_size=24), st.integers(1, 3000))
+    def test_finite_directive_stays_in_its_prefix(self, prefix, min_chars):
+        d = parse_directive(prefix + "|")
+        asked = []
+        at = d.substitution_at
+        d.substitution_at = lambda j: asked.append(j) or at(j)
+        level_scan_texts(d, min_chars, min_chars)
+        assert max(asked) < len(prefix)
+
     def test_alphabet_size_limit(self):
         letters = [chr(0x100 + i) for i in range(256)]
         d = parse_directive("|T", {"T": Substitution.from_text(";".join(f"{a}->{a}" for a in letters))})
