@@ -237,7 +237,10 @@ def _scan_section(
 ) -> Dict[str, Any]:
     min_chars = 24 * max_length + 16
     texts, alphabet = level_scan_texts(d, min_chars=min_chars, clip=min_chars)
-    grid = _window_grid(max_length)
+    # Texts can stay shorter than min_chars (a finite directive's last level,
+    # a tower that does not grow), and no window longer than them is scanned.
+    longest = max(map(len, texts), default=0)
+    grid = [m for m in _window_grid(max_length) if m <= longest]
     codes = list(_letter_codes(alphabet).values())
     # Letter codes to rendered symbols, as _decode(...).render() would.
     render = {ord(c): render_symbol(s) for c, s in zip(codes, alphabet.symbols)}

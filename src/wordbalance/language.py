@@ -284,10 +284,7 @@ def _short_factors(texts: Iterable[str], max_length: int) -> set:
 
 
 def factorial_closure(
-    words: Iterable[Word],
-    max_length: int,
-    alphabet: Optional[Alphabet] = None,
-    level: int = 0,
+    words: Iterable[Word], max_length: int, alphabet: Optional[Alphabet] = None
 ) -> LanguageSample:
     """All factors of the given words up to max_length, plus the empty word."""
     words = list(words)
@@ -299,16 +296,14 @@ def factorial_closure(
         raise ValueError("mixed alphabets in factorial closure")
     code = _letter_codes(alphabet)
     texts = ("".join(map(code.__getitem__, w.symbols)) for w in words)
-    return _code_closure(texts, max_length, alphabet, level)
+    return _code_closure(texts, max_length, alphabet)
 
 
-def _code_closure(
-    texts: Iterable[str], max_length: int, alphabet: Alphabet, level: int = 0
-) -> LanguageSample:
+def _code_closure(texts: Iterable[str], max_length: int, alphabet: Alphabet) -> LanguageSample:
     """factorial_closure of words given as letter-code strings."""
     return LanguageSample(
         alphabet=alphabet,
-        level=level,
+        level=0,
         max_length=max_length,
         codes=frozenset(_short_factors(texts, max_length) | {""}),
         meta=SampleMeta(depth=0, window=0, exact=True, saturated=True),
@@ -490,7 +485,6 @@ def _exact_fixed_point_sample(
 class GrowthReport(NamedTuple):
     growing: bool
     exact: bool
-    certificate: dict
 
 
 def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
@@ -513,22 +507,13 @@ def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
       and growth provably fails; an all-capped cycle, cross-checked at a
       second larger cap, is reported as growing but flagged inexact.
 
-    Finite directives get an empirical report at level _GROWTH_HORIZON.
+    A finite directive is growing, inexactly, when its shortest letter image
+    reaches _GROWTH_THRESHOLD letters by level _GROWTH_HORIZON.
     """
     if d.period is None:
-        walk = _tower_lengths(d.prefix[:_GROWTH_HORIZON], d.level_alphabet(0))
-        curve = [min(lengths.values(), default=0) for lengths in walk]
-        growing = bool(curve) and curve[-1] >= _GROWTH_THRESHOLD
-        return GrowthReport(
-            growing=growing,
-            exact=False,
-            certificate={
-                "mode": "empirical",
-                "horizon": len(curve) - 1,
-                "threshold": _GROWTH_THRESHOLD,
-                "min_image_lengths": curve,
-            },
-        )
+        *_, lengths = _tower_lengths(d.prefix[:_GROWTH_HORIZON], d.level_alphabet(0))
+        shortest = min(lengths.values(), default=0)
+        return GrowthReport(growing=shortest >= _GROWTH_THRESHOLD, exact=False)
 
     p, q = d.prefix_length, d.period_length
     levels = [incidence_counts(d.substitution_at(p + r)) for r in range(q)]
@@ -540,60 +525,50 @@ def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
     # Row 0 of head holds the weights (column sums of pi's matrix), the
     # rest is H, so one product per level advances both.
     head = [list(map(sum, zip(*_tower_counts(d, 0, p))))] + _tower_counts(d, p, p)
-    residues, exact = [], True
+    growing, exact = True, True
     for r in range(q):
         tau = mat_mul(tails[r], head[1:])
         weights = head[0]
         # images[a][b] counts letter b in tau(a); weights[b] is |pi(b)|.
         images = list(zip(*tau))
         if all(map(sum, images)) and all(weights):
-            verdict, data = _monotone_growth_verdict(tau, d.level_alphabet(p + r).symbols)
+            verdict = _monotone_growth_verdict(tau)
         else:
-            verdict, data, certain = _capped_growth_verdict(images, weights)
+            verdict, certain = _capped_growth_verdict(images, weights)
             exact = exact and certain
-        residues.append({"residue": r, "verdict": verdict, **data})
+        growing = growing and verdict
         head = mat_mul(head, levels[r])
-    return GrowthReport(
-        growing=all(row["verdict"] for row in residues),
-        exact=exact,
-        certificate={"mode": "periodic-residue-reduction", "residues": residues},
-    )
+    return GrowthReport(growing=growing, exact=exact)
 
 
-def _monotone_growth_verdict(counts, symbols) -> Tuple[bool, dict]:
+def _monotone_growth_verdict(counts) -> bool:
     """Exact growth test for a non-erasing endomorphism with positive weights.
 
     counts is its incidence matrix. A letter is expanding when it lies on a
     cycle of the letter graph and its image has two or more letters. Image
     lengths are monotone, so a letter grows exactly when it reaches an
     expanding letter, which then recurs in its iterates forever. Otherwise
-    its iterates end inside E, the letters that reach only one-letter-image
+    its iterates end among letters that reach only one-letter-image
     letters, and are frozen in length from then on.
     """
     sizes = list(map(sum, zip(*counts)))
     reached = reach(counts)
     expanding = {c for c, size in enumerate(sizes) if size > 1 and c in reached[c]}
-    core = sum(all(sizes[c] == 1 for c in reached[a] | {a}) for a in range(len(sizes)))
-    stalled = [b for a, b in enumerate(symbols) if not reached[a] & expanding]
-    return not stalled, {
-        "tier": "monotone-stable-set",
-        "non_expanding_core_size": core,
-        "stalled_letters": sorted(map(str, stalled)),
-    }
+    return all(out & expanding for out in reached)
 
 
-def _capped_growth_verdict(images, weights) -> Tuple[bool, dict, bool]:
+def _capped_growth_verdict(images, weights) -> Tuple[bool, bool]:
+    """(verdict, certain): the capped orbit's verdict once two caps agree,
+    certain when it is not growing."""
     max_entry = max((c for image in images for c in image), default=0)
     cap = max(64, max(weights, default=1) + 1, (len(images) * max_entry + 2) ** 2)
-    verdict, data = _capped_orbit(images, weights, cap)
+    verdict = _capped_orbit(images, weights, cap)
     for _ in range(_CAP_ESCALATIONS):
         bigger = cap * cap + 17
-        verdict2, data2 = _capped_orbit(images, weights, bigger)
+        verdict2 = _capped_orbit(images, weights, bigger)
         if verdict2 == verdict:
-            data["confirm_cap"] = bigger
-            data["tier"] = "capped-cycle"
-            return verdict, data, not verdict
-        cap, verdict, data = bigger, verdict2, data2
+            return verdict, not verdict
+        cap, verdict = bigger, verdict2
     raise ResourceLimitError(
         "growth decision did not stabilize under cap escalation",
         "growth cap escalations",
@@ -601,22 +576,15 @@ def _capped_growth_verdict(images, weights) -> Tuple[bool, dict, bool]:
     )
 
 
-def _capped_orbit(images, weights, cap):
+def _capped_orbit(images, weights, cap) -> bool:
+    """Whether every state on the cycle of the capped length orbit is all
+    capped."""
     state = tuple(min(w, cap) for w in weights)
     seen = {state: 0}
     trajectory = [state]
     while True:
         nxt = tuple(min(sum(map(operator.mul, image, trajectory[-1])), cap) for image in images)
         if nxt in seen:
-            start = seen[nxt]
-            cycle = trajectory[start:]
-            growing = all(all(v >= cap for v in st) for st in cycle)
-            floor = min(min(st) for st in cycle)
-            return growing, {
-                "cap": cap,
-                "preperiod": start,
-                "cycle_length": len(trajectory) - start,
-                "cycle_floor": floor,
-            }
+            return all(v >= cap for st in trajectory[seen[nxt]:] for v in st)
         seen[nxt] = len(trajectory)
         trajectory.append(nxt)

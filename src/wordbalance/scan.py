@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import functools
 import itertools
 from typing import (
     TYPE_CHECKING,
@@ -85,35 +84,12 @@ def expand_text(
     return cur
 
 
-def count_overlapping(text: str, pattern: str) -> int:
-    """Occurrences of pattern in text, overlaps included."""
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
-    # Two occurrences of a word with no border cannot overlap, so str.count's
-    # disjoint count is exact.
-    if not _has_border(pattern):
-        return text.count(pattern)
-    count = 0
-    idx = text.find(pattern)
-    while idx != -1:
-        count += 1
-        idx = text.find(pattern, idx + 1)
-    return count
-
-
-@functools.lru_cache(maxsize=1024)
-def _has_border(pattern: str) -> bool:
-    """Whether some proper nonempty prefix of pattern is also its suffix."""
-    return any(pattern[:k] == pattern[-k:] for k in range(1, len(pattern)))
-
-
 def _occurrence_indicator(text: str, pattern: str) -> np.ndarray:
-    """indicator[i] is True iff text[i:i+len(pattern)] == pattern."""
+    """indicator[i] is True iff text[i:i+len(pattern)] == pattern, for a
+    nonempty pattern."""
     import numpy as np
 
     n = max(len(text) - len(pattern) + 1, 0)
-    if not pattern:
-        return np.zeros(n, dtype=bool)
     return _match_into(text, pattern, np.empty(n, dtype=bool), np.empty(n, dtype=bool))
 
 

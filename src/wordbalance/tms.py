@@ -8,20 +8,21 @@ directive tail is eventually all-M, and this module constructs the
 equal-length witness pairs whose length-2 block counts drift apart linearly.
 
 Three helpers here serve only verify: thue_morse_text, imbalance_milestones
-and factor_spans. They stay because they are the callers of expand_text and
-window_imbalance_curve that the benchmark tracer hooks in this module's
-namespace. The reference constructions that one verify check each calls
-live in verification.py, next to their checks.
+(at the three witness indices verify reads) and factor_spans. They stay
+because they are the callers of expand_text and window_imbalance_curve
+that the benchmark tracer hooks in this module's namespace. The reference
+constructions that one verify check each calls live in verification.py,
+next to their checks.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 from .language import SUB_L, SUB_M, SUB_R, DirectiveSequence, builtin_registry
-from .limits import ResourceLimitError, check_budget, refuse_huge
+from .limits import check_budget, refuse_huge
 from .scan import ScanWitness, expand_text, window_imbalance_curve
 from .substitution import Substitution, compose
 from .words import Alphabet
@@ -300,33 +301,19 @@ def witness_growth_curve(n_max: int = 4) -> List[Tuple[int, int]]:
     return curve
 
 
-def imbalance_milestones(indices: Sequence[int] = (1, 2, 3)) -> List[Tuple[int, ScanWitness]]:
+def imbalance_milestones() -> List[Tuple[int, ScanWitness]]:
     """Certified length-2 imbalance lower bounds at the witness lengths.
 
-    For each index i, scans all windows of length (4^{2i}+2)/3 of a deep
-    doubling expansion; every reported window pair consists of genuine
-    Thue-Morse factors, so the spread is a true imbalance lower bound, and
-    it is at least i by the witness construction. A huge text is refused
-    from its bit length before any window length is built.
+    For each index i in 1, 2, 3, scans all windows of length (4^{2i}+2)/3
+    of a 2^16-character doubling expansion; every reported window pair
+    consists of genuine Thue-Morse factors, so the spread is a true
+    imbalance lower bound, and it is at least i by the witness construction.
     """
-    # 24 * (4^(2i) + 2) / 3 + 16 = 2^(4i + 3) + 32, so the text has 2^(4i + 4)
-    # characters, a size of 4i + 5 bits.
-    refuse_huge("Thue-Morse text", 4 * max(indices) + 5, MAX_WITNESS_CHARS)
+    indices = (1, 2, 3)
     lengths = [(4 ** (2 * i) + 2) // 3 for i in indices]
     text = thue_morse_text(min_chars=24 * max(lengths) + 16)
     curve = window_imbalance_curve([text], _BLOCK_PATTERNS, lengths)
-    out = []
-    for i, length in zip(indices, lengths):
-        found = curve.get(length)
-        if found is None:
-            raise ResourceLimitError(
-                "expansion too short for the witness length",
-                "witness expansion",
-                length,
-                len(text),
-            )
-        out.append((i, found))
-    return out
+    return [(i, curve[length]) for i, length in zip(indices, lengths)]
 
 
 @functools.lru_cache(maxsize=None)

@@ -46,7 +46,6 @@ from .language import (
 )
 from .scan import (
     _occurrence_indicator,
-    count_overlapping,
     level_scan_texts,
     window_imbalance_curve,
     window_spreads,
@@ -381,7 +380,7 @@ def check_witness_block_recursions() -> CheckResult:
 
 def check_scan_milestones() -> CheckResult:
     """Window scans at the witness lengths: growing, certified imbalance."""
-    ms = imbalance_milestones(indices=(1, 2, 3))
+    ms = imbalance_milestones()
     observed = tuple((i, w.window_len, w.imbalance) for i, w in ms)
     values = [w.imbalance for _, w in ms]
     passed = (
@@ -666,19 +665,20 @@ def preservation_violations(
     """Factors w = text[p : p + n] with |sigma(w)|_{sigma(011)} != |w|_{011},
     for p, n in zip(starts, lengths).
 
-    Image counts come from image_pattern_counts; the factor's own count
-    comes from count_overlapping on the factor sliced from text, so the two
-    sides share no counting code. Functionally identical compositions are
-    evaluated once and the result reused for each expression naming them.
-    Returns the violations, one {"composition", "word"} entry per pair, and
-    the number of distinct substitutions evaluated.
+    Image counts come from image_pattern_counts' numpy prefix sums; the
+    factor's own count is str.count over text[p : p + n], which shares no
+    counting code with them and is exact because 011 has no border, so two
+    of its occurrences cannot overlap. Functionally identical compositions
+    are evaluated once and the result reused for each expression naming
+    them. Returns the violations, one {"composition", "word"} entry per
+    pair, and the number of distinct substitutions evaluated.
     """
     import numpy as np
 
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     expected = np.fromiter(
-        (count_overlapping(text[p : p + n], "011") for p, n in zip(starts, lengths)),
+        (text.count("011", p, p + n) for p, n in zip(starts, lengths)),
         dtype=np.int64,
         count=len(starts),
     )

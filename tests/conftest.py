@@ -1,5 +1,14 @@
 """Shared fixtures and deterministic test configuration."""
 
+import os
+import sys
+
+# No bytecode cache is written under src/, by this process or by the
+# subprocesses that tests start: a cache left in one source tree makes every
+# later run of that tree start faster than a fresh checkout's.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
 import pytest
 from hypothesis import HealthCheck, settings
 

@@ -28,7 +28,7 @@ from wordbalance.balance import (
 from wordbalance.cli import main
 from wordbalance.exactmat import eigencheck
 from wordbalance.language import factorial_closure, parse_directive, sample_level_language
-from wordbalance.scan import count_overlapping, level_scan_texts, window_imbalance_curve
+from wordbalance.scan import level_scan_texts, window_imbalance_curve
 from wordbalance.substitution import (
     Substitution,
     coding_identity_sides,
@@ -216,9 +216,8 @@ def test_criterion_05_analysis_pipeline_milestones(capsys, tmp_path):
             assert len(entry["pattern"]) == 2
             assert len(entry["high_window"]) == window
             assert len(entry["low_window"]) == window
-            recount = count_overlapping(
-                entry["high_window"], entry["pattern"]
-            ) - count_overlapping(entry["low_window"], entry["pattern"])
+            block = BLOCKS2.index(entry["pattern"])
+            recount = blocks4(entry["high_window"])[block] - blocks4(entry["low_window"])[block]
             assert recount == entry["imbalance"]
             assert entry["imbalance"] >= n
             assert entry["imbalance"] > previous
@@ -447,7 +446,7 @@ def test_criterion_12_classifier_exactness(capsys):
             assert head and tail
             assert max(tail) <= max(head), f"|{period}: length-2 curve still rising"
 
-        milestones = imbalance_milestones((1, 2, 3))
+        milestones = imbalance_milestones()
         values = []
         for index, sw in milestones:
             assert sw.window_len == (4 ** (2 * index) + 2) // 3

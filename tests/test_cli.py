@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: reports, formats, and exit codes."""
 
+import ast
+import collections
 import itertools
 import json
 import os
@@ -167,6 +169,29 @@ class TestAnalyze:
         periodic = run_json(capsys, "analyze", "--directive", "|M", "--max-length", "49")
         assert finite["results"]["scan"] == periodic["results"]["scan"]
         assert finite["results"]["scan"]["text_chars"] == [1192, 1192]
+
+    @pytest.mark.parametrize(
+        "argv, text_chars, longest_window",
+        [
+            # A finite directive's last level holds texts of 1 and 17 letters.
+            (("--directive", "L" * 16 + "|", "--max-length", "49"), [1, 17], 13),
+            # The swap keeps both letter images one letter long at every level.
+            (
+                ("--directive", "|S", "--register", "S=0->1;1->0", "--max-length", "60"),
+                [1, 1],
+                1,
+            ),
+        ],
+        ids=["finite", "not-growing"],
+    )
+    def test_window_lengths_are_the_scanned_windows(
+        self, capsys, argv, text_chars, longest_window
+    ):
+        section = run_json(capsys, "analyze", *argv)["results"]["scan"]
+        assert section["text_chars"] == text_chars
+        assert section["window_lengths"][-1] == longest_window
+        for curve in section["curves"].values():
+            assert [entry["window"] for entry in curve] == section["window_lengths"]
 
     def test_unknown_substitution_fails_usage(self, capsys):
         code, _, err = run(capsys, "analyze", "--directive", "|Q")
@@ -684,3 +709,32 @@ class TestLayout:
         listed = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
         modules = sorted(p.name for p in src.glob("*.py") if p.stem != "__init__")
         assert sorted(listed) == modules
+
+    def test_every_top_level_name_has_a_caller(self):
+        # A top-level function or class of the package that no other line of
+        # src/ names (as a name, an attribute or an import) is code that no
+        # command runs. properness_profile waits for the factor-balance
+        # verdict that will serve it.
+        trees = [
+            ast.parse(path.read_text(encoding="utf-8"))
+            for path in Path(wordbalance.__file__).resolve().parent.glob("*.py")
+        ]
+
+        def names(node):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    yield sub.id
+                elif isinstance(sub, ast.Attribute):
+                    yield sub.attr
+                elif isinstance(sub, ast.alias):
+                    yield sub.name
+
+        everywhere = collections.Counter(n for tree in trees for n in names(tree))
+        unused = sorted(
+            node.name
+            for tree in trees
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and everywhere[node.name] == collections.Counter(names(node))[node.name]
+        )
+        assert unused == ["properness_profile"]

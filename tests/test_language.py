@@ -37,6 +37,10 @@ class TestDirectiveSequence:
         assert d.max_defined_level() is None
         assert d.describe() == "LM|R"
 
+    def test_describe_without_names(self):
+        swap = Substitution.from_text("0->1;1->0")
+        assert DirectiveSequence(period=(swap,)).describe() == "[]|[0->1;1->0]"
+
     def test_finite_directive(self):
         d = parse_directive("LM|")
         assert d.period is None
@@ -337,6 +341,14 @@ class TestWindowedSampling:
         assert not windowed.meta.exact  # explicit depth forces the window path
         assert windowed.meta.saturated
 
+    def test_a_tower_that_does_not_grow_is_sampled_twelve_levels_down(self):
+        # The swap has no letter in its own image, so no exact seed, and its
+        # letter images stay one letter long.
+        d = parse_directive("|S", {"S": Substitution.from_text("0->1;1->0")})
+        sample = sample_level_language(d, 0, 8)
+        assert sample.meta == SampleMeta(depth=12, window=3, exact=False, saturated=True)
+        assert sample.codes == {"", "\x00", "\x01"}
+
     def test_level_one_sample(self):
         sample = sample_level_language(parse_directive("RL|LR"), 1, 5)
         assert is_factorial(sample)
@@ -492,7 +504,7 @@ class TestWindowRefusal:
         assert language._default_depth(parse_directive("L" * 4094 + "|M"), 0, 2) == 4095
         # L|L is not growing (0 -> 0 keeps length 1); claimed growing, the
         # default depth walks its whole level budget and gives up.
-        claimed = GrowthReport(growing=True, exact=False, certificate={})
+        claimed = GrowthReport(growing=True, exact=False)
         monkeypatch.setattr(language, "is_everywhere_growing", lambda d: claimed)
         with pytest.raises(
             ResourceLimitError,
@@ -529,6 +541,20 @@ class TestTowerWalk:
         assert clipped == [{a: t[:clip] for a, t in texts.items()} for texts in full]
 
 
+def spy_tiers(monkeypatch):
+    """The list that each growth tier's verdict call appends its name to,
+    one entry per residue evaluated."""
+    tiers = []
+    for name in ("_monotone_growth_verdict", "_capped_growth_verdict"):
+
+        def spy(*args, real=getattr(language, name), name=name):
+            tiers.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(language, name, spy)
+    return tiers
+
+
 class TestGrowthDecision:
     def test_long_period_costs_about_three_products_per_level(self, monkeypatch):
         # Each residue's period is a tail times a head, both grown one level
@@ -541,20 +567,21 @@ class TestGrowthDecision:
 
         multiply = language.mat_mul
         monkeypatch.setattr(language, "mat_mul", counting)
+        tiers = spy_tiers(monkeypatch)
         q = 512
         report = is_everywhere_growing(parse_directive("|" + "ML" * (q // 2)))
         assert report.growing and report.exact
-        assert len(report.certificate["residues"]) == q
+        assert tiers == ["_monotone_growth_verdict"] * q
         assert len(products) <= 3 * q
 
-    def test_a_long_image_on_no_cycle_does_not_grow(self):
+    def test_a_long_image_on_no_cycle_does_not_grow(self, monkeypatch):
         # 0 -> 1 -> 23, and 2 and 3 map to themselves: 1 has a two-letter
         # image but lies on no cycle, so no letter grows.
         d = parse_directive("|S", {"S": Substitution.from_text("0->1;1->23;2->2;3->3")})
+        tiers = spy_tiers(monkeypatch)
         report = is_everywhere_growing(d)
-        assert report == tower_growth(d)
-        assert report.certificate["residues"][0]["stalled_letters"] == ["0", "1", "2", "3"]
-        assert report.certificate["residues"][0]["non_expanding_core_size"] == 2
+        assert tiers == ["_monotone_growth_verdict"]
+        assert report == tower_growth(d) == (False, True)
 
     @pytest.mark.parametrize(
         "text,want",
@@ -572,7 +599,6 @@ class TestGrowthDecision:
         rep = is_everywhere_growing(parse_directive(text))
         assert rep.growing == want
         assert rep.exact
-        assert isinstance(rep.certificate, dict)
 
     def test_long_period_needs_no_substitution_or_word(self, monkeypatch):
         directives = [parse_directive("LMR|ML"), parse_directive("|" + "M" * 64)]
@@ -587,13 +613,14 @@ class TestGrowthDecision:
 
         monkeypatch.setattr(Substitution, "__init__", counting(Substitution.__init__))
         monkeypatch.setattr(Word, "__init__", counting(Word.__init__))
+        tiers = spy_tiers(monkeypatch)
         reports = [is_everywhere_growing(d) for d in directives]
+        assert tiers == ["_monotone_growth_verdict"] * (2 + 64)
         assert cli._level0_perron(directives[0]) is not None
         half = Fraction(1, 2)
         assert cli._level0_perron(directives[1]).values == (half, half)
         assert built == []
         assert (reports[1].growing, reports[1].exact) == (True, True)
-        assert reports[1].certificate["residues"][63]["tier"] == "monotone-stable-set"
         # The counters do see a build.
         Substitution.from_text("0->1")
         assert built == ["Word", "Substitution"]
@@ -638,7 +665,7 @@ def composed_tower(d, k, n):
 
 
 def tower_growth(d):
-    """The growth report read from composed towers: per residue r, tau is
+    """(growing, exact) read from composed towers: per residue r, tau is
     the period read from level p + r and the weights are the image lengths
     of the tower above it."""
     p, q = d.prefix_length, d.period_length
@@ -648,14 +675,12 @@ def tower_growth(d):
         symbols = tau.domain.symbols
         weights = [len(pi.image(b)) for b in symbols]
         if tau.is_non_erasing() and min(weights) >= 1:
-            verdict, data, exact = *tower_monotone_verdict(tau), True
+            residues.append((tower_monotone_verdict(tau), True))
         else:
-            verdict, data, exact = tower_capped_verdict(tau, weights)
-        residues.append(({"residue": r, "verdict": verdict, **data}, exact))
-    return GrowthReport(
-        growing=all(row["verdict"] for row, _ in residues),
-        exact=all(exact for _, exact in residues),
-        certificate={"mode": "periodic-residue-reduction", "residues": [row for row, _ in residues]},
+            residues.append(tower_capped_verdict(tau, weights))
+    return (
+        all(verdict for verdict, _ in residues),
+        all(exact for _, exact in residues),
     )
 
 
@@ -667,20 +692,14 @@ def tower_monotone_verdict(tau):
         if kept == stable:
             break
         stable = kept
-    stalled = []
     for a in symbols:
         letters, seen = frozenset([a]), set()
         while letters not in seen:
             seen.add(letters)
             if letters <= stable:
-                stalled.append(str(a))
-                break
+                return False
             letters = frozenset(c for b in letters for c in tau.image(b).symbols)
-    return not stalled, {
-        "tier": "monotone-stable-set",
-        "non_expanding_core_size": len(stable),
-        "stalled_letters": sorted(stalled),
-    }
+    return True
 
 
 def tower_capped_verdict(tau, weights):
@@ -693,24 +712,18 @@ def tower_capped_verdict(tau, weights):
             last = trajectory[-1]
             nxt = tuple(min(sum(c * v for c, v in zip(row, last)), cap) for row in entry)
             if nxt in trajectory:
-                start = trajectory.index(nxt)
-                cycle = trajectory[start:]
-                return all(min(state) >= cap for state in cycle), {
-                    "cap": cap,
-                    "preperiod": start,
-                    "cycle_length": len(cycle),
-                    "cycle_floor": min(map(min, cycle)),
-                }
+                cycle = trajectory[trajectory.index(nxt) :]
+                return all(min(state) >= cap for state in cycle)
             trajectory.append(nxt)
 
     cap = max(64, max(weights) + 1, (len(symbols) * max(map(max, entry)) + 2) ** 2)
-    verdict, data = orbit(cap)
+    verdict = orbit(cap)
     for _ in range(5):
         bigger = cap * cap + 17
-        again, data_again = orbit(bigger)
+        again = orbit(bigger)
         if again == verdict:
-            return verdict, {**data, "confirm_cap": bigger, "tier": "capped-cycle"}, not verdict
-        cap, verdict, data = bigger, again, data_again
+            return verdict, not verdict
+        cap, verdict = bigger, again
     raise ResourceLimitError("growth decision did not stabilize under cap escalation")
 
 
@@ -755,13 +768,12 @@ class TestIncidenceProductsAgainstComposedTowers:
         assert is_everywhere_growing(d) == tower_growth(d)
         assert cli._level0_perron(d) == tower_perron(d)
 
-    def test_both_tiers_are_drawn(self):
-        tiers = set()
+    def test_both_tiers_are_drawn(self, monkeypatch):
+        tiers = spy_tiers(monkeypatch)
 
         @given(registered_directives())
         def collect(d):
-            for row in is_everywhere_growing(d).certificate["residues"]:
-                tiers.add(row["tier"])
+            is_everywhere_growing(d)
 
         collect()
-        assert tiers == {"monotone-stable-set", "capped-cycle"}
+        assert set(tiers) == {"_monotone_growth_verdict", "_capped_growth_verdict"}

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from wordbalance import language, tms
+from wordbalance import language
 from wordbalance.language import GrowthReport, parse_directive, sample_level_language
 from wordbalance.limits import ResourceLimitError, check_budget
 from wordbalance.scan import level_scan_texts
@@ -53,7 +53,7 @@ def test_a_message_alone_leaves_the_sizes_unset():
 
 
 def test_the_default_depth_refusal_names_its_limit(monkeypatch):
-    claimed = GrowthReport(growing=True, exact=False, certificate={})
+    claimed = GrowthReport(growing=True, exact=False)
     monkeypatch.setattr(language, "is_everywhere_growing", lambda d: claimed)
     with pytest.raises(ResourceLimitError) as exc:
         sample_level_language(parse_directive("L|L"), 0, 8)
@@ -79,9 +79,7 @@ def test_the_fixed_point_round_limit_is_named(monkeypatch):
 
 def test_the_cap_escalation_limit_is_named(monkeypatch):
     verdicts = itertools.cycle([True, False])
-    monkeypatch.setattr(
-        language, "_capped_orbit", lambda images, weights, cap: (next(verdicts), {})
-    )
+    monkeypatch.setattr(language, "_capped_orbit", lambda images, weights, cap: next(verdicts))
     # tau = 0->01;1-> as letter counts per image, with unit weights.
     with pytest.raises(ResourceLimitError) as exc:
         language._capped_growth_verdict([(1, 1), (0, 0)], [1, 1])
@@ -90,17 +88,4 @@ def test_the_cap_escalation_limit_is_named(monkeypatch):
         "growth cap escalations",
         None,
         5,
-    )
-
-
-def test_a_short_witness_expansion_names_its_sizes(monkeypatch):
-    monkeypatch.setattr(tms, "thue_morse_text", lambda min_chars: "0110")
-    with pytest.raises(ResourceLimitError) as exc:
-        tms.imbalance_milestones((1,))
-    assert str(exc.value) == "expansion too short for the witness length"
-    # Index 1 needs windows of (4^2 + 2) / 3 = 6 characters.
-    assert (exc.value.resource, exc.value.requested, exc.value.limit) == (
-        "witness expansion",
-        6,
-        4,
     )

@@ -15,7 +15,6 @@ from wordbalance.report import (
     to_csv,
     to_json,
 )
-from wordbalance.scan import count_overlapping
 from wordbalance.substitution import (
     Substitution,
     coding_identity_sides,
@@ -64,16 +63,6 @@ def matrices(draw, size=None):
 
 
 class TestCountingProperties:
-    @given(binary_text, patterns)
-    # Bordered patterns, whose occurrences can overlap, take the find loop;
-    # unbordered ones take str.count.
-    @example("0111011", "11")
-    @example("0101010", "010")
-    @example("0110110", "011")
-    @example("0100101", "01")
-    def test_count_matches_oracle(self, text, pat):
-        assert count_overlapping(text, pat) == brute_count(text, pat)
-
     @given(binary_text, st.integers(1, 4), patterns)
     def test_coding_transfers_counts(self, text, n, pat):
         if len(pat) != n:

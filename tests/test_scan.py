@@ -12,7 +12,6 @@ from wordbalance import scan
 from wordbalance.language import ResourceLimitError, _letter_codes, _short_factors, parse_directive
 from wordbalance.scan import (
     ScanWitness,
-    count_overlapping,
     expand_text,
     level_scan_texts,
     window_imbalance_curve,
@@ -140,25 +139,6 @@ class TestExpansion:
                 expand_text(sub, seed, depth, max_chars=len(want) - 1)
 
 
-class TestCounting:
-    def test_literals(self):
-        assert count_overlapping("0110110", "11") == 2
-        assert count_overlapping("aaa", "aa") == 2
-        assert count_overlapping("0101", "11") == 0
-        assert count_overlapping("", "0") == 0
-
-    def test_empty_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            count_overlapping("01", "")
-
-    def test_random_oracle(self):
-        rng = random.Random(404)
-        for _ in range(200):
-            text = "".join(rng.choice("01") for _ in range(rng.randint(0, 30)))
-            pat = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
-            assert count_overlapping(text, pat) == brute_count(text, pat)
-
-
 class TestOnePatternCurve:
     """window_imbalance_curve on one text and one pattern: the spread of the
     pattern's window counts, with the first highest and lowest window."""
@@ -215,9 +195,9 @@ class TestWindowImbalance:
             assert len(witness.low_window) == win
             assert any(witness.high_window in t for t in texts)
             assert any(witness.low_window in t for t in texts)
-            spread = count_overlapping(
-                witness.high_window, witness.pattern
-            ) - count_overlapping(witness.low_window, witness.pattern)
+            spread = brute_count(witness.high_window, witness.pattern) - brute_count(
+                witness.low_window, witness.pattern
+            )
             assert spread == witness.imbalance
 
     @given(
