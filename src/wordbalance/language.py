@@ -18,13 +18,11 @@ from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
 from .limits import ResourceLimitError, check_budget
 from .exactmat import mat_mul, reach
 from .substitution import Substitution, SubstitutionError, incidence_counts
-from .words import Alphabet, Symbol, Word, _Record, sort_words
+from .words import Alphabet, Symbol, Word, _Record
 
 MAX_SAMPLE_CHARS = 60_000_000
 # Levels the default sampling depth may walk down before giving up.
 MAX_DEPTH_LEVELS = 4096
-# The exact sampler stops after max_length + this many rounds.
-_FIXED_POINT_SLACK = 64
 # Times the capped growth decision squares its cap looking for agreement.
 _CAP_ESCALATIONS = 5
 # A finite directive grows if its shortest letter image reaches 32 letters by level 40.
@@ -59,10 +57,7 @@ class DirectiveSequence:
     def _validate_chain(self) -> None:
         horizon = len(self.prefix) + (2 * len(self.period) if self.period else 0)
         for j in range(max(horizon - 1, 0)):
-            try:
-                a, b = self.substitution_at(j), self.substitution_at(j + 1)
-            except SubstitutionError:
-                break
+            a, b = self.substitution_at(j), self.substitution_at(j + 1)
             if a.domain != b.codomain:
                 raise SubstitutionError(f"chain mismatch between levels {j} and {j + 1}")
 
@@ -229,9 +224,6 @@ class LanguageSample(_Record):
     def words(self) -> frozenset:
         return frozenset(_decode(s, self.alphabet) for s in self.codes)
 
-    def nonempty_words(self) -> list:
-        return sort_words(w for w in self.words if len(w) > 0)
-
     def __contains__(self, w: Word) -> bool:
         return w in self.words
 
@@ -310,27 +302,6 @@ def _code_closure(texts: Iterable[str], max_length: int, alphabet: Alphabet) -> 
     )
 
 
-def _exact_mode_letter(d: DirectiveSequence, k: int) -> Optional[Symbol]:
-    """Seed letter for the provably exact fixed-point sampler, if admissible.
-
-    Requires: purely periodic at level k with a one-substitution period tau,
-    tau non-erasing, and a letter a occurring in tau(a) whose iterated
-    images reach every alphabet letter; the seed is the first such letter
-    in alphabet order. Under these conditions the truncated factor sets
-    F_{<=N}(tau^i(a)) increase monotonically and S -> F_{<=N}(tau(S)) is a
-    deterministic set map, so a repeated set is a true fixed point equal
-    to the truncated level language.
-    """
-    if d.period is None or len(d.period) != 1 or k < len(d.prefix):
-        return None
-    tau = d.period[0]
-    if tau.domain != tau.codomain or not tau.is_non_erasing():
-        return None
-    counts = incidence_counts(tau)
-    seeds = [a for a, out in enumerate(reach(counts)) if counts[a][a] and len(out) == len(counts)]
-    return tau.domain.symbols[seeds[0]] if seeds else None
-
-
 def sample_level_language(
     d: DirectiveSequence,
     k: int,
@@ -358,9 +329,10 @@ def sample_level_language(
     if window is not None:
         check_budget("sample window", window, MAX_DEPTH_LEVELS, "levels")
 
-    seed = _exact_mode_letter(d, k)
-    if seed is not None and depth is None:
-        return _exact_fixed_point_sample(d, k, max_length, seed, alphabet)
+    if depth is None and d.period_length == 1 and k >= d.prefix_length:
+        exact = _exact_sample(d, k, max_length)
+        if exact is not None:
+            return exact
 
     q = d.period_length
     if window is None:
@@ -425,61 +397,83 @@ def _default_depth(d: DirectiveSequence, k: int, max_length: int) -> int:
     )
 
 
-def _exact_fixed_point_sample(
-    d: DirectiveSequence, k: int, max_length: int, seed: Symbol, alphabet: Alphabet
-) -> LanguageSample:
-    """The level language truncated to length N = max_length, as a fixed point.
+def _exact_sample(d: DirectiveSequence, k: int, max_length: int) -> Optional[LanguageSample]:
+    """The level-k language truncated to length N = max_length, as a fixed
+    point around the period; None when no letter can seed it.
 
-    The rounds are S_0 = {seed} and S_i = F_{<=N}(tau(S_{i-1})); they grow,
-    because seed occurs in tau(seed), and `meta.depth` is the first round i
-    with S_i == S_{i-1}. The map S -> F_{<=N}(tau(S)) distributes over
-    union, so S_i = S_{i-1} | F_{<=N}(tau(S_{i-1} - S_{i-2})): each round
-    images only the words that the round before added (semi-naive
-    evaluation). A factor of length <= N of tau(w) lies inside tau(u) for a
-    factor u of w with |u| <= ceil((N-1)/m) + 1, where m = min_a |tau(a)|.
-    Every S_i is factorial, so u was added in this round or an earlier one
-    and is imaged in its turn; longer words are skipped. Likewise, of tau(u)
-    only the factors that start in the image of u's first letter and end in
-    the image of its last are taken: every other factor lies inside the
-    image of a shorter factor of u.
+    Let s = max(k, p) and tau = sigma_s . ... . sigma_{s+q-1}. The seed is
+    the first letter a with a in tau(a) whose iterated tau-images reach
+    every letter, read off tau's incidence matrix, so tau is never built.
+    Levels k to s+q-1 must erase no letter, and every letter of levels s+1
+    to s+q-1 must occur in an image from the next deeper level: one that
+    does not is a letter of infinitely many deeper levels that the seed's
+    images never reach.
+
+    Level k+i keeps words of at most c_i letters, where c_0 = N and
+    c_{i+1} = ceil((c_i-1)/m_i) + 1 with m_i = min_a |sigma_{k+i}(a)|, and
+    level s+q's words are level s's. A round images the words that level s
+    gained in the round before through sigma_{s+q-1}, ..., sigma_s, and
+    each level keeps only the words it did not hold yet (semi-naive
+    evaluation: the step distributes over union). The sets grow, because
+    the seed occurs in tau(seed), so the first round that adds nothing at
+    level s marks the fixed point; `meta.depth` counts the rounds up to it.
+    Then level s's set is pushed down through sigma_{s-1}, ..., sigma_k
+    with the same step.
     """
-    tau = d.period[0]
-    code = _letter_codes(alphabet)
-    images = {code[a]: "".join(code[b] for b in tau.image(a).symbols) for a in alphabet.symbols}
-    longest = -(-(max_length - 1) // min(map(len, images.values()))) + 1
-    current: set = {code[seed]} if max_length >= 1 else set()
-    new = current
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > max_length + _FIXED_POINT_SLACK:
-            raise ResourceLimitError(
-                "fixed-point sampling failed to stabilize",
-                "fixed-point rounds",
-                limit=max_length + _FIXED_POINT_SLACK,
-            )
-        found: set = set()
-        for w in new:
-            if len(w) > longest:
-                continue
-            image = "".join(map(images.__getitem__, w))
-            total = len(image)
-            last = total - len(images[w[-1]])
-            for i in range(len(images[w[0]])):
-                found.update(
-                    image[i:j] for j in range(max(i, last) + 1, min(i + max_length, total) + 1)
-                )
-        new = found - current
+    if d.period is None:
+        return None
+    s, q = max(k, d.prefix_length), d.period_length
+    levels = [d.substitution_at(j) for j in range(k, s + q)]
+    # found[i] will hold level k+i's words; level s is found[top].
+    top = s - k
+    counts = _tower_counts(d, s, s + q)
+    seeds = [a for a, out in enumerate(reach(counts)) if counts[a][a] and len(out) == len(counts)]
+    unreached = [sig for sig in levels[top + 1 :] if not all(map(any, incidence_counts(sig)))]
+    if not seeds or unreached or not all(sig.is_non_erasing() for sig in levels):
+        return None
+    tables = list(map(_image_table, levels))
+    caps = [max_length]
+    for table in tables:
+        caps.append(-(-(caps[-1] - 1) // min(map(len, table.values()))) + 1)
+    found = [set() for _ in levels]
+    new = {chr(seeds[0])} if max_length >= 1 else set()
+    found[top] |= new
+    for rounds in itertools.count(1):
+        for i in reversed(range(top, len(levels))):
+            new = _image_factors(new, tables[i], caps[i], caps[i + 1]) - found[i]
+            found[i] |= new
         if not new:
             break
-        current |= new
+    for i in reversed(range(top)):
+        found[i] = _image_factors(found[i + 1], tables[i], caps[i], caps[i + 1])
     return LanguageSample(
-        alphabet=alphabet,
+        alphabet=d.level_alphabet(k),
         level=k,
         max_length=max_length,
-        codes=frozenset(current | {""}),
-        meta=SampleMeta(depth=iterations, window=0, exact=True, saturated=True),
+        codes=frozenset(found[0] | {""}),
+        meta=SampleMeta(depth=rounds, window=0, exact=True, saturated=True),
     )
+
+
+def _image_factors(words: Iterable[str], table: Mapping[int, str], cap: int, longest: int) -> set:
+    """The factors of length <= cap of the images of the words that start
+    in the image of a word's first letter and end in the image of its last.
+
+    For a factorial set of words, that is every factor of length <= cap of
+    their images: any other factor lies inside the image of a shorter
+    factor of its word. So a word of more than longest = ceil((cap-1)/m) + 1
+    letters, m the shortest image, adds nothing and is skipped.
+    """
+    out: set = set()
+    for w in words:
+        if len(w) > longest:
+            continue
+        image = w.translate(table)
+        total = len(image)
+        last = total - len(table[ord(w[-1])])
+        for i in range(len(table[ord(w[0])])):
+            out.update(image[i:j] for j in range(max(i, last) + 1, min(i + cap, total) + 1))
+    return out
 
 
 class GrowthReport(NamedTuple):

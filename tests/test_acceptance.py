@@ -46,7 +46,7 @@ from wordbalance.tms import (
     witness_strings,
 )
 from wordbalance.verification import count_preservation_violations, witness_closed_forms
-from wordbalance.words import Alphabet, Word, block_alphabet
+from wordbalance.words import Alphabet, Word, block_alphabet, sort_words
 
 BIN = Alphabet.from_text("01")
 BLOCKS2 = ("00", "01", "10", "11")
@@ -334,13 +334,13 @@ def test_criterion_09_pair_decomposition_bound(capsys, tm_sample, left_sample):
             size = len(source.alphabet)
             for name in ("L", "M", "R"):
                 sigma = builtin(name)
-                images = [sigma.apply(w) for w in source.nonempty_words()]
+                images = [sigma.apply(w) for w in sort_words(w for w in source.words if w)]
                 image_sample = factorial_closure(
                     images, max(len(v) for v in images)
                 )
                 bound = pair_tail_bound(letter_c, size, sigma.norm())
                 by_len = {}
-                for v in image_sample.nonempty_words():
+                for v in sort_words(w for w in image_sample.words if w):
                     by_len.setdefault(len(v), []).append(v)
                 pools = [cls for cls in by_len.values() if len(cls) >= 2]
                 assert pools
@@ -379,7 +379,7 @@ def test_criterion_10_image_balance_bounds(capsys, tm_sample, left_sample):
             c2 = imbalance(source, 2).empirical_c
             size = len(source.alphabet)
             for sigma in subs:
-                images = [sigma.apply(w) for w in source.nonempty_words()]
+                images = [sigma.apply(w) for w in sort_words(w for w in source.words if w)]
                 image_sample = factorial_closure(
                     images, max(len(v) for v in images)
                 )
@@ -463,7 +463,7 @@ def test_criterion_13_frequency_lifting(capsys, tm_sample):
         "the source frequencies exactly",
     ):
         swap = Substitution.from_text("0->1;1->0")
-        images = [swap.apply(w) for w in tm_sample.nonempty_words()]
+        images = [swap.apply(w) for w in sort_words(w for w in tm_sample.words if w)]
         image_sample = factorial_closure(images, max(len(v) for v in images))
         lifted = lift_frequency(frequency_vector(image_sample), swap)
         source_freq = frequency_vector(tm_sample)

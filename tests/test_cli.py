@@ -711,9 +711,10 @@ class TestLayout:
         assert sorted(listed) == modules
 
     def test_every_top_level_name_has_a_caller(self):
-        # A top-level function or class of the package that no other line of
-        # src/ names (as a name, an attribute or an import) is code that no
-        # command runs. properness_profile waits for the factor-balance
+        # A top-level function or class of the package, or a method or
+        # property of one of its classes (dunders aside), that no other line
+        # of src/ names (as a name, an attribute or an import) is code that
+        # no command runs. properness_profile waits for the factor-balance
         # verdict that will serve it.
         trees = [
             ast.parse(path.read_text(encoding="utf-8"))
@@ -729,12 +730,22 @@ class TestLayout:
                 elif isinstance(sub, ast.alias):
                     yield sub.name
 
+        def definitions(tree):
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    yield node
+                if isinstance(node, ast.ClassDef):
+                    for sub in node.body:
+                        if isinstance(sub, ast.FunctionDef) and not (
+                            sub.name.startswith("__") and sub.name.endswith("__")
+                        ):
+                            yield sub
+
         everywhere = collections.Counter(n for tree in trees for n in names(tree))
         unused = sorted(
             node.name
             for tree in trees
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and everywhere[node.name] == collections.Counter(names(node))[node.name]
+            for node in definitions(tree)
+            if everywhere[node.name] == collections.Counter(names(node))[node.name]
         )
         assert unused == ["properness_profile"]

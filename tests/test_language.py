@@ -1,5 +1,8 @@
 """Directive sequences, language sampling, and growth decisions."""
 
+import collections
+import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wordbalance import cli, language
+from wordbalance import cli, language, verification
 from wordbalance.balance import FrequencyVector, perron_frequency
 from wordbalance.exactmat import mat_vec
 from wordbalance.language import (
@@ -146,10 +149,8 @@ class TestFactorialClosure:
 
 class TestSampleAccessors:
     def test_nonempty_words_sorted(self, tm_sample):
-        ws = tm_sample.nonempty_words()
-        assert [w.render() for w in ws[:6]] == ["0", "1", "00", "01", "10", "11"]
         assert Word.from_text("01", BIN) in tm_sample
-        assert len(ws) == len(tm_sample) - 1
+        assert len([w for w in tm_sample.words if w]) == len(tm_sample) - 1
 
     def test_codes_spell_the_words(self):
         alphabet = Alphabet(("1", "0"))  # letter "1" is code chr(0)
@@ -264,9 +265,16 @@ class TestExactSeed:
     @example(["ab", "a"])
     @example(["b", "bc", "a"])
     def test_matches_the_searched_seed(self, images):
+        # The sample is None exactly when no letter seeds it, and otherwise
+        # runs the rounds of the first seed.
         tau = Substitution.from_text(";".join(f"{a}->{w}" for a, w in zip("abcd", images)))
         want = first_admissible_seed(tau) if tau.is_non_erasing() else None
-        assert language._exact_mode_letter(DirectiveSequence(period=(tau,)), 0) == want
+        sample = language._exact_sample(DirectiveSequence(period=(tau,)), 0, 6)
+        if want is None:
+            assert sample is None
+        else:
+            words, rounds = naive_fixed_point(tau, want, 6)
+            assert ({w.symbols for w in sample.words}, sample.meta.depth) == (words, rounds)
 
 
 class TestExactSamplerAgainstReference:
@@ -303,6 +311,19 @@ class TestExactSamplerAgainstReference:
         words, rounds = naive_fixed_point(tau, 10, 9)
         assert {w.symbols for w in sample.words} == words
         assert sample.meta.depth == rounds
+
+    def test_a_long_letter_chain_needs_more_rounds_than_letters(self):
+        # a_0 -> a_0 a_1, a_i -> a_{i+1}, a_70 -> a_70: the seed a_0 reaches
+        # a_70 only after 70 rounds, whatever the cap.
+        letters = [chr(0xC0 + i) for i in range(71)]
+        rules = [f"{letters[0]}->{letters[0]}{letters[1]}", f"{letters[-1]}->{letters[-1]}"]
+        rules += [f"{a}->{b}" for a, b in zip(letters[1:-1], letters[2:])]
+        tau = Substitution.from_text(";".join(rules))
+        sample = sample_level_language(parse_directive("|S", {"S": tau}), 0, 2)
+        words, rounds = naive_fixed_point(tau, letters[0], 2)
+        assert sample.meta.exact
+        assert {w.symbols for w in sample.words} == words
+        assert len(words) == 143 and sample.meta.depth == rounds == 72
 
     @pytest.mark.parametrize("cap,rounds", [(8, 6), (40, 9), (48, 9)])
     def test_thue_morse_rounds_pinned(self, cap, rounds):
@@ -632,14 +653,14 @@ LEVEL_ALPHABETS = [Alphabet.from_text(t) for t in ("01", "012", "ab", "x")]
 
 
 @st.composite
-def registered_directives(draw):
+def registered_directives(draw, erasing=True):
     """A registered directive A..|.. with a prefix of 0-2 and a period of
     1-3 substitutions over drawn level alphabets; images have up to three
-    letters, and are empty only when the draw allows erasing."""
+    letters, and are empty only when erasing is allowed and drawn."""
     p, q = draw(st.integers(0, 2)), draw(st.integers(1, 3))
     alphabets = [draw(st.sampled_from(LEVEL_ALPHABETS)) for _ in range(p + q)]
     alphabets.append(alphabets[p])
-    shortest = draw(st.sampled_from([0, 1]))
+    shortest = draw(st.sampled_from([0, 1])) if erasing else 1
     registry = {}
     for j, name in enumerate("ABCDE"[: p + q]):
         domain, codomain = alphabets[j + 1], alphabets[j]
@@ -777,3 +798,126 @@ class TestIncidenceProductsAgainstComposedTowers:
 
         collect()
         assert set(tiers) == {"_monotone_growth_verdict", "_capped_growth_verdict"}
+
+
+def letter_orbit(tau, cap):
+    """Factors of length 1..cap of tau^n(a) over every letter a, for the
+    first n at which they repeat: X_{n+1} = F(tau(X_n)) depends on X_n
+    alone once tau erases nothing, so a repeat is the fixed point. With a
+    seed letter the orbit reaches one: the seed's factor sets grow and lie
+    between X_{n-j} and X_n, j the depth at which its images hold every
+    letter."""
+    current = {(a,) for a in tau.domain.symbols} if cap >= 1 else set()
+    while True:
+        nxt = factors_of_images(tau, current, cap)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def factors_of_images(sigma, words, cap):
+    """All factors of length 1..cap of the images of the words."""
+    out = set()
+    for w in words:
+        image = tuple(s for b in w for s in sigma.image(b).symbols)
+        for i in range(len(image)):
+            out.update(image[i:j] for j in range(i + 1, min(i + cap, len(image)) + 1))
+    return out
+
+
+def sweep_directives():
+    """The classifier sweep's periods and the letter-balance sweep's draws."""
+    periods = ["|" + "".join(p) for n in range(1, 4) for p in itertools.product("LMR", repeat=n)]
+    rng = random.Random(verification.SEED)
+    draws = []
+    while len(draws) < 50:
+        text = verification._random_directive_text(rng)
+        if text not in draws:
+            draws.append(text)
+    return periods + draws
+
+
+class TestExactSampleAroundThePeriod:
+    """The branches of _exact_sample that sample_level_language does not
+    route yet: periods of several substitutions and a prefix to push down."""
+
+    def test_powers_of_the_doubling_period_keep_its_language(self):
+        want = sample_level_language(parse_directive("|M"), 0, 40).codes
+        for k in range(1, 19):
+            assert language._exact_sample(parse_directive("|" + "M" * k), 0, 40).codes == want, k
+
+    def test_a_prefixed_doubling_tower_against_brute_force(self):
+        # The L-image of a Thue-Morse prefix (binary digit-sum parity) holds
+        # every word of L|M; 3,442 words up to 48, the empty one included,
+        # were counted the same way on a 2^17-letter prefix.
+        d = parse_directive("L|M")
+        prefix = "".join(str(bin(i).count("1") % 2) for i in range(4096))
+        text = prefix.translate({ord("0"): "\x00", ord("1"): "\x01\x00"})
+        assert language._exact_sample(d, 0, 12).codes == {
+            text[i : i + n] for n in range(13) for i in range(len(text) - n + 1)
+        }
+        assert len(language._exact_sample(d, 0, 48)) == 3442
+
+    def test_a_level_inside_the_period_reads_the_rotated_period(self):
+        want = language._exact_sample(parse_directive("|LM"), 0, 24).codes
+        assert language._exact_sample(parse_directive("LR|ML"), 3, 24).codes == want
+
+    def test_sturmian_periods_have_n_plus_one_factors(self):
+        # Every {L, R} period of length 2-5 that uses both letters.
+        for period in ("".join(p) for n in range(2, 6) for p in itertools.product("LR", repeat=n)):
+            if "L" not in period or "R" not in period:
+                continue
+            sample = language._exact_sample(parse_directive("|" + period), 0, 30)
+            sizes = collections.Counter(map(len, sample.codes))
+            assert sizes == {n: n + 1 for n in range(31)}, period
+
+    @pytest.mark.parametrize("cap", [8, 24])
+    def test_the_windowed_sample_is_a_subset(self, cap):
+        for text in sweep_directives():
+            d = parse_directive(text)
+            exact = language._exact_sample(d, 0, cap)
+            assert exact is not None and exact.meta.exact, text
+            assert sample_level_language(d, 0, cap).codes <= exact.codes, text
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(registered_directives(), registered_directives(erasing=False)),
+        st.integers(0, 2),
+        st.integers(0, 9),
+    )
+    @example(parse_directive("LMR|ML"), 0, 9)
+    @example(parse_directive("RL|MLR"), 1, 9)
+    def test_matches_the_composed_period(self, d, shift, cap):
+        # Against the seed's rounds on the composed tau, pushed down through
+        # the composed prefix, and against the letters of every level of
+        # the period, each iterated to its fixed point with no seed.
+        k = min(shift, d.prefix_length + d.period_length)
+        sample = language._exact_sample(d, k, cap)
+        s, q = max(k, d.prefix_length), d.period_length
+        tau = composed_tower(d, s, s + q)
+        if not all(d.substitution_at(j).is_non_erasing() for j in range(k, s + q)):
+            assert sample is None
+            return
+        seed = first_admissible_seed(tau)
+        unreached = any(
+            set(d.level_alphabet(j).symbols)
+            - {b for w in d.substitution_at(j).images.values() for b in w.symbols}
+            for j in range(s + 1, s + q)
+        )
+        if seed is None or unreached:
+            assert sample is None
+            return
+        # The longest level-s word that the cap needs; none when it is 0.
+        top = cap
+        for j in range(k, s):
+            top = -(-(top - 1) // d.substitution_at(j).min_image_len()) + 1 if top else 0
+        words, rounds = naive_fixed_point(tau, seed, top)
+        want = factors_of_images(composed_tower(d, k, s), words, cap) | {()}
+        assert {w.symbols for w in sample.words} == want
+        assert sample.meta.depth == rounds
+        assert sample.alphabet == d.level_alphabet(k) and sample.level == k
+        deep = {()}
+        for r in range(q):
+            orbit = letter_orbit(composed_tower(d, s + r, s + r + q), cap)
+            deep |= factors_of_images(composed_tower(d, k, s + r), orbit, cap)
+        assert deep == want

@@ -64,19 +64,6 @@ def test_the_default_depth_refusal_names_its_limit(monkeypatch):
     )
 
 
-def test_the_fixed_point_round_limit_is_named(monkeypatch):
-    # |M at N = 8 needs more than two rounds.
-    monkeypatch.setattr(language, "_FIXED_POINT_SLACK", -6)
-    with pytest.raises(ResourceLimitError) as exc:
-        sample_level_language(parse_directive("|M"), 0, 8)
-    assert str(exc.value) == "fixed-point sampling failed to stabilize"
-    assert (exc.value.resource, exc.value.requested, exc.value.limit) == (
-        "fixed-point rounds",
-        None,
-        2,
-    )
-
-
 def test_the_cap_escalation_limit_is_named(monkeypatch):
     verdicts = itertools.cycle([True, False])
     monkeypatch.setattr(language, "_capped_orbit", lambda images, weights, cap: next(verdicts))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordbalance import scan
@@ -137,6 +137,25 @@ class TestExpansion:
         if len(want) > 1:
             with pytest.raises(ResourceLimitError):
                 expand_text(sub, seed, depth, max_chars=len(want) - 1)
+
+
+@st.composite
+def clipped_requests(draw):
+    """A non-erasing translate table on 1-4 letters, a word of up to 40 of
+    its letters and a clip of 1-80."""
+    letters = "0123"[: draw(st.integers(1, 4))]
+    table = {ord(a): draw(st.text(alphabet=letters, min_size=1, max_size=8)) for a in letters}
+    return draw(st.text(alphabet=letters, max_size=40)), table, draw(st.integers(1, 80))
+
+
+class TestClippedImage:
+    @settings(max_examples=500)
+    @given(clipped_requests())
+    # The first step overshoots the clip and is halved back.
+    @example(("0" * 40, {ord("0"): "00000000"}, 9))
+    def test_matches_the_clipped_translation(self, request):
+        word, table, clip = request
+        assert scan._clipped_image(word, table, clip) == word.translate(table)[:clip]
 
 
 class TestOnePatternCurve:

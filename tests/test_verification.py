@@ -8,6 +8,7 @@ import pytest
 from wordbalance.language import factorial_closure, parse_directive, sample_level_language
 from wordbalance.substitution import Substitution
 from wordbalance.tms import builtin
+from wordbalance.words import sort_words
 from wordbalance import verification
 from wordbalance.verification import CHECKS, _image_closure, run_checks
 
@@ -64,7 +65,7 @@ class TestImageClosure:
     )
     def test_matches_the_closure_of_word_images(self, sigma):
         source = sample_level_language(parse_directive("|M"), 0, 8)
-        images = [sigma.apply(w) for w in source.nonempty_words()]
+        images = [sigma.apply(w) for w in sort_words(w for w in source.words if w)]
         cap = max(len(w) for w in images)
         want = factorial_closure(images, cap, alphabet=sigma.codomain)
         assert _image_closure(source, sigma) == want
