@@ -32,7 +32,6 @@ from typing import (
 from .exactmat import binary_power, mat_mul
 from .language import DirectiveSequence, _letter_codes, _tower_counts, _tower_lengths, _tower_texts
 from .limits import check_budget
-from .substitution import Substitution
 from .words import Alphabet, Symbol
 
 MAX_TEXT_CHARS = 80_000_000
@@ -53,35 +52,6 @@ _MAX_SCAN_LETTERS = 200
 # never scan a text (exact analyze, classify) do not pay for loading it.
 if TYPE_CHECKING:
     import numpy as np
-
-
-def expand_text(
-    sub: Substitution,
-    seed: Symbol,
-    depth: int,
-    max_chars: int = MAX_TEXT_CHARS,
-) -> str:
-    """The string sigma^depth(seed) for an endomorphism whose symbols are
-    single latin-1 characters, spelled in those characters.
-
-    Refused, before any text is built, when some sigma^j(seed) with
-    1 <= j <= depth has more than max_chars characters; the tower's
-    lengths walk gives those lengths exactly.
-    """
-    if sub.domain != sub.codomain:
-        raise ValueError("expand_text needs an endomorphism")
-    if not all(isinstance(a, str) and len(a) == 1 and ord(a) < 256 for a in sub.domain.symbols):
-        raise ValueError("expand_text needs single latin-1 character symbols")
-    # str.translate writes the image directly; joining a generator would
-    # first list one reference per character (8 bytes each).
-    table = {ord(a): "".join(sub.image(a).symbols) for a in sub.domain.symbols}
-    walk = _tower_lengths(itertools.repeat(sub, depth), sub.domain)
-    for lengths in itertools.islice(walk, 1, None):
-        check_budget("expansion", lengths[seed], max_chars)
-    cur = seed
-    for _ in range(depth):
-        cur = cur.translate(table)
-    return cur
 
 
 def _occurrence_indicator(text: str, pattern: str) -> np.ndarray:

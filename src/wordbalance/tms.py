@@ -7,12 +7,13 @@ the generated language fails to be balanced for length two exactly when the
 directive tail is eventually all-M, and this module constructs the
 equal-length witness pairs whose length-2 block counts drift apart linearly.
 
-Three helpers here serve only verify: thue_morse_text, imbalance_milestones
-(at the three witness indices verify reads) and factor_spans. They stay
-because they are the callers of expand_text and window_imbalance_curve
-that the benchmark tracer hooks in this module's namespace. The reference
-constructions that one verify check each calls live in verification.py,
-next to their checks.
+expand_text is the one M kernel: the witness recursion, the milestone
+scan text and the factor spans all build their Thue-Morse words with it.
+Two helpers here serve only verify: imbalance_milestones (at the three
+witness indices verify reads) and factor_spans. They stay because they call
+expand_text and window_imbalance_curve through this module's namespace,
+where the benchmark tracer hooks them. The reference constructions that one
+verify check each calls live in verification.py, next to their checks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 from .language import SUB_L, SUB_M, SUB_R, DirectiveSequence, builtin_registry
 from .limits import check_budget, refuse_huge
-from .scan import ScanWitness, expand_text, window_imbalance_curve
+from .scan import MAX_TEXT_CHARS, ScanWitness, window_imbalance_curve
 from .substitution import Substitution, compose
 from .words import Alphabet
 
@@ -32,8 +33,8 @@ if TYPE_CHECKING:
 
 BINARY = Alphabet.from_text("01")
 
-_M_STEP = {ord("0"): "01", ord("1"): "10"}
 _FLIP = str.maketrans("01", "10")
+_FLIP_BYTES = bytes.maketrans(b"01", b"10")
 _BLOCK_PATTERNS = ("00", "01", "10", "11")
 
 MAX_WITNESS_CHARS = 45_000_000
@@ -67,34 +68,20 @@ class Classification(NamedTuple):
     tail_all_doubling: bool
 
 
-def is_primitive(d: DirectiveSequence) -> bool:
-    """True iff the periodic tail is neither all-L nor all-R.
-
-    For {L,M,R} directives this is equivalent to primitivity of the
-    generated system: only the two constant one-sided tails fail it.
-    """
-    if not is_lmr_directive(d):
-        raise ValueError("primitivity test is defined for {L,M,R} directives only")
-    if d.period is None:
-        raise ValueError("primitivity test needs an eventually periodic directive")
-    return not (
-        all(s == SUB_L for s in d.period) or all(s == SUB_R for s in d.period)
-    )
-
-
 def classify(d: DirectiveSequence) -> Classification:
     """Balance classification of an eventually periodic {L,M,R} directive.
 
     The language is factor-balanced unless the tail consists only of the
     doubling substitution M, in which case balancedness already fails for
-    factors of length two.
+    factors of length two. The system is primitive unless the tail is all
+    L or all R: only those two constant one-sided tails fail it.
     """
     if not is_lmr_directive(d):
         raise ValueError("classification is defined for {L,M,R} directives only")
     if d.period is None:
         raise ValueError("classification needs an eventually periodic directive")
     all_m = all(s == SUB_M for s in d.period)
-    primitive = is_primitive(d)
+    primitive = not (all(s == SUB_L for s in d.period) or all(s == SUB_R for s in d.period))
     if all_m:
         return Classification(
             verdict="NotFactorBalanced",
@@ -118,19 +105,24 @@ def _thue_morse_depth(min_chars: int) -> int:
     return max(1, (min_chars - 1).bit_length())
 
 
-def thue_morse_text(min_chars: int, max_chars: int = MAX_WITNESS_CHARS) -> str:
-    """A prefix 2^d-expansion of the doubling fixed point with >= min_chars.
+def expand_text(word: str, depth: int, max_chars: int = MAX_TEXT_CHARS) -> str:
+    """M^depth(word) for a word over 0 and 1.
 
-    The length 2^d is checked against max_chars before anything is built.
-    Built by doubling: M^(k+1)(0) = M^k(0) . M^k(1), and M^k(1) is M^k(0)
-    with 0 and 1 swapped, a one-to-one translate.
+    M(w) interleaves w with its complement: letter i of w becomes letters
+    2i and 2i + 1 of M(w), the second one flipped. Refused, before any text
+    is built, when a step would pass max_chars; the message names the first.
     """
-    depth = _thue_morse_depth(min_chars)
-    check_budget("Thue-Morse text", 1 << depth, max_chars)
-    text = "0"
+    if word.strip("01"):
+        raise ValueError("expand_text needs a word over 0 and 1")
+    if word and depth > 0:
+        first_over = max(1, (max_chars // len(word)).bit_length())
+        check_budget("expansion", len(word) << min(depth, first_over), max_chars)
+    text = word.encode("ascii")
     for _ in range(depth):
-        text += text.translate(_FLIP)
-    return text
+        out = bytearray(2 * len(text))
+        out[0::2], out[1::2] = text, text.translate(_FLIP_BYTES)
+        text = out
+    return text.decode("ascii")
 
 
 def block_abelianization(word: str) -> Tuple[int, int, int, int]:
@@ -146,10 +138,6 @@ def block_abelianization(word: str) -> Tuple[int, int, int, int]:
     zeros = word.count("0", 0, starts)
     n01, n10 = word.count("01"), word.count("10")
     return (zeros - n01, n01, n10, starts - zeros - n10)
-
-
-def _double_step(s: str) -> str:
-    return s.translate(_M_STEP).translate(_M_STEP)
 
 
 def _witness_length(index: int) -> int:
@@ -189,11 +177,11 @@ def _witness_step(index: int) -> Tuple[str, str]:
     w, wp = _witness_step(index - 1)
     k = index - 1
     border = "0" if k % 2 == 1 else "1"
-    img = _double_step(w)
+    img = expand_text(w, 2)
     if not (img.startswith(border) and img.endswith(border)):
         raise RuntimeError("witness recursion border mismatch")
     tail = "01" if k % 2 == 1 else "10"
-    imgp = _double_step(wp)
+    imgp = expand_text(wp, 2)
     if not imgp.endswith(tail):
         raise RuntimeError("witness recursion tail mismatch")
     w, wp = img[1:-1], imgp[:-2]
@@ -241,8 +229,8 @@ def witness_pair(index: int) -> WitnessPair:
     depth = _thue_morse_depth(min_chars)
     check_budget("certification text", 1 << depth, MAX_WITNESS_CHARS)
     w, wp = witness_strings(index)
-    # Doubled here rather than through a generator shared with
-    # thue_morse_text: += grows text in place only while no caller holds it,
+    # Doubled here rather than through expand_text, which builds each step
+    # in a new buffer: += grows text in place only while no caller holds it,
     # which keeps the last step's peak at 3, not 4, times the old prefix.
     text = "0"
     for _ in range(depth):
@@ -311,7 +299,8 @@ def imbalance_milestones() -> List[Tuple[int, ScanWitness]]:
     """
     indices = (1, 2, 3)
     lengths = [(4 ** (2 * i) + 2) // 3 for i in indices]
-    text = thue_morse_text(min_chars=24 * max(lengths) + 16)
+    depth = _thue_morse_depth(24 * max(lengths) + 16)
+    text = expand_text("0", depth, MAX_WITNESS_CHARS)
     curve = window_imbalance_curve([text], _BLOCK_PATTERNS, lengths)
     return [(i, curve[length]) for i, length in zip(indices, lengths)]
 
@@ -342,12 +331,12 @@ def factor_spans(
     Memoised: every value returned is immutable, and verify asks twice.
     """
     depth = max(4, (16 * max_len).bit_length())
-    text = expand_text(SUB_M, "0", depth)
+    text = expand_text("0", depth)
     width = max(max_len, 0)
     windows = _first_windows(text, width)
     stable = False
     while depth < max_depth:
-        text += text.translate(_FLIP)
+        text = expand_text(text, 1)
         depth += 1
         bigger = _first_windows(text, width)
         # Every factor of a text lies in one of its full windows: a window

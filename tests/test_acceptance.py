@@ -40,8 +40,8 @@ from wordbalance.substitution import (
 from wordbalance.tms import (
     builtin,
     classify,
+    expand_text,
     imbalance_milestones,
-    thue_morse_text,
     witness_pair,
     witness_strings,
 )
@@ -149,7 +149,7 @@ def test_criterion_03_witness_drift_and_certificates(capsys):
             assert (pair.word, pair.word_prime) == (w, wp)
             assert pair.block_counts == cw
             assert pair.block_counts_prime == cp
-            text = thue_morse_text(2 ** pair.certificate_depth)
+            text = expand_text("0", pair.certificate_depth)
             assert text[pair.position : pair.position + len(w)] == w
             assert text[pair.position_prime : pair.position_prime + len(wp)] == wp
 

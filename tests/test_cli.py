@@ -697,6 +697,20 @@ class TestImportCost:
         out, _ = run_fresh_python(code)
         assert out.strip() == "False"
 
+    def test_witness_loads_neither_numpy_nor_verification(self):
+        # The witness recursion and its certificates are string work on the
+        # M kernel; neither needs numpy or the verify suite.
+        code = (
+            "import sys\n"
+            "from wordbalance.cli import main\n"
+            "code = main(['witness', '--n', '4'])\n"
+            "unwanted = ('numpy', 'wordbalance.verification')\n"
+            "print(code, sorted(set(unwanted) & set(sys.modules)), file=sys.stderr)\n"
+        )
+        out, err = run_fresh_python(code)
+        assert json.loads(out)["command"] == "witness"
+        assert err.strip() == "0 []"
+
 
 class TestLayout:
     def test_readme_layout_names_every_module(self):

@@ -9,17 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordbalance import scan
+from wordbalance.tms import expand_text
 from wordbalance.language import ResourceLimitError, _letter_codes, _short_factors, parse_directive
 from wordbalance.scan import (
     ScanWitness,
-    expand_text,
     level_scan_texts,
     window_imbalance_curve,
     window_spreads,
 )
 from wordbalance.substitution import Substitution
-
-M = Substitution.from_text("0->01;1->10")
 
 
 def brute_count(text: str, pattern: str) -> int:
@@ -78,65 +76,33 @@ class TestScanTexts:
 
 
 class TestExpansion:
+    """tms.expand_text, the M kernel the scan tests build their texts with."""
+
     def test_doubling_expansion(self):
-        assert expand_text(M, "0", 0) == "0"
-        assert expand_text(M, "0", 2) == "0110"
-        assert expand_text(M, "0", 4) == "0110100110010110"
-        assert expand_text(M, "1", 3) == "10010110"
-
-    def test_needs_latin1_symbols(self):
-        past_latin1 = Substitution.from_text("\u0100->\u0100\u0101;\u0101->\u0100")
-        with pytest.raises(ValueError, match="single latin-1 character symbols"):
-            expand_text(past_latin1, "\u0100", 2)
-
-    def test_needs_endomorphism(self):
-        widening = Substitution.from_text("0->012;1->01")
-        with pytest.raises(ValueError):
-            expand_text(widening, "0", 2)
+        assert expand_text("0", 0) == "0"
+        assert expand_text("0", 2) == "0110"
+        assert expand_text("0", 4) == "0110100110010110"
+        assert expand_text("1", 3) == "10010110"
 
     def test_character_budget(self):
         with pytest.raises(ResourceLimitError):
-            expand_text(M, "0", 40, max_chars=1000)
+            expand_text("0", 40, max_chars=1000)
 
     def test_refusals_name_the_limit(self):
         # The first too-long step is named: |M^10(0)| = 1024.
         with pytest.raises(ResourceLimitError, match="^expansion needs 1024 characters, limit 1000$"):
-            expand_text(M, "0", 40, max_chars=1000)
-
-    def test_budget_applies_to_every_step(self):
-        # 0 -> 11, 1 -> (erased): sigma(0) = 11 is over budget although
-        # sigma^2(0) is empty, so the request is refused as before.
-        erasing = Substitution.from_text("0->11;1->")
-        assert expand_text(erasing, "0", 2) == ""
-        with pytest.raises(ResourceLimitError, match="needs 2 characters, limit 1"):
-            expand_text(erasing, "0", 2, max_chars=1)
+            expand_text("0", 40, max_chars=1000)
 
     def test_expansion_refused_before_any_text_is_built(self):
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
-                expand_text(M, "0", 20, max_chars=2**19)
+                expand_text("0", 20, max_chars=2**19)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # Building M^19(0) on the way to the refusal would take 2^19 bytes.
         assert peak < 2**16
-
-    @given(
-        st.lists(st.text(alphabet="012", max_size=3), min_size=3, max_size=3),
-        st.sampled_from("012"),
-        st.integers(0, 7),
-    )
-    def test_expansion_matches_stepwise_translate(self, images, seed, depth):
-        sub = Substitution.from_text(";".join(f"{a}->{w}" for a, w in zip("012", images)))
-        table = {ord(a): w for a, w in zip("012", images)}
-        want = seed
-        for _ in range(depth):
-            want = want.translate(table)
-        assert expand_text(sub, seed, depth) == want
-        if len(want) > 1:
-            with pytest.raises(ResourceLimitError):
-                expand_text(sub, seed, depth, max_chars=len(want) - 1)
 
 
 @st.composite
@@ -193,7 +159,7 @@ class TestOnePatternCurve:
 
 class TestWindowImbalance:
     def test_curve_matches_brute_force(self):
-        texts = [expand_text(M, "0", 6), expand_text(M, "1", 5)]
+        texts = [expand_text("0", 6), expand_text("1", 5)]
         patterns = ["0", "11"]
         lens = [1, 2, 5, 9]
         curve = window_imbalance_curve(texts, patterns, lens)
@@ -253,7 +219,7 @@ class TestWindowImbalance:
         assert window_imbalance_curve(["0101"], ["0"], [99]) == {}
 
     def test_deterministic(self):
-        texts = [expand_text(M, "0", 5)]
+        texts = [expand_text("0", 5)]
         a = window_imbalance_curve(texts, ["01", "10"], range(1, 9))
         b = window_imbalance_curve(texts, ["01", "10"], range(1, 9))
         assert a == b

@@ -13,20 +13,18 @@ from hypothesis import strategies as st
 from wordbalance import cli, scan, tms
 from wordbalance.exactmat import eigencheck
 from wordbalance.language import ResourceLimitError, parse_directive
-from wordbalance.scan import MAX_TEXT_CHARS, expand_text, level_scan_texts
+from wordbalance.scan import MAX_TEXT_CHARS, level_scan_texts
 from wordbalance.substitution import Substitution, compose, incidence_counts
 from wordbalance.tms import (
     BLOCK_EIGENPAIRS,
-    SUB_M,
     block_abelianization,
     builtin,
     builtin_registry,
     classify,
+    expand_text,
     factor_spans,
     imbalance_milestones,
     is_lmr_directive,
-    is_primitive,
-    thue_morse_text,
     witness_growth_curve,
     witness_pair,
     witness_strings,
@@ -171,10 +169,10 @@ class TestClassification:
         assert not c2.tail_all_doubling and not c2.primitive and c2.verdict == "FactorBalanced"
 
     def test_primitivity(self):
-        assert is_primitive(parse_directive("|M"))
-        assert is_primitive(parse_directive("|LR"))
-        assert not is_primitive(parse_directive("M|L"))
-        assert not is_primitive(parse_directive("|R"))
+        assert classify(parse_directive("|M")).primitive
+        assert classify(parse_directive("|LR")).primitive
+        assert not classify(parse_directive("M|L")).primitive
+        assert not classify(parse_directive("|R")).primitive
 
     def test_guards(self):
         swap = Substitution.from_text("0->1;1->0")
@@ -182,11 +180,7 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify(foreign)
         with pytest.raises(ValueError):
-            is_primitive(foreign)
-        with pytest.raises(ValueError):
             classify(parse_directive("LM|"))
-        with pytest.raises(ValueError):
-            is_primitive(parse_directive("LM|"))
 
 
 class TestSharedImageTail:
@@ -213,26 +207,57 @@ class TestSharedImageTail:
 
 
 class TestThueMorseText:
+    """expand_text, the one M kernel."""
+
     def test_prefix_values(self):
-        assert thue_morse_text(32) == TM32
-        assert thue_morse_text(2) == "01"
-        assert thue_morse_text(64).startswith(TM32)
+        assert expand_text("0", 5) == TM32
+        assert expand_text("0", 1) == "01"
+        assert expand_text("0", 6).startswith(TM32)
 
     def test_expansion_consistency(self):
-        t = thue_morse_text(128)
+        t = expand_text("0", 7)
         assert m_step(t)[: len(t)] == t  # fixed-point prefix property
 
     @pytest.mark.parametrize("depth", range(1, 17))
     def test_doubling_matches_expansion_and_digit_sums(self, depth):
-        text = thue_morse_text(1 << depth)
-        assert text == expand_text(SUB_M, "0", depth)
+        text = expand_text("0", depth)
+        assert text == tm_prefix(depth)
         # t(i) is the parity of the binary digit sum of i.
         assert text == "".join("01"[bin(i).count("1") & 1] for i in range(1 << depth))
 
+    @given(st.text(alphabet="01", max_size=40), st.integers(0, 5))
+    def test_matches_stepwise_m(self, word, depth):
+        want = word
+        for _ in range(depth):
+            want = m_step(want)
+        assert expand_text(word, depth) == want
+        if len(want) > len(word):
+            with pytest.raises(ResourceLimitError):
+                expand_text(word, depth, max_chars=len(want) - 1)
+
     def test_budget_names_the_limit(self):
-        with pytest.raises(ResourceLimitError, match="^Thue-Morse text needs 2048 characters, limit 2000$"):
-            thue_morse_text(1500, max_chars=2000)
-        assert len(thue_morse_text(1500, max_chars=2048)) == 2048
+        # The first step over the limit is named, whatever the depth asked.
+        with pytest.raises(ResourceLimitError, match="^expansion needs 2048 characters, limit 2000$"):
+            expand_text("0", 40, max_chars=2000)
+        with pytest.raises(ResourceLimitError, match="^expansion needs 2200 characters, limit 2000$"):
+            expand_text("0" * 1100, 3, max_chars=2000)
+        assert len(expand_text("0", 11, max_chars=2048)) == 2048
+        assert expand_text("0" * 3000, 0, max_chars=2000) == "0" * 3000
+
+    def test_non_binary_word_refused(self):
+        with pytest.raises(ValueError, match="^expand_text needs a word over 0 and 1$"):
+            expand_text("0a1", 1)
+
+    def test_one_step_peaks_near_three_times_the_result(self):
+        word = expand_text("0", 20)
+        tracemalloc.start()
+        try:
+            result = expand_text(word, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == word + word.translate(str.maketrans("01", "10"))
+        assert peak < 3 * len(result)
 
 
 class TestBlockAbelianization:
@@ -298,7 +323,7 @@ class TestWitnessStrings:
             assert blocks4(nxtp) == tuple(x + y for x, y in zip(stepp, add_p))
 
     def test_membership_in_fixed_point(self):
-        text = thue_morse_text(4096)
+        text = expand_text("0", 12)
         for k in (1, 2, 3, 4):
             w, wp = witness_strings(k)
             assert w in text and wp in text
@@ -311,10 +336,16 @@ class TestWitnessStrings:
 
     def test_witness_command_runs_each_step_once(self, monkeypatch, capsys):
         # witness --n k asks for the pair at k and, for its growth curve, the
-        # pairs at every even index up to k: k - 1 steps of two double steps.
+        # pairs at every even index up to k: k - 1 steps of two M^2 images.
         steps = []
-        real = tms._double_step
-        monkeypatch.setattr(tms, "_double_step", lambda s: steps.append(len(s)) or real(s))
+        real = tms.expand_text
+
+        def counted(word, depth, *args):
+            if depth == 2:
+                steps.append(len(word))
+            return real(word, depth, *args)
+
+        monkeypatch.setattr(tms, "expand_text", counted)
         tms._witness_step.cache_clear()
         try:
             assert cli.main(["witness", "--n", "8"]) == 0
@@ -381,7 +412,7 @@ class TestWitnessPair:
 
     def test_certificate_slices(self):
         p = witness_pair(2)
-        text = thue_morse_text(2**p.certificate_depth)
+        text = expand_text("0", p.certificate_depth)
         assert len(text) == 2**p.certificate_depth
         assert text[p.position : p.position + 6] == p.word
         assert text[p.position_prime : p.position_prime + 6] == p.word_prime
@@ -633,7 +664,7 @@ class TestScanHelpers:
         assert len(factors) == 92
         per_len = [sum(1 for f in factors if len(f) == n) for n in range(1, 9)]
         assert per_len == [2, 4, 6, 10, 12, 16, 20, 22]
-        tm = thue_morse_text(4096)
+        tm = expand_text("0", 12)
         oracle = {tm[i : i + n] for n in range(1, 9) for i in range(len(tm) - n + 1)}
         assert set(factors) == oracle
         assert list(factors) == sorted(oracle)
