@@ -167,7 +167,7 @@ def perron_frequency(rows, letters) -> FrequencyVector:
     letters.
 
     Refused (ValueError) unless the matrix is nonnegative, as the radius
-    test needs, and its spectral radius rho is an integer whose
+    test needs, and its spectral radius rho is a positive integer whose
     eigenspace is one-dimensional: otherwise no single eigenvector, hence
     no single frequency vector, is determined by the matrix.
     """
@@ -182,6 +182,8 @@ def perron_frequency(rows, letters) -> FrequencyVector:
         lam, hi = (lam, mid) if radius_below(rows, mid) else (mid, hi)
     if not _is_spectral_radius(rows, lam):
         raise ValueError(f"spectral radius is not an integer (it lies between {lam} and {lam + 1})")
+    if lam == 0:
+        raise ValueError("spectral radius is 0: every letter is erased in some power")
     basis = kernel_basis(shifted(rows, lam))
     if not basis:
         raise ValueError("dominant eigenvalue has trivial kernel")

@@ -307,11 +307,11 @@ def _cmd_analyze(args: argparse.Namespace) -> Tuple[Dict[str, Any], int]:
             entry["witness"] = _witness_dict(e.witness)
         entries.append(entry)
 
-    f_emp = frequency_vector(sample)
-    frequency: Dict[str, Any] = {
-        "empirical": _frequency_map(f_emp),
-        "empirical_deviation": rational_str(frequency_deviation(sample, f_emp)),
-    }
+    frequency: Dict[str, Any] = {}
+    if len(sample) > 1:  # a word besides the empty one
+        f_emp = frequency_vector(sample)
+        frequency["empirical"] = _frequency_map(f_emp)
+        frequency["empirical_deviation"] = rational_str(frequency_deviation(sample, f_emp))
     f_per = _level0_perron(d)
     if f_per is not None:
         frequency["perron"] = _frequency_map(f_per)

@@ -1,9 +1,8 @@
-"""Exact matrices as lists of rows of int or Fraction: products,
-determinants, inverses, kernels, the spectral radius test, eigenpairs,
-reachability.
+"""Exact matrices as lists of rows of int or Fraction: products, inverses,
+kernels, the spectral radius test, eigenpairs, reachability.
 
-One elimination loop, the Gauss-Jordan _reduce, serves determinants,
-inverses, kernels and the radius test.
+One elimination loop, the Gauss-Jordan _reduce, serves the singularity
+test of integer eigenvalues, inverses, kernels and the radius test.
 
 No floating point enters any result: every division goes through
 fractions.Fraction, so integer matrices keep integer products and every
@@ -106,16 +105,6 @@ def _reduce(rows: List[list], width: int) -> Tuple[List[Tuple[int, Fraction]], i
     return pivots, swaps
 
 
-def det(a: Sequence[Sequence]) -> Fraction:
-    """Exact determinant: (-1)^swaps times the product of _reduce's pivots,
-    0 when a column has no pivot."""
-    n = _square(a, "determinant")
-    pivots, swaps = _reduce([list(r) for r in a], n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return math.prod((p for _, p in pivots), start=Fraction(-1) ** swaps)
-
-
 def radius_below(a: Sequence[Sequence], t) -> bool:
     """Is every leading principal minor of t*I - a positive? For a
     nonnegative square a, that is exactly rho(a) < t (a nonsingular
@@ -164,7 +153,7 @@ def kernel_basis(a: Sequence[Sequence]) -> Tuple[Vector, ...]:
 
 
 def integer_eigenvalues(a: Sequence[Sequence]) -> Tuple[int, ...]:
-    """All integer eigenvalues t of a (det(t*I - a) == 0), ascending.
+    """All integer eigenvalues t of a (a column of t*I - a has no pivot), ascending.
 
     The spectral radius, which bounds every eigenvalue's absolute value, is
     at most the maximal absolute row sum and at most the maximal absolute
@@ -172,8 +161,8 @@ def integer_eigenvalues(a: Sequence[Sequence]) -> Tuple[int, ...]:
     the smaller one is tried. For nonnegative matrices these are the plain
     row and column sums.
     """
-    _square(a, "eigenvalues")
+    n = _square(a, "eigenvalues")
     row_max = max((sum(map(abs, r)) for r in a), default=0)
     col_max = max((sum(map(abs, c)) for c in zip(*a)), default=0)
     bound = math.floor(min(row_max, col_max))
-    return tuple(t for t in range(-bound, bound + 1) if det(shifted(a, t)) == 0)
+    return tuple(t for t in range(-bound, bound + 1) if len(_reduce(shifted(a, t), n)[0]) < n)

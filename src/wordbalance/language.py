@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
+import math
 import sys
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 
 from .limits import ResourceLimitError, check_budget
 from .exactmat import mat_mul, reach
@@ -23,8 +23,6 @@ from .words import Alphabet, Symbol, Word, _Record
 MAX_SAMPLE_CHARS = 60_000_000
 # Levels the default sampling depth may walk down before giving up.
 MAX_DEPTH_LEVELS = 4096
-# Times the capped growth decision squares its cap looking for agreement.
-_CAP_ESCALATIONS = 5
 # A finite directive grows if its shortest letter image reaches 32 letters by level 40.
 _GROWTH_HORIZON = 40
 _GROWTH_THRESHOLD = 32
@@ -490,16 +488,8 @@ def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
     products: tau's column of a letter counts the letters of its image,
     and a weight is a column sum of pi's matrix, so no tower is composed.
     With H = sigma_[p,p+r) and T = sigma_[p+r,p+q), tau is T . H and pi is
-    sigma_[0,p) . H, so all q residues cost about 3q products. Two tiers:
-
-    * Everything non-erasing: image lengths under tau are monotone, and a
-      letter grows exactly when its iterated images reach an expanding
-      letter (_monotone_growth_verdict). Exact both ways.
-    * Otherwise: a capped orbit. A coordinate observed below the cap on the
-      orbit's cycle equals its true value there (capping only lowers values,
-      and a below-cap sum forces below-cap summands), so it recurs forever
-      and growth provably fails; an all-capped cycle, cross-checked at a
-      second larger cap, is reported as growing but flagged inexact.
+    sigma_[0,p) . H, so all q residues cost about 3q products. Each
+    residue is decided exactly by _grows.
 
     A finite directive is growing, inexactly, when its shortest letter image
     reaches _GROWTH_THRESHOLD letters by level _GROWTH_HORIZON.
@@ -519,66 +509,54 @@ def is_everywhere_growing(d: DirectiveSequence) -> GrowthReport:
     # Row 0 of head holds the weights (column sums of pi's matrix), the
     # rest is H, so one product per level advances both.
     head = [list(map(sum, zip(*_tower_counts(d, 0, p))))] + _tower_counts(d, p, p)
-    growing, exact = True, True
+    growing = True
     for r in range(q):
-        tau = mat_mul(tails[r], head[1:])
-        weights = head[0]
-        # images[a][b] counts letter b in tau(a); weights[b] is |pi(b)|.
-        images = list(zip(*tau))
-        if all(map(sum, images)) and all(weights):
-            verdict = _monotone_growth_verdict(tau)
-        else:
-            verdict, certain = _capped_growth_verdict(images, weights)
-            exact = exact and certain
-        growing = growing and verdict
+        growing = growing and _grows(mat_mul(tails[r], head[1:]), head[0])
         head = mat_mul(head, levels[r])
-    return GrowthReport(growing=growing, exact=exact)
+    return GrowthReport(growing=growing, exact=True)
 
 
-def _monotone_growth_verdict(counts) -> bool:
-    """Exact growth test for a non-erasing endomorphism with positive weights.
+def _grows(counts, weights) -> bool:
+    """Does |pi(tau^k(a))| tend to infinity with k for every letter a?
 
-    counts is its incidence matrix. A letter is expanding when it lies on a
-    cycle of the letter graph and its image has two or more letters. Image
-    lengths are monotone, so a letter grows exactly when it reaches an
-    expanding letter, which then recurs in its iterates forever. Otherwise
-    its iterates end among letters that reach only one-letter-image
-    letters, and are frozen in length from then on.
+    counts is tau's incidence matrix and weights[b] is |pi(b)|. A terminal
+    class is a strongly connected set of letters that no image leaves. The
+    answer is yes iff no letter has an empty image, every terminal class
+    has a letter whose image has two or more letters, and every cyclic
+    class of a terminal class (its breadth-first levels mod h, h the gcd of
+    its cycle lengths) holds a letter that pi does not erase. Why:
+
+    1. Every letter reaches a sink (an empty image) or a terminal class,
+       and if t is in tau^j(a), the length of a at step k + j is at least
+       that of t at step k. So all letters grow iff no sink exists and
+       every terminal letter grows.
+    2. A terminal class with no two-letter image is one cycle of one-letter
+       images, so its lengths stay bounded. Any other is an irreducible
+       integer matrix that is not a permutation, so rho > 1: for large k,
+       tau^k(c) holds every letter of one cyclic class, in growing counts,
+       and the classes take turns. So the length is 0 on the turns whose
+       class pi erases entirely, and grows on every other turn.
     """
-    sizes = list(map(sum, zip(*counts)))
+    images = list(zip(*counts))
+    if not all(map(any, images)):
+        return False
     reached = reach(counts)
-    expanding = {c for c, size in enumerate(sizes) if size > 1 and c in reached[c]}
-    return all(out & expanding for out in reached)
-
-
-def _capped_growth_verdict(images, weights) -> Tuple[bool, bool]:
-    """(verdict, certain): the capped orbit's verdict once two caps agree,
-    certain when it is not growing."""
-    max_entry = max((c for image in images for c in image), default=0)
-    cap = max(64, max(weights, default=1) + 1, (len(images) * max_entry + 2) ** 2)
-    verdict = _capped_orbit(images, weights, cap)
-    for _ in range(_CAP_ESCALATIONS):
-        bigger = cap * cap + 17
-        verdict2 = _capped_orbit(images, weights, bigger)
-        if verdict2 == verdict:
-            return verdict, not verdict
-        cap, verdict = bigger, verdict2
-    raise ResourceLimitError(
-        "growth decision did not stabilize under cap escalation",
-        "growth cap escalations",
-        limit=_CAP_ESCALATIONS,
-    )
-
-
-def _capped_orbit(images, weights, cap) -> bool:
-    """Whether every state on the cycle of the capped length orbit is all
-    capped."""
-    state = tuple(min(w, cap) for w in weights)
-    seen = {state: 0}
-    trajectory = [state]
-    while True:
-        nxt = tuple(min(sum(map(operator.mul, image, trajectory[-1])), cap) for image in images)
-        if nxt in seen:
-            return all(v >= cap for st in trajectory[seen[nxt]:] for v in st)
-        seen[nxt] = len(trajectory)
-        trajectory.append(nxt)
+    done: set = set()
+    for c, cls in enumerate(reached):
+        if c in done or c not in cls or any(c not in reached[t] for t in cls):
+            continue
+        done |= cls
+        if all(sum(images[a]) == 1 for a in cls):
+            return False
+        if all(weights[a] for a in cls):
+            continue
+        level, queue, period = {c: 0}, [c], 0
+        for u in queue:
+            for v in (v for v, n in enumerate(images[u]) if n):
+                if v not in level:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+                period = math.gcd(period, level[u] + 1 - level[v])
+        if {level[a] % period for a in cls if weights[a]} != set(range(period)):
+            return False
+    return True

@@ -332,6 +332,12 @@ class TestFrequency:
         with pytest.raises(ValueError, match="spectral radius is not an integer"):
             perron_frequency(incidence_counts(sub), "abc")
 
+    def test_perron_refuses_a_nilpotent_matrix(self):
+        # rho = 0: [[0]] once gave frequency 1 to a letter that never occurs.
+        for rows, letters in (([[0]], "0"), ([[0, 1], [0, 0]], "01")):
+            with pytest.raises(ValueError, match="^spectral radius is 0: "):
+                perron_frequency(rows, letters)
+
     @settings(max_examples=200)
     @given(
         st.integers(2, 4).flatmap(

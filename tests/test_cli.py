@@ -209,6 +209,46 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--directive", "LMR")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("max_length", ["8", "60"])
+    def test_the_empty_language_is_served(self, capsys, max_length):
+        # S erases its only letter, so the language is {epsilon}: no
+        # frequency is measured, and the growth verdict is exact.
+        rep = run_json(
+            capsys, "analyze", "--directive", "|S", "--register", "S=0->",
+            "--max-length", max_length,
+        )
+        res = rep["results"]
+        assert res["sample"]["words"] == 1
+        assert res["frequency"] == {}
+        assert res["growth"] == {"growing": False, "exact": True}
+
+    def test_the_growth_decision_ends_on_a_long_permutation(self):
+        # S permutes 100 letters in cycles of lengths 2, 3, 5, ..., 23, whose
+        # lcm is over 2 * 10^8; P erases the first letter of each cycle.
+        # The language is the 91 letters P keeps, and the empty word.
+        letters = iter(chr(0x100 + i) for i in range(100))
+        p_rules, s_rules = [], []
+        for size in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            cycle = [next(letters) for _ in range(size)]
+            for i, a in enumerate(cycle):
+                p_rules.append(f"{a}->" + (a if i else ""))
+                s_rules.append(f"{a}->{cycle[(i + 1) % size]}")
+        argv = [
+            "analyze", "--directive", "P|S", "--register", "P=" + ";".join(p_rules),
+            "--register", "S=" + ";".join(s_rules), "--max-length", "8",
+        ]
+        src = str(Path(wordbalance.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "wordbalance.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert out.returncode == EXIT_SUCCESS, out.stderr
+        res = json.loads(out.stdout)["results"]
+        assert res["growth"] == {"growing": False, "exact": True}
+        assert res["sample"]["words"] == 92
+
     def test_tracer_hooks_fire_once(self, capsys, monkeypatch):
         # The benchmark tracer times these two layers by wrapping them in the
         # cli namespace, so analyze must call them through it.

@@ -1,6 +1,5 @@
-"""Exact linear algebra on lists of int/Fraction rows: products,
-determinants, inverses, the spectral radius test, eigenpairs, and the
-reachability closure."""
+"""Exact linear algebra on lists of int/Fraction rows: products, inverses,
+the spectral radius test, eigenpairs, and the reachability closure."""
 
 from collections import deque
 from fractions import Fraction
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from wordbalance.exactmat import (
     NotInvertibleError,
     binary_power,
-    det,
     eigencheck,
     integer_eigenvalues,
     invert,
@@ -77,7 +75,7 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             mat_mul([[1, 0], [0, 1]], [[1, 2], [3]])
         with pytest.raises(ValueError):
-            det([[1, 2], [3]])
+            integer_eigenvalues([[1, 2], [3]])
 
     def test_identity(self):
         # shifted(a, t) is t*I - a; the zero matrix shifted by 1 is I.
@@ -124,33 +122,6 @@ class TestProducts:
             mat_mul(a, data.draw(matrices(other, m)))
         with pytest.raises(ValueError):
             mat_vec(a, data.draw(matrices(1, other))[0])
-
-
-class TestDeterminant:
-    def test_known_values(self):
-        assert det([[1, 2], [3, 4]]) == -2
-        assert det([[2, 0, 1], [1, 3, -1], [0, 5, 2]]) == 27
-        assert det([[1, 2], [2, 4]]) == 0
-        assert det([]) == 1
-
-    def test_exact_fractions(self):
-        a = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
-        assert det(a) == Fraction(1, 60)
-
-    def test_zero_pivot_needs_row_swap(self):
-        assert det([[0, 1], [1, 0]]) == -1
-        # Columns 0 and 1 each take their pivot from a lower row.
-        assert det([[0, 0, 2], [3, 0, 0], [0, 5, 0]]) == 30
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            det([[1, 2]])
-
-    @given(square_matrices)
-    @example([[0, 1, 2], [0, 3, 4], [5, 6, 7]])
-    @example([[2, 4], [1, 2]])
-    def test_matches_leibniz_formula(self, rows):
-        assert det(rows) == leibniz_det(rows)
 
 
 def leading_minors_positive(rows, t):
@@ -222,8 +193,9 @@ class TestNoFloats:
     @given(square_matrices, st.data())
     def test_results_hold_no_float(self, rows, data):
         vector = data.draw(matrices(1, len(rows)))[0]
-        results = [mat_mul(rows, rows), mat_vec(rows, vector), det(rows), kernel_basis(rows)]
-        if det(rows) != 0:
+        results = [mat_mul(rows, rows), mat_vec(rows, vector), kernel_basis(rows)]
+        results.append(integer_eigenvalues(rows))
+        if leibniz_det(rows) != 0:
             results.append(invert(rows))
         assert not holds_float(results)
 

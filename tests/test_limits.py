@@ -1,7 +1,5 @@
 """Refusals carry what they name: the resource, the requested size, the limit."""
 
-import itertools
-
 import pytest
 
 from wordbalance import language
@@ -63,16 +61,3 @@ def test_the_default_depth_refusal_names_its_limit(monkeypatch):
         4096,
     )
 
-
-def test_the_cap_escalation_limit_is_named(monkeypatch):
-    verdicts = itertools.cycle([True, False])
-    monkeypatch.setattr(language, "_capped_orbit", lambda images, weights, cap: next(verdicts))
-    # tau = 0->01;1-> as letter counts per image, with unit weights.
-    with pytest.raises(ResourceLimitError) as exc:
-        language._capped_growth_verdict([(1, 1), (0, 0)], [1, 1])
-    assert str(exc.value) == "growth decision did not stabilize under cap escalation"
-    assert (exc.value.resource, exc.value.requested, exc.value.limit) == (
-        "growth cap escalations",
-        None,
-        5,
-    )
