@@ -55,20 +55,7 @@ def imbalance(sample: LanguageSample, n: int) -> BalanceEntry:
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    return _imbalance(sample, _length_classes(sample), n)
-
-
-def _length_classes(sample: LanguageSample) -> Dict[int, List[str]]:
-    """Nonempty sample codes by length, in increasing length, each class in
-    sort_words order. One sort serves every factor length."""
-    classes: Dict[int, List[str]] = {}
-    for s in sorted(sample.codes, key=lambda s: (len(s), s)):
-        if s:
-            classes.setdefault(len(s), []).append(s)
-    return classes
-
-
-def _imbalance(sample: LanguageSample, classes: Dict[int, List[str]], n: int) -> BalanceEntry:
+    classes = sample.classes
     factors = classes.get(n, [])
     column = {v: j for j, v in enumerate(factors)}
     zeros = [0] * len(factors)
@@ -123,8 +110,7 @@ def _imbalance(sample: LanguageSample, classes: Dict[int, List[str]], n: int) ->
 
 def balance_report(sample: LanguageSample, n_max: int) -> Tuple[BalanceEntry, ...]:
     """The imbalance entries of factor lengths 1..n_max, in that order."""
-    classes = _length_classes(sample)
-    return tuple(_imbalance(sample, classes, n) for n in range(1, n_max + 1))
+    return tuple(imbalance(sample, n) for n in range(1, n_max + 1))
 
 
 class FrequencyVector(_Record):
@@ -152,10 +138,9 @@ class FrequencyVector(_Record):
 def frequency_vector(sample: LanguageSample) -> FrequencyVector:
     """Letter frequencies averaged over all words of the maximal length
     present in the sample (exact rational)."""
-    top = max(map(len, sample.codes), default=0)
-    if top == 0:
+    if not sample.classes:
         raise ValueError("sample has no nonempty words")
-    text = "".join(s for s in sample.codes if len(s) == top)
+    text = "".join(sample.classes[max(sample.classes)])
     total = Fraction(len(text))
     values = tuple(Fraction(text.count(chr(i))) / total for i in range(len(sample.alphabet)))
     return FrequencyVector(sample.alphabet, values)
@@ -233,12 +218,8 @@ def frequency_deviation(sample: LanguageSample, f: FrequencyVector) -> Fraction:
         raise ValueError("frequency vector alphabet does not match the sample")
     # |x - c| is convex in x, so per (length, letter) only the least and the
     # largest count can attain the maximum.
-    classes: Dict[int, List[str]] = {}
-    for s in sample.codes:
-        if s:
-            classes.setdefault(len(s), []).append(s)
     worst = Fraction(0)
-    for length, cls in classes.items():
+    for length, cls in sample.classes.items():
         for i, fa in enumerate(f.values):
             a = chr(i)
             counts = [s.count(a) for s in cls]

@@ -222,6 +222,16 @@ class LanguageSample(_Record):
     def words(self) -> frozenset:
         return frozenset(_decode(s, self.alphabet) for s in self.codes)
 
+    @functools.cached_property
+    def classes(self) -> Dict[int, List[str]]:
+        """The nonempty codes by length, in increasing length, each class in
+        sort_words order. One sort serves every reader."""
+        classes: Dict[int, List[str]] = {}
+        for s in sorted(self.codes, key=lambda s: (len(s), s)):
+            if s:
+                classes.setdefault(len(s), []).append(s)
+        return classes
+
     def __contains__(self, w: Word) -> bool:
         return w in self.words
 

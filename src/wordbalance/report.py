@@ -108,51 +108,21 @@ def from_csv(text: str) -> Dict[str, Any]:
         raise ValueError("not a report CSV (missing path,value header)")
     root: Dict[str, Any] = {}
     for raw_path, raw_value in rows[1:]:
-        path = json.loads(raw_path)
-        value = json.loads(raw_value)
-        _insert(root, path, value)
+        path, value = json.loads(raw_path), json.loads(raw_value)
+        if path[-1] in ("{}", "[]"):
+            # An empty container; the root's marker leaves no path to walk.
+            value = {} if path.pop() == "{}" else []
+        node: Any = root
+        # Pad a list up to an index, and make a child only where none is.
+        for seg, after in zip(path, path[1:] + [None]):
+            if isinstance(seg, int):
+                node.extend([None] * (seg + 1 - len(node)))
+            if after is None:
+                node[seg] = value
+            elif (node[seg] if isinstance(seg, int) else node.get(seg)) is None:
+                node[seg] = [] if isinstance(after, int) else {}
+            node = node[seg]
     return root
-
-
-def _insert(root: Any, path: List[Any], value: Any) -> None:
-    if path[-1] == "{}":
-        container_path, marker = path[:-1], {}
-    elif path[-1] == "[]":
-        container_path, marker = path[:-1], []
-    else:
-        container_path, marker = path, None
-    if not container_path:
-        return  # marker for the root container; the root dict already exists
-    node = root
-    for i, seg in enumerate(container_path[:-1]):
-        node = _enter(node, seg, container_path[i + 1])
-    last = container_path[-1]
-    if marker is not None:
-        _set(node, last, marker)
-    else:
-        _set(node, last, value)
-
-
-def _enter(node: Any, seg: Any, next_seg: Any) -> Any:
-    child_type: Any = [] if isinstance(next_seg, int) else {}
-    if isinstance(seg, int):
-        while len(node) <= seg:
-            node.append(None)
-        if node[seg] is None:
-            node[seg] = child_type
-        return node[seg]
-    if seg not in node:
-        node[seg] = child_type
-    return node[seg]
-
-
-def _set(node: Any, seg: Any, value: Any) -> None:
-    if isinstance(seg, int):
-        while len(node) <= seg:
-            node.append(None)
-        node[seg] = value
-    else:
-        node[seg] = value
 
 
 def to_text(report: Dict[str, Any]) -> str:

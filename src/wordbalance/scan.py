@@ -47,6 +47,8 @@ _SQUARING_LEVELS = 256
 _SQUARING_LETTERS = 16
 # Scan texts are read as latin-1 bytes, so every letter code stays below 256.
 _MAX_SCAN_LETTERS = 200
+# The deepest level a scan text is built from.
+_MAX_SCAN_DEPTH = 32768
 
 # numpy is imported inside the functions that use it, so that commands which
 # never scan a text (exact analyze, classify) do not pay for loading it.
@@ -386,12 +388,7 @@ def _span_table(a, shift, count, reduce, stop, side, buf) -> np.ndarray:
     return np.concatenate(table or [a[:0]]).astype(np.int64)
 
 
-def level_scan_texts(
-    d: DirectiveSequence,
-    min_chars: int,
-    clip: int,
-    max_depth: int = 32768,
-) -> Tuple[List[str], Alphabet]:
+def level_scan_texts(d: DirectiveSequence, min_chars: int, clip: int) -> Tuple[List[str], Alphabet]:
     """Clipped level-0 letter expansions, in letter codes, and their alphabet.
 
     Every factor of an expansion of a letter through the directive tower is
@@ -399,17 +396,17 @@ def level_scan_texts(
     pair drawn from these texts certifies an imbalance lower bound. Depth
     grows geometrically (x1.5, not x2: doubling the depth can square the
     text length) until the longest letter text reaches min_chars or the
-    depth cap; each text is clipped to `clip`. The depth is chosen from
-    the text lengths alone, and then each text is built once, and only its
-    first clip characters. Where _squared holds, the lengths and texts
-    come from powers of the composed period instead of a walk through
-    every level.
+    depth reaches _MAX_SCAN_DEPTH; each text is clipped to `clip`. The
+    depth is chosen from the text lengths alone, and then each text is
+    built once, and only its first clip characters. Where _squared holds,
+    the lengths and texts come from powers of the composed period instead
+    of a walk through every level.
     """
     if min_chars < 1 or clip < 1:
         raise ValueError("min_chars and clip must be positive")
     alphabet = d.level_alphabet(0)
     check_budget("text codec", len(alphabet), _MAX_SCAN_LETTERS, "symbols")
-    depth, squared = _scan_depth(d, alphabet, min_chars, clip, max_depth)
+    depth, squared = _scan_depth(d, alphabet, min_chars, clip)
     if squared:
         texts = _periodic_tower_texts(d, depth, clip)
     else:
@@ -439,7 +436,7 @@ def _squared(d: DirectiveSequence, clip: int, depth: int) -> bool:
 
 
 def _scan_depth(
-    d: DirectiveSequence, alphabet: Alphabet, min_chars: int, clip: int, max_depth: int
+    d: DirectiveSequence, alphabet: Alphabet, min_chars: int, clip: int
 ) -> Tuple[int, bool]:
     """The depth level_scan_texts builds, from letter-text lengths only, and
     whether _squared holds there. A finite directive's depth starts at
@@ -453,9 +450,9 @@ def _scan_depth(
     walk = enumerate(_checked_lengths(d, alphabet, clip))
     top = d.max_defined_level()
     if top is None:
-        depth = max(8, d.prefix_length + max(1, d.period_length))
+        depth, max_depth = max(8, d.prefix_length + max(1, d.period_length)), _MAX_SCAN_DEPTH
     else:
-        depth, max_depth = min(8, top), min(max_depth, top)
+        depth, max_depth = min(8, top), min(_MAX_SCAN_DEPTH, top)
     while True:
         squared = _squared(d, clip, depth)
         if squared:

@@ -7,8 +7,9 @@ the generated language fails to be balanced for length two exactly when the
 directive tail is eventually all-M, and this module constructs the
 equal-length witness pairs whose length-2 block counts drift apart linearly.
 
-expand_text is the one M kernel: the witness recursion, the milestone
-scan text and the factor spans all build their Thue-Morse words with it.
+expand_text is the one M kernel: it builds every Thue-Morse text here,
+for the witness recursion, the certificate prefix, the milestone scan and
+the factor spans.
 Two helpers here serve only verify: imbalance_milestones (at the three
 witness indices verify reads) and factor_spans. They stay because they call
 expand_text and window_imbalance_curve through this module's namespace,
@@ -33,7 +34,6 @@ if TYPE_CHECKING:
 
 BINARY = Alphabet.from_text("01")
 
-_FLIP = str.maketrans("01", "10")
 _FLIP_BYTES = bytes.maketrans(b"01", b"10")
 _BLOCK_PATTERNS = ("00", "01", "10", "11")
 
@@ -216,10 +216,15 @@ def witness_pair(index: int) -> WitnessPair:
     The certificate is the first position of each word in the 2^d prefix
     of the Thue-Morse fixed point, for the d that the closed-form word
     length fixes, so an oversized request is refused before either word is
-    built. The search doubles the prefix only until both words occur:
-    prefixes nest, so a first occurrence in a shorter prefix is also the
-    first in the 2^d one, where any earlier start would end inside the
-    shorter prefix too.
+    built. Both positions are read from the 2^(2k + 1)-character prefix,
+    for k the index, an eighth of the 2^d one, which holds both words:
+    w'_k is a prefix of the fixed point, as w'_(k+1) is M^2(w'_k) less its
+    last two letters; and w_k occurs at p_k = (4^(k+1) - 1) / 3, as w_1 =
+    00 occurs at 5, M^2 maps an occurrence at p to one at 4p, and w_(k+1)
+    is M^2(w_k) less its first letter, so it occurs at 4p + 1. Prefixes
+    nest, so a first occurrence in that prefix is also the first in the
+    2^d one, where any earlier start would end inside the shorter prefix
+    too.
     """
     # 24 * (4^index + 2) / 3 + 16 = 2^(2 * index + 3) + 32, so depth is
     # 2 * index + 4 and 2^depth has one bit more: a huge 2^depth is refused
@@ -229,17 +234,9 @@ def witness_pair(index: int) -> WitnessPair:
     depth = _thue_morse_depth(min_chars)
     check_budget("certification text", 1 << depth, MAX_WITNESS_CHARS)
     w, wp = witness_strings(index)
-    # Doubled here rather than through expand_text, which builds each step
-    # in a new buffer: += grows text in place only while no caller holds it,
-    # which keeps the last step's peak at 3, not 4, times the old prefix.
-    text = "0"
-    for _ in range(depth):
-        text += text.translate(_FLIP)
-        pos, posp = text.find(w), text.find(wp)
-        if pos >= 0 and posp >= 0:
-            break
-    else:
-        raise RuntimeError("witness word not found in the certification text")
+    ends = (4 ** (index + 1) - 1) // 3 + len(w)
+    text = expand_text("0", _thue_morse_depth(ends), MAX_WITNESS_CHARS)
+    pos, posp = text.find(w), text.find(wp)
     return WitnessPair(
         index=index,
         word=w,

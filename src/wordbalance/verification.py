@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optiona
 
 from . import report as report_mod
 from .balance import (
-    _length_classes,
     balance_report,
     coarsening_bound,
     decompose_pair_in_image,
@@ -531,7 +530,7 @@ def check_pair_decomposition_bound() -> CheckResult:
             sigma = builtin(s_name)
             closure = _image_closure(source, sigma)
             bound = pair_tail_bound(c_1, size, sigma.norm())
-            by_len = _length_classes(closure)
+            by_len = closure.classes
             lengths = [n for n, ws in by_len.items() if n >= 2 and len(ws) >= 2]
             for _ in range(40):
                 if not lengths:

@@ -24,7 +24,7 @@ from wordbalance.balance import (
     pair_tail_bound,
     perron_frequency,
 )
-from wordbalance import balance
+from wordbalance import language
 from wordbalance.exactmat import NotInvertibleError, eigencheck
 from wordbalance.language import (
     LanguageSample,
@@ -63,12 +63,17 @@ class TestImbalance:
         assert (w.count_high, w.count_low) == (2, 0)
         assert w.imbalance == 2
 
-    def test_report_sorts_the_sample_once(self, tm_sample, monkeypatch):
+    def test_report_sorts_the_sample_once(self, monkeypatch):
+        # A fresh sample: the session fixture's classes may be cached already.
+        sample = sample_level_language(parse_directive("|M"), 0, 8)
         calls = []
         monkeypatch.setattr(
-            balance, "sorted", lambda *a, **k: calls.append(1) or sorted(*a, **k), raising=False
+            language, "sorted", lambda *a, **k: calls.append(1) or sorted(*a, **k), raising=False
         )
-        balance_report(tm_sample, 6)
+        balance_report(sample, 6)
+        f_emp = frequency_vector(sample)
+        frequency_deviation(sample, f_emp)
+        frequency_deviation(sample, perron_frequency(incidence_counts(M), BIN.symbols))
         assert len(calls) == 1
 
     def test_length_two_entry(self, small_sample):
@@ -197,7 +202,7 @@ class TestCodeOrder:
         symbols = sample.alphabet.symbols
         got = {
             length: [Word(tuple(symbols[ord(c)] for c in s), sample.alphabet) for s in cls]
-            for length, cls in balance._length_classes(sample).items()
+            for length, cls in sample.classes.items()
         }
         want = {}
         for w in sort_words(sample.words):

@@ -5,6 +5,7 @@ import collections
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -106,6 +107,18 @@ class TestAnalyze:
         code, out, _ = run(capsys, *argv, "--format", "csv")
         assert code == EXIT_SUCCESS
         assert from_csv(out) == tree
+
+    def test_csv_rows_in_any_order_encode_identical_tree(self, capsys):
+        # Out of order, a row can name a list index before the ones below
+        # it, so the list is padded first and filled in later.
+        argv = ("analyze", "--directive", "|M", "--max-length", "10")
+        tree = run_json(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_SUCCESS
+        header, *rows = out.splitlines(keepends=True)
+        for seed in range(20):
+            shuffled = random.Random(seed).sample(rows, len(rows))
+            assert from_csv(header + "".join(shuffled)) == tree
 
     def test_text_format(self, capsys):
         code, out, _ = run(

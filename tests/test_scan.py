@@ -55,7 +55,7 @@ class TestScanTexts:
         assert alphabet == d.level_alphabet(0)
         assert set("".join(texts)) == {"\0", "\1"}
         code = _letter_codes(alphabet)
-        depth, _ = scan._scan_depth(d, alphabet, 100, 100, 32768)
+        depth, _ = scan._scan_depth(d, alphabet, 100, 100)
         want = symbol_expansions(d, depth)
         assert texts == ["".join(map(code.__getitem__, w))[:100] for w in want.values()]
 

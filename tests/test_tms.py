@@ -5,6 +5,7 @@ import json
 import operator
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -368,27 +369,32 @@ def digit_sum_text():
 
 
 class TestWitnessPair:
-    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("k", range(1, 11))
     def test_positions_are_first_occurrences_in_the_bound_prefix(self, digit_sum_text, k):
-        # d is the smallest depth with 2^d >= 24 |w| + 16 characters.
+        # d is the smallest depth with 2^d >= 24 |w| + 16 characters. Both
+        # words lie in the fixture's 2^22 letters, also at k = 10 where 2^d
+        # is 2^24, and prefixes nest, so its first occurrences are the 2^d
+        # prefix's.
         depth = (24 * (4**k + 2) // 3 + 15).bit_length()
-        prefix = digit_sum_text[: 1 << depth]
-        assert len(prefix) == 1 << depth
         p = witness_pair(k)
         assert p.certificate_depth == depth
-        assert p.position == prefix.find(p.word) >= 0
-        assert p.position_prime == prefix.find(p.word_prime) >= 0
+        assert p.position == digit_sum_text.find(p.word) >= 0
+        assert p.position_prime == digit_sum_text.find(p.word_prime) >= 0
+        assert max(p.position, p.position_prime) + p.length <= min(1 << depth, 1 << 22)
 
-    def test_text_without_a_word_is_an_error(self, monkeypatch):
-        # With 1 -> 0 as the flip, every doubled prefix is all zeros.
-        monkeypatch.setattr(tms, "_FLIP", str.maketrans("1", "0"))
-        with pytest.raises(RuntimeError, match="^witness word not found in the certification text$"):
-            witness_pair(2)
+    def test_index_ten_builds_an_eighth_of_the_certificate_prefix(self, monkeypatch):
+        # Both words of index 10 end by position 1,747,627, so the positions
+        # are read from 2^21 characters, not from the 2^24 of depth 24.
+        witness_strings(10)
+        built = []
+        real = tms.expand_text
+        monkeypatch.setattr(tms, "expand_text", lambda *a: built.append(real(*a)) or built[-1])
+        assert witness_pair(10).certificate_depth == 24
+        assert [len(t) for t in built] == [2**21]
 
     def test_index_ten_stays_below_8_mb(self):
-        # Both words of index 10 end by position 1,747,627, so the search
-        # stops at 2^21 characters; the full 2^24-character text peaks at
-        # about 26 MB.
+        # The 2^21-character prefix is read; the full 2^24-character text
+        # peaks at about 26 MB.
         tracemalloc.start()
         try:
             witness_pair(10)
@@ -545,9 +551,11 @@ class TestScanHelpers:
     ):
         d = parse_directive(f"{prefix}|{period}")
         depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
-        texts, alphabet = level_scan_texts(d, min_chars, clip, max_depth)
+        with mock.patch.object(scan, "_MAX_SCAN_DEPTH", max_depth):
+            texts, alphabet = level_scan_texts(d, min_chars, clip)
+            depth_got = scan._scan_depth(d, alphabet, min_chars, clip)[0]
         assert alphabet.symbols == ("0", "1")
-        assert scan._scan_depth(d, alphabet, min_chars, clip, max_depth)[0] == depth
+        assert depth_got == depth
         assert spelled(texts, alphabet) == want
 
     @pytest.mark.parametrize(
@@ -569,7 +577,7 @@ class TestScanHelpers:
         d = parse_directive(text)
         depth, want = reference_scan_texts(d, min_chars, clip, 32768)
         texts, alphabet = level_scan_texts(d, min_chars, clip)
-        assert scan._scan_depth(d, alphabet, min_chars, clip, 32768)[0] == depth
+        assert scan._scan_depth(d, alphabet, min_chars, clip)[0] == depth
         assert spelled(texts, alphabet) == want
 
     @given(
@@ -586,8 +594,10 @@ class TestScanHelpers:
     ):
         d = parse_directive(f"{prefix}|{period}")
         depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
-        texts, alphabet = level_scan_texts(d, min_chars, clip, max_depth)
-        assert scan._scan_depth(d, alphabet, min_chars, clip, max_depth)[0] == depth
+        with mock.patch.object(scan, "_MAX_SCAN_DEPTH", max_depth):
+            texts, alphabet = level_scan_texts(d, min_chars, clip)
+            depth_got = scan._scan_depth(d, alphabet, min_chars, clip)[0]
+        assert depth_got == depth
         assert spelled(texts, alphabet) == want
 
     def test_level_scan_matches_full_build_on_a_quadratic_tower(self):
@@ -602,7 +612,7 @@ class TestScanHelpers:
         depth, want = reference_scan_texts(d, 30000, 5000, 32768)
         assert depth > 256
         texts, alphabet = level_scan_texts(d, 30000, 5000)
-        assert scan._scan_depth(d, alphabet, 30000, 5000, 32768)[0] == depth
+        assert scan._scan_depth(d, alphabet, 30000, 5000)[0] == depth
         assert spelled(texts, alphabet) == want
 
     def test_level_scan_refusal_on_a_wide_alphabet(self, monkeypatch):
@@ -643,7 +653,7 @@ class TestScanHelpers:
         )
         texts, alphabet = level_scan_texts(d, 400, 300)
         assert spelled(texts, alphabet) == want
-        assert scan._scan_depth(d, alphabet, 400, 300, 32768)[0] == depth == 454
+        assert scan._scan_depth(d, alphabet, 400, 300)[0] == depth == 454
         assert bool(powers) == (letters <= scan._SQUARING_LETTERS)
 
     def test_level_scan_walks_an_erasing_tower(self):
@@ -653,7 +663,7 @@ class TestScanHelpers:
         d = parse_directive("|S", {"S": Substitution.from_text("0->0;1->01;2->")})
         depth, want = reference_scan_texts(d, 400, 300, 32768)
         texts, alphabet = level_scan_texts(d, 400, 300)
-        assert scan._scan_depth(d, alphabet, 400, 300, 32768) == (depth, False) == (454, False)
+        assert scan._scan_depth(d, alphabet, 400, 300) == (depth, False) == (454, False)
         assert not scan._squared(d, 300, depth)
         assert spelled(texts, alphabet) == want
 
