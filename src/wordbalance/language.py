@@ -148,33 +148,57 @@ def _tower_lengths(
 
 
 def _tower_texts(
-    subs: Iterable[Substitution], chars: Mapping[Symbol, str], clip: Optional[int] = None
-) -> Iterator[Dict[Symbol, str]]:
-    """Letter texts sigma_[0,j)(a) for j = 0, 1, ..., one character per letter.
+    subs: Iterable[Substitution], alphabet: Alphabet, clip: int = sys.maxsize
+) -> Iterator[Dict[int, str]]:
+    """Letter-code texts sigma_[0,j)(a), cut to their first clip characters,
+    for j = 0, 1, ..., each level a table from its letter codes.
 
-    Level 0 maps each letter to its character in `chars`; level j+1's text
-    of a letter a is the concatenation of level j's texts of the letters of
-    sigma_j(a), so every level costs a few copies and no per-character work.
-    With `clip`, every text is cut to its first clip characters, and only
-    those are ever built: the clipped text of a is the concatenation of the
-    clipped texts of its image letters, cut at clip.
+    Level 0 maps the i-th letter of alphabet to chr(i), and level j+1 is
+    level j composed with sigma_j's image table, so only the kept
+    characters are ever built (see _compose).
     """
-    texts = dict(chars)
-    yield texts
-    room_for_all = sys.maxsize if clip is None else clip
-    for sig in subs:
-        step = {}
-        for a in sig.domain.symbols:
-            parts, room = [], room_for_all
-            for b in sig.image(a).symbols:
-                if room <= 0:
-                    break
-                # A slice that keeps the whole text is the text itself, uncopied.
-                parts.append(texts[b][:room])
-                room -= len(parts[-1])
-            step[a] = "".join(parts)
-        texts = step
-        yield texts
+    start = {i: chr(i) for i in range(len(alphabet))}
+    step = functools.partial(_compose, clip=clip)
+    # A period's substitutions recur level after level, so each one's table
+    # is built once; it is kept with its substitution, whose id stays its own.
+    built: Dict[int, tuple] = {}
+
+    def table(sig: Substitution) -> Dict[int, str]:
+        if id(sig) not in built:
+            built[id(sig)] = sig, _image_table(sig)
+        return built[id(sig)][1]
+
+    return itertools.accumulate(map(table, subs), step, initial=start)
+
+
+def _compose(f: Mapping[int, str], g: Mapping[int, str], clip: int) -> Dict[int, str]:
+    """The letter map f . g, each text cut to clip: g's images translated
+    through f. The first clip characters of f(g(a)) depend only on f's
+    images cut to clip and, for a non-erasing f, on the first clip letters
+    of g(a); so on non-erasing maps this is associative and equals
+    composing in full, then clipping."""
+    return {c: _clipped_image(t, f, clip) for c, t in g.items()}
+
+
+def _clipped_image(word: str, table: Mapping[int, str], clip: int) -> str:
+    """word.translate(table)[:clip], as word[:lo]'s image and the head of
+    word[lo]'s, where word[lo] is the letter whose image reaches the clip
+    (the last letter when none does). A halving search finds lo, counting
+    the image length of each half once with str.count. So only the kept
+    characters are built, and a last image that fits is not copied."""
+    if not word:
+        return word
+    lo, hi, total = 0, len(word), 0  # word[:lo] translates to total < clip
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        part = sum(word.count(c, lo, mid) * len(table[ord(c)]) for c in set(word[lo:mid]))
+        if total + part < clip:
+            lo, total = mid, total + part
+        else:
+            hi = mid
+    image = word[:lo].translate(table)
+    image += table[ord(word[lo])][: clip - total]  # in place: no second copy of the head
+    return image
 
 
 def _tower_counts(d: DirectiveSequence, k: int, n: int) -> List[List[int]]:
@@ -337,7 +361,7 @@ def sample_level_language(
     if window is not None:
         check_budget("sample window", window, MAX_DEPTH_LEVELS, "levels")
 
-    if depth is None and d.period_length == 1 and k >= d.prefix_length:
+    if depth is None and d.period_length == 1:
         exact = _exact_sample(d, k, max_length)
         if exact is not None:
             return exact
@@ -362,7 +386,7 @@ def sample_level_language(
     charged = itertools.islice(_tower_lengths(subs, alphabet), depth - k, None)
     window_chars = sum(sum(lengths.values()) for lengths in charged)
     check_budget("sample window", window_chars, MAX_SAMPLE_CHARS)
-    levels = itertools.islice(_tower_texts(subs, _letter_codes(alphabet)), depth - k, None)
+    levels = itertools.islice(_tower_texts(subs, alphabet), depth - k, None)
     # Intersected as the levels arrive, so that only the current level's
     # factor set, the core (levels 0..window of the window) and the shifted
     # one (levels step..step + window) are alive.

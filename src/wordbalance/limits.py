@@ -39,7 +39,7 @@ def check_budget(resource: str, requested: int, limit: int, unit: str = "charact
         )
 
 
-def refuse_huge(resource: str, bits: int, limit: int, unit: str = "characters") -> None:
+def refuse_huge(resource: str, bits: int, limit: int) -> None:
     """check_budget for a size of `bits` bits, refused before it is built.
 
     check_budget names a size of more than 64 bits by its bit length alone,
@@ -47,6 +47,5 @@ def refuse_huge(resource: str, bits: int, limit: int, unit: str = "characters") 
     the same message. Smaller sizes pass through, to check_budget.
     """
     if bits > max(64, limit.bit_length()):
-        raise ResourceLimitError(
-            f"{resource} needs more than 2^{bits - 1} {unit}, limit {limit}", resource, None, limit
-        )
+        message = f"{resource} needs more than 2^{bits - 1} characters, limit {limit}"
+        raise ResourceLimitError(message, resource, None, limit)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import itertools
 from typing import (
     TYPE_CHECKING,
@@ -23,14 +24,20 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     NamedTuple,
     Sequence,
     Tuple,
 )
 
 from .exactmat import binary_power, mat_mul
-from .language import DirectiveSequence, _letter_codes, _tower_counts, _tower_lengths, _tower_texts
+from .language import (
+    DirectiveSequence,
+    _compose,
+    _image_table,
+    _tower_counts,
+    _tower_lengths,
+    _tower_texts,
+)
 from .limits import check_budget
 from .words import Alphabet, Symbol
 
@@ -411,7 +418,7 @@ def level_scan_texts(d: DirectiveSequence, min_chars: int, clip: int) -> Tuple[L
         texts = _periodic_tower_texts(d, depth, clip)
     else:
         levels = map(d.substitution_at, range(depth))
-        texts = _deepest(_tower_texts(levels, _letter_codes(alphabet), clip))
+        texts = _deepest(_tower_texts(levels, alphabet, clip))
     return [t for t in texts.values() if t], alphabet
 
 
@@ -500,65 +507,21 @@ def _periodic_tower_lengths(d: DirectiveSequence, depth: int) -> Dict[Symbol, in
     return dict(zip(d.level_alphabet(p + r).symbols, lengths[0]))
 
 
-def _periodic_tower_texts(
-    d: DirectiveSequence, depth: int, clip: int
-) -> Dict[Symbol, str]:
-    """The level-`depth` letter-code texts of _tower_texts(levels 0..depth-1,
-    clip), for depth >= p + q and a non-erasing eventually periodic d.
+def _periodic_tower_texts(d: DirectiveSequence, depth: int, clip: int) -> Dict[int, str]:
+    """The level-`depth` texts of _tower_texts(levels 0..depth-1, clip),
+    for depth >= p + q and a non-erasing eventually periodic d.
 
     With depth = p + r + k*q and 0 <= r < q, sigma_[0,depth) is
-    sigma_[0,p+r) . tau^k, where tau = sigma_[p+r,p+r+q). The clipped texts
-    of tau^k come by binary powering on letter-code strings: for a
-    non-erasing f, the first clip characters of f(g(a)) depend only on the
-    first clip letters of g(a) and on the clipped images of f. Level p+r
-    comes from a walk. At most three letter maps are held at once, and
-    _clipped_image builds at most 3*clip more characters at a time.
+    sigma_[0,p+r) . tau^k, where tau = sigma_[p+r,p+r+q). Level p+r comes
+    from a walk, and tau^k by binary powering with the clipped composition,
+    which is associative on non-erasing maps. At most three letter maps
+    are held at once, and each composition builds at most clip characters
+    per letter.
     """
     p, q = d.prefix_length, d.period_length
     k, r = divmod(depth - p, q)
-    codes = _letter_codes(d.level_alphabet(p + r))
-
-    def table(texts):  # a letter map as a str.translate table over codes
-        return {ord(codes[a]): t for a, t in texts.items()}
-
-    def after(f, g):  # f . g, both clipped tables
-        return {c: _clipped_image(t, f, clip) for c, t in g.items()}
-
-    tau = map(d.substitution_at, range(p + r, p + r + q))
-    power = binary_power(table(_deepest(_tower_texts(tau, codes, clip))), k, after)
-    chars = _letter_codes(d.level_alphabet(0))
-    top = table(_deepest(_tower_texts(map(d.substitution_at, range(p + r)), chars, clip)))
-    return {a: _clipped_image(power[ord(c)], top, clip) for a, c in codes.items()}
-
-
-def _clipped_image(word: str, table: Mapping[int, str], clip: int) -> str:
-    """word.translate(table)[:clip], translating only as much of word as
-    the clip needs.
-
-    Image lengths are read off str.count: the prefix of word that is
-    translated grows by doubling until its image reaches clip, and the last
-    step is halved back until it adds at most clip characters. So no more
-    than 2*clip characters are built, whatever the image lengths.
-    """
-    sizes = [(chr(c), len(t)) for c, t in table.items()]
-
-    def size(lo: int, hi: int) -> int:
-        return sum(word.count(c, lo, hi) * n for c, n in sizes)
-
-    end, total = 0, 0  # word[:end] translates to total < clip characters
-    step = -(-clip // max(n for _, n in sizes))
-    while end < len(word):
-        hi = min(len(word), end + step)
-        grown = size(end, hi)
-        if total + grown < clip:
-            end, total, step = hi, total + grown, 2 * step
-            continue
-        while grown > clip and hi - end > 1:
-            mid = (end + hi) // 2
-            part = size(end, mid)
-            if total + part >= clip:
-                hi, grown = mid, part
-            else:
-                end, total, grown = mid, total + part, grown - part
-        return word[:hi].translate(table)[:clip]
-    return word.translate(table)
+    compose = functools.partial(_compose, clip=clip)
+    top = _deepest(_tower_texts(map(d.substitution_at, range(p + r)), d.level_alphabet(0), clip))
+    period = map(d.substitution_at, range(p + r, p + r + q))
+    tau = functools.reduce(compose, map(_image_table, period))
+    return compose(top, binary_power(tau, k, compose))

@@ -262,14 +262,15 @@ BLOCK_EIGENPAIRS: Tuple[Tuple[int, Tuple[int, int, int, int]], ...] = (
 _DRIFT_VEC = BLOCK_EIGENPAIRS[1][1]
 
 
-def witness_growth_curve(n_max: int = 4) -> List[Tuple[int, int]]:
+def witness_growth_curve(n_max: int) -> List[Tuple[int, int]]:
     """Curve of (witness length, certified imbalance) for n = 1..n_max.
 
     At each n the index-2n witness pair is regenerated, its four length-2
     block counts are recounted directly, and the coordinate differences are
     asserted to equal n times the drift eigenvector; the emitted imbalance
     value n is therefore a recounted fact, not a formula. Lengths grow
-    sixteenfold per step ((4^{2n}+2)/3), so n_max = 4 is desk scale.
+    sixteenfold per step ((4^{2n}+2)/3); `witness --n k` asks for
+    n_max = k // 2, so the pairs are those its index-k pair already built.
     """
     if n_max < 1:
         raise ValueError("growth curve needs n_max >= 1")

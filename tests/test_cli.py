@@ -816,3 +816,23 @@ class TestLayout:
             if everywhere[node.name] == collections.Counter(names(node))[node.name]
         )
         assert unused == ["properness_profile"]
+
+    def test_every_imported_name_is_read(self):
+        # A module of src/ reads every name it imports (annotations count).
+        # __init__ only re-exports its imports through __all__, and a
+        # __future__ import is a compiler switch.
+        unread = []
+        for path in sorted(Path(wordbalance.__file__).resolve().parent.glob("*.py")):
+            if path.stem == "__init__":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in read:
+                            unread.append(f"{path.name}: {name}")
+        assert unread == []

@@ -523,7 +523,8 @@ class TestWindowRefusal:
         # Under 4094 L's the letter 0 keeps length 1; the M below them makes
         # every image at least 2 long at level 4095, the last level walked.
         assert language._default_depth(parse_directive("L" * 4094 + "|M"), 0, 2) == 4095
-        # L|L is not growing (0 -> 0 keeps length 1); claimed growing, the
+        # |LL is not growing (0 -> 0 keeps length 1), and its period of two
+        # substitutions takes the windowed sampler; claimed growing, the
         # default depth walks its whole level budget and gives up.
         claimed = GrowthReport(growing=True, exact=False)
         monkeypatch.setattr(language, "is_everywhere_growing", lambda d: claimed)
@@ -531,14 +532,14 @@ class TestWindowRefusal:
             ResourceLimitError,
             match="^growth too slow: sample depth needs more than 4096 levels, limit 4096$",
         ):
-            sample_level_language(parse_directive("L|L"), 0, 8)
+            sample_level_language(parse_directive("|LL"), 0, 8)
 
 
 class TestTowerWalk:
     def test_doubling_texts(self):
         M = Substitution.from_text("0->01;1->10")
-        *_, texts = language._tower_texts([M] * 3, {"0": "0", "1": "1"})
-        assert texts == {"0": "01101001", "1": "10010110"}
+        *_, texts = language._tower_texts([M] * 3, BIN)
+        assert texts == {0: "\0\1\1\0\1\0\0\1", 1: "\1\0\0\1\0\1\1\0"}
 
     @given(windowed_requests(), st.integers(1, 12))
     def test_lengths_and_clipped_texts_follow_the_full_texts(self, drawn, clip):
@@ -546,20 +547,30 @@ class TestTowerWalk:
         subs = [d.substitution_at(j) for j in range(depth + window)]
         alphabet = d.level_alphabet(0)
         chars = language._letter_codes(alphabet)
-        full = list(language._tower_texts(subs, chars))
+        full = list(language._tower_texts(subs, alphabet))
         assert len(full) == len(subs) + 1
         tower = Substitution.identity(alphabet)
         for texts, sig in zip(full, subs + [None]):
-            # Oracle: the tower composed one substitution at a time.
+            # Oracle: the tower composed one substitution at a time, keyed
+            # by the codes of its domain letters.
             assert texts == {
-                a: "".join(chars[s] for s in tower.image(a).symbols) for a in tower.domain.symbols
+                i: "".join(chars[s] for s in tower.image(a).symbols)
+                for i, a in enumerate(tower.domain.symbols)
             }
             if sig is not None:
                 tower = compose(tower, sig)
         lengths = list(language._tower_lengths(subs, alphabet))
-        assert lengths == [{a: len(t) for a, t in texts.items()} for texts in full]
-        clipped = list(language._tower_texts(subs, chars, clip))
-        assert clipped == [{a: t[:clip] for a, t in texts.items()} for texts in full]
+        assert [list(ls.values()) for ls in lengths] == [
+            list(map(len, texts.values())) for texts in full
+        ]
+        clipped = list(language._tower_texts(subs, alphabet, clip))
+        assert clipped == [{c: t[:clip] for c, t in texts.items()} for texts in full]
+
+    def test_a_one_letter_image_keeps_its_text_uncopied(self):
+        # L maps 0 to 0, so level j+1's text of 0 is level j's, not a copy.
+        M, L = Substitution.from_text("0->01;1->10"), Substitution.from_text("0->0;1->10")
+        *_, deep, top = language._tower_texts([M] * 5 + [L], BIN, 20)
+        assert top[0] is deep[0]
 
 
 class TestGrowthDecision:
@@ -833,9 +844,23 @@ def sweep_directives():
     return periods + draws
 
 
+# The builtin L, M and R on letter codes, written out here so that the
+# oracle below shares no code with the package.
+CODE_RULES = {
+    name: str.maketrans({"\0": zero, "\1": one})
+    for name, (zero, one) in {
+        "L": ("\0", "\1\0"),
+        "M": ("\0\1", "\1\0"),
+        "R": ("\0\1", "\1"),
+    }.items()
+}
+
+
 class TestExactSampleAroundThePeriod:
-    """The branches of _exact_sample that sample_level_language does not
-    route yet: periods of several substitutions and a prefix to push down."""
+    """The branches of _exact_sample beyond one substitution and no prefix:
+    the prefix push-down, which sample_level_language routes when the
+    period has one substitution, and periods of several substitutions,
+    which it does not route yet."""
 
     def test_powers_of_the_doubling_period_keep_its_language(self):
         want = sample_level_language(parse_directive("|M"), 0, 40).codes
@@ -845,14 +870,37 @@ class TestExactSampleAroundThePeriod:
     def test_a_prefixed_doubling_tower_against_brute_force(self):
         # The L-image of a Thue-Morse prefix (binary digit-sum parity) holds
         # every word of L|M; 3,442 words up to 48, the empty one included,
-        # were counted the same way on a 2^17-letter prefix.
+        # were counted the same way on a 2^17-letter prefix. The windowed
+        # sampler found 80 and 1,304.
         d = parse_directive("L|M")
         prefix = "".join(str(bin(i).count("1") % 2) for i in range(4096))
         text = prefix.translate({ord("0"): "\x00", ord("1"): "\x01\x00"})
-        assert language._exact_sample(d, 0, 12).codes == {
+        sample = sample_level_language(d, 0, 12)
+        assert sample.meta.exact and len(sample) == 184
+        assert sample.codes == {
             text[i : i + n] for n in range(13) for i in range(len(text) - n + 1)
         }
-        assert len(language._exact_sample(d, 0, 48)) == 3442
+        assert len(sample_level_language(d, 0, 48)) == 3442
+
+    @given(st.text(alphabet="LMR", max_size=3), st.sampled_from("LMR"), st.integers(0, 10))
+    @example("L", "M", 10)
+    def test_the_sample_is_the_factor_set_of_a_long_expansion(self, prefix, period, cap):
+        # Each letter is expanded 64 times by the period, kept to its first
+        # 256 letters (a prefix of the expansion), then imaged through the
+        # prefix: L and R images grow by a letter per level, and 256
+        # Thue-Morse letters hold all its factors up to length 14.
+        sample = sample_level_language(parse_directive(f"{prefix}|{period}"), 0, cap)
+        assert sample.meta.exact
+        texts = []
+        for text in "\0\1":
+            for _ in range(64):
+                text = text.translate(CODE_RULES[period])[:256]
+            for name in reversed(prefix):
+                text = text.translate(CODE_RULES[name])
+            texts.append(text)
+        assert sample.codes == {
+            t[i : i + n] for t in texts for n in range(cap + 1) for i in range(len(t) - n + 1)
+        }
 
     def test_a_level_inside_the_period_reads_the_rotated_period(self):
         want = language._exact_sample(parse_directive("|LM"), 0, 24).codes

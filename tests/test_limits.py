@@ -54,7 +54,7 @@ def test_the_default_depth_refusal_names_its_limit(monkeypatch):
     claimed = GrowthReport(growing=True, exact=False)
     monkeypatch.setattr(language, "is_everywhere_growing", lambda d: claimed)
     with pytest.raises(ResourceLimitError) as exc:
-        sample_level_language(parse_directive("L|L"), 0, 8)
+        sample_level_language(parse_directive("|LL"), 0, 8)
     assert (exc.value.resource, exc.value.requested, exc.value.limit) == (
         "sample depth",
         None,

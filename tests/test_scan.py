@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from wordbalance import scan
 from wordbalance.tms import expand_text
-from wordbalance.language import ResourceLimitError, _letter_codes, _short_factors, parse_directive
+from wordbalance.language import (
+    ResourceLimitError,
+    _clipped_image,
+    _compose,
+    _letter_codes,
+    _short_factors,
+    parse_directive,
+)
 from wordbalance.scan import (
     ScanWitness,
     level_scan_texts,
@@ -107,21 +114,49 @@ class TestExpansion:
 
 @st.composite
 def clipped_requests(draw):
-    """A non-erasing translate table on 1-4 letters, a word of up to 40 of
-    its letters and a clip of 1-80."""
+    """A translate table on 1-4 letters, its images possibly empty (all of
+    them, at times), a word of up to 40 of its letters and a clip of 1-80."""
     letters = "0123"[: draw(st.integers(1, 4))]
-    table = {ord(a): draw(st.text(alphabet=letters, min_size=1, max_size=8)) for a in letters}
+    table = {ord(a): draw(st.text(alphabet=letters, max_size=8)) for a in letters}
     return draw(st.text(alphabet=letters, max_size=40)), table, draw(st.integers(1, 80))
 
 
+@st.composite
+def non_erasing_tables(draw, letters):
+    return {ord(a): draw(st.text(alphabet=letters, min_size=1, max_size=4)) for a in letters}
+
+
 class TestClippedImage:
+    """language._clipped_image and the clipped composition of letter maps
+    that every tower text is built with."""
+
     @settings(max_examples=500)
     @given(clipped_requests())
-    # The first step overshoots the clip and is halved back.
+    # The first half overshoots the clip and is halved again.
     @example(("0" * 40, {ord("0"): "00000000"}, 9))
+    # Every image is empty.
+    @example(("0110", {ord("0"): "", ord("1"): ""}, 3))
     def test_matches_the_clipped_translation(self, request):
         word, table, clip = request
-        assert scan._clipped_image(word, table, clip) == word.translate(table)[:clip]
+        assert _clipped_image(word, table, clip) == word.translate(table)[:clip]
+
+    def test_a_last_image_that_fits_is_not_copied(self):
+        image = "0110" * 5
+        table = {ord("0"): "0", ord("1"): image}
+        assert _clipped_image("1", table, 20) is image
+        # The image of 1 fills the clip, so the 0 after it is not read.
+        assert _clipped_image("10", table, 20) is image
+        assert _clipped_image("1", table, 19) == image[:19]
+
+    @settings(max_examples=300)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 30))
+    def test_composition_is_associative_and_clips_the_full_one(self, data, size, clip):
+        letters = "012"[:size]
+        f, g, h = (data.draw(non_erasing_tables(letters)) for _ in range(3))
+        # Composed in full: g's images translated through f, then cut.
+        full = {c: t.translate(f) for c, t in g.items()}
+        assert _compose(f, g, clip) == {c: t[:clip] for c, t in full.items()}
+        assert _compose(_compose(f, g, clip), h, clip) == _compose(f, _compose(g, h, clip), clip)
 
 
 class TestOnePatternCurve:
