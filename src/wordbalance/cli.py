@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n",
         type=_positive_int,
         required=True,
-        help="witness recursion index (length (4^n + 2)/3)",
+        help="witness index (word length (4^n + 2)/3)",
     )
     add_output(p_witness)
 

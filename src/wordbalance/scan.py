@@ -15,7 +15,6 @@ shortcut for deep periodic towers and the budgets they answer to.
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import itertools
 from typing import (
@@ -407,7 +406,8 @@ def level_scan_texts(d: DirectiveSequence, min_chars: int, clip: int) -> Tuple[L
     depth is chosen from the text lengths alone, and then each text is
     built once, and only its first clip characters. Where _squared holds,
     the lengths and texts come from powers of the composed period instead
-    of a walk through every level.
+    of a walk. The lengths walk, and a text walk to _MAX_SCAN_DEPTH, stop
+    at a repeated level (see _levels_at).
     """
     if min_chars < 1 or clip < 1:
         raise ValueError("min_chars and clip must be positive")
@@ -417,8 +417,11 @@ def level_scan_texts(d: DirectiveSequence, min_chars: int, clip: int) -> Tuple[L
     if squared:
         texts = _periodic_tower_texts(d, depth, clip)
     else:
-        levels = map(d.substitution_at, range(depth))
-        texts = _deepest(_tower_texts(levels, alphabet, clip))
+        levels = _tower_texts(map(d.substitution_at, range(depth)), alphabet, clip)
+        # A walk that stops below the cap reached min_chars on a growing
+        # tower, where the earlier level a cycle search holds is long.
+        period = d.period_length if depth >= _MAX_SCAN_DEPTH else 0
+        texts = next(_levels_at(levels, [depth], d.prefix_length, period))
     return [t for t in texts.values() if t], alphabet
 
 
@@ -454,21 +457,46 @@ def _scan_depth(
     _squared holds, no level can, and the lengths come from powers of the
     composed period's incidence matrix instead of the walk.
     """
-    walk = enumerate(_checked_lengths(d, alphabet, clip))
     top = d.max_defined_level()
     if top is None:
         depth, max_depth = max(8, d.prefix_length + max(1, d.period_length)), _MAX_SCAN_DEPTH
     else:
         depth, max_depth = min(8, top), min(_MAX_SCAN_DEPTH, top)
-    while True:
+    probes = [depth]
+    while probes[-1] < max_depth:
+        probes.append(min(max_depth, probes[-1] + max(1, probes[-1] // 2)))
+    # _squared holds from some probe on, so the walk serves a prefix of them.
+    walk = _levels_at(_checked_lengths(d, alphabet, clip), probes, d.prefix_length, d.period_length)
+    for depth in probes:
         squared = _squared(d, clip, depth)
-        if squared:
-            lengths = _periodic_tower_lengths(d, depth)
-        else:
-            lengths = next(ls for level, ls in walk if level == depth)
+        lengths = _periodic_tower_lengths(d, depth) if squared else next(walk)
         if max(lengths.values()) >= min_chars or depth >= max_depth:
             return depth, squared
-        depth = min(max_depth, depth + max(1, depth // 2))
+
+
+def _levels_at(levels: Iterable, depths: Iterable[int], p: int, q: int) -> Iterator:
+    """The levels of a tower walk at each of the nondecreasing depths.
+
+    From level p on, a level and its residue mod the period q fix the next
+    one, so once a level equals one a multiple of q levels earlier, the
+    walk repeats with that gap, and it goes on only to the level at a
+    depth's offset into the cycle. Brent's search finds the first repeat,
+    holding the level at p + 2^i - 1 until p + 2^(i+1) - 1. q = 0 searches
+    nothing.
+    """
+    walk = iter(levels)
+    j, level = 0, next(walk)
+    seen_j, seen, cycle = 0, None, 0
+    for depth in depths:
+        while j < depth and (not cycle or (depth - j) % cycle):
+            j, level = j + 1, next(walk)
+            if cycle or not q or j < p:
+                continue
+            if (j - seen_j) % q == 0 and level == seen:
+                cycle = j - seen_j
+            elif (j - p + 1) & (j - p) == 0:
+                seen_j, seen = j, level
+        yield level
 
 
 def _checked_lengths(
@@ -481,11 +509,6 @@ def _checked_lengths(
         kept = sum(min(n, clip) for n in lengths.values())
         check_budget("scan expansion", kept, MAX_TEXT_CHARS)
         yield lengths
-
-
-def _deepest(levels: Iterable):
-    """The last level of a tower walk."""
-    return collections.deque(levels, maxlen=1)[0]
 
 
 def _periodic_tower_lengths(d: DirectiveSequence, depth: int) -> Dict[Symbol, int]:
@@ -521,7 +544,8 @@ def _periodic_tower_texts(d: DirectiveSequence, depth: int, clip: int) -> Dict[i
     p, q = d.prefix_length, d.period_length
     k, r = divmod(depth - p, q)
     compose = functools.partial(_compose, clip=clip)
-    top = _deepest(_tower_texts(map(d.substitution_at, range(p + r)), d.level_alphabet(0), clip))
+    walk = _tower_texts(map(d.substitution_at, range(p + r)), d.level_alphabet(0), clip)
+    top = next(_levels_at(walk, [p + r], p, 0))
     period = map(d.substitution_at, range(p + r, p + r + q))
     tau = functools.reduce(compose, map(_image_table, period))
     return compose(top, binary_power(tau, k, compose))

@@ -8,8 +8,8 @@ directive tail is eventually all-M, and this module constructs the
 equal-length witness pairs whose length-2 block counts drift apart linearly.
 
 expand_text is the one M kernel: it builds every Thue-Morse text here,
-for the witness recursion, the certificate prefix, the milestone scan and
-the factor spans.
+the prefixes the witness words are sliced from, the certificate prefix,
+the milestone scan and the factor spans.
 Two helpers here serve only verify: imbalance_milestones (at the three
 witness indices verify reads) and factor_spans. They stay because they call
 expand_text and window_imbalance_curve through this module's namespace,
@@ -148,46 +148,36 @@ def _witness_length(index: int) -> int:
 
 
 def witness_strings(index: int) -> Tuple[str, str]:
-    """The equal-length witness pair (w, w') at the given recursion index.
+    """The equal-length witness pair (w_k, w'_k) for k the index, sliced
+    from the first 2 L_k - 1 letters of the Thue-Morse word (see
+    _witness_words), L_k = (4^k + 2) / 3.
 
-    w_1 = 00 and w'_1 = 01; each step applies the doubling substitution
-    twice and strips fixed borders: the double image of w equals 0.w_next.0
-    at odd steps and 1.w_next.1 at even steps, while the double image of w'
-    equals w'_next followed by 01 (odd) or 10 (even). Both words have
-    length (4^index + 2) / 3 and lie in the Thue-Morse language. The
-    length is checked against MAX_WITNESS_CHARS before any step runs, and
-    a huge one from its bit length, 2 * index - 1 for index >= 2, before
-    4^index is built.
+    w_1 = 00 and w'_1 = 01, and verify checks the M^2 recursion: M^2(w_k)
+    is 0.w_(k+1).0 at odd k and 1.w_(k+1).1 at even k, and M^2(w'_k) is
+    w'_(k+1) followed by 01 (odd) or 10 (even). L_k is checked against
+    MAX_WITNESS_CHARS before any text is built, and a huge one from its bit
+    length, 2 * index - 1 for index >= 2, before 4^index is built.
     """
     refuse_huge("witness pair", 2 * index - 1, MAX_WITNESS_CHARS)
     check_budget("witness pair", _witness_length(index), MAX_WITNESS_CHARS)
-    return _witness_step(index)
+    n = 2 * _witness_length(index) - 1
+    # M^s maps the first m letters of the Thue-Morse word to its first
+    # m * 2^s: s expansions of its first ceil(n / 2^s) <= 2^11 letters
+    # give n letters and fewer than n / 2^10 more.
+    s = max(0, (n - 1).bit_length() - 11)
+    return _witness_words(expand_text(expand_text("0", 11)[: -(-n >> s)], s), index)
 
 
-@functools.lru_cache(maxsize=None)
-def _witness_step(index: int) -> Tuple[str, str]:
-    """witness_strings(index), built from the pair at index - 1.
-
-    Memoised, as factor_spans is: the pairs are immutable, and `witness
-    --n k` asks for the pairs at k and at every even index up to it, so
-    each step runs once. The cache holds about 4/3 of the largest pair.
+def _witness_words(text: str, index: int) -> Tuple[str, str]:
+    """(w_k, w'_k) for k the index, from a prefix of the Thue-Morse word t
+    of at least 2 L_k - 1 letters: w'_k = t[0, L_k), and w_k is
+    t[q_k, q_k + L_k) with 0 and 1 swapped, q_k = L_k - 1 = (4^k - 1) / 3.
+    As t(4^k + j) = 1 - t(j) for j < 4^k, w_k is also the unswapped slice
+    of t at p_k = 4^k + q_k = (4^(k+1) - 1) / 3: both are Thue-Morse factors.
     """
-    if index == 1:
-        return "00", "01"
-    w, wp = _witness_step(index - 1)
-    k = index - 1
-    border = "0" if k % 2 == 1 else "1"
-    img = expand_text(w, 2)
-    if not (img.startswith(border) and img.endswith(border)):
-        raise RuntimeError("witness recursion border mismatch")
-    tail = "01" if k % 2 == 1 else "10"
-    imgp = expand_text(wp, 2)
-    if not imgp.endswith(tail):
-        raise RuntimeError("witness recursion tail mismatch")
-    w, wp = img[1:-1], imgp[:-2]
-    if len(w) != _witness_length(index) or len(wp) != len(w):
-        raise RuntimeError("witness recursion length mismatch")
-    return w, wp
+    length = _witness_length(index)
+    flipped = text[length - 1 : 2 * length - 1].encode("ascii").translate(_FLIP_BYTES)
+    return flipped.decode("ascii"), text[:length]
 
 
 class WitnessPair(NamedTuple):
@@ -216,15 +206,12 @@ def witness_pair(index: int) -> WitnessPair:
     The certificate is the first position of each word in the 2^d prefix
     of the Thue-Morse fixed point, for the d that the closed-form word
     length fixes, so an oversized request is refused before either word is
-    built. Both positions are read from the 2^(2k + 1)-character prefix,
-    for k the index, an eighth of the 2^d one, which holds both words:
-    w'_k is a prefix of the fixed point, as w'_(k+1) is M^2(w'_k) less its
-    last two letters; and w_k occurs at p_k = (4^(k+1) - 1) / 3, as w_1 =
-    00 occurs at 5, M^2 maps an occurrence at p to one at 4p, and w_(k+1)
-    is M^2(w_k) less its first letter, so it occurs at 4p + 1. Prefixes
-    nest, so a first occurrence in that prefix is also the first in the
-    2^d one, where any earlier start would end inside the shorter prefix
-    too.
+    built. Both words and positions are read from the 2^(2k + 1)-letter
+    prefix, for k the index, an eighth of the 2^d one: w'_k starts at 0,
+    and w_k at p_k = (4^(k+1) - 1) / 3, ending by (5 * 4^k + 1) / 3 (see
+    _witness_words). Prefixes nest, so a first occurrence in that prefix
+    is also the first in the 2^d one, where any earlier start would end
+    inside the shorter prefix too.
     """
     # 24 * (4^index + 2) / 3 + 16 = 2^(2 * index + 3) + 32, so depth is
     # 2 * index + 4 and 2^depth has one bit more: a huge 2^depth is refused
@@ -233,9 +220,8 @@ def witness_pair(index: int) -> WitnessPair:
     min_chars = 24 * _witness_length(index) + 16
     depth = _thue_morse_depth(min_chars)
     check_budget("certification text", 1 << depth, MAX_WITNESS_CHARS)
-    w, wp = witness_strings(index)
-    ends = (4 ** (index + 1) - 1) // 3 + len(w)
-    text = expand_text("0", _thue_morse_depth(ends), MAX_WITNESS_CHARS)
+    text = expand_text("0", 2 * index + 1, MAX_WITNESS_CHARS)
+    w, wp = _witness_words(text, index)
     pos, posp = text.find(w), text.find(wp)
     return WitnessPair(
         index=index,
@@ -270,7 +256,7 @@ def witness_growth_curve(n_max: int) -> List[Tuple[int, int]]:
     asserted to equal n times the drift eigenvector; the emitted imbalance
     value n is therefore a recounted fact, not a formula. Lengths grow
     sixteenfold per step ((4^{2n}+2)/3); `witness --n k` asks for
-    n_max = k // 2, so the pairs are those its index-k pair already built.
+    n_max = k // 2.
     """
     if n_max < 1:
         raise ValueError("growth curve needs n_max >= 1")

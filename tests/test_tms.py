@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wordbalance import cli, scan, tms
+from wordbalance import cli, language, scan, tms
 from wordbalance.exactmat import eigencheck
 from wordbalance.language import ResourceLimitError, parse_directive
 from wordbalance.scan import MAX_TEXT_CHARS, level_scan_texts
@@ -42,7 +42,7 @@ from wordbalance.verification import (
     shared_image_tail,
     witness_closed_forms,
 )
-from wordbalance.words import Word
+from wordbalance.words import Alphabet, Word
 
 TM32 = "01101001100101101001011001101001"
 
@@ -290,7 +290,7 @@ class TestWitnessStrings:
     def test_string_recursion_oracle(self):
         # Independent re-derivation: the squared expansion of each witness
         # reproduces the next one up to fixed borders, by plain string code.
-        for k in range(1, 5):
+        for k in range(1, 9):
             w, wp = witness_strings(k)
             nxt, nxtp = witness_strings(k + 1)
             border = "0" if k % 2 == 1 else "1"
@@ -313,7 +313,7 @@ class TestWitnessStrings:
         def unit(i):
             return tuple(1 if j == i else 0 for j in range(4))
 
-        for k in range(1, 5):
+        for k in range(1, 9):
             w, wp = witness_strings(k)
             nxt, nxtp = witness_strings(k + 1)
             add_w = unit(3) if k % 2 == 1 else unit(0)
@@ -335,27 +335,39 @@ class TestWitnessStrings:
         with pytest.raises(ResourceLimitError):
             witness_strings(15)
 
-    def test_witness_command_runs_each_step_once(self, monkeypatch, capsys):
-        # witness --n k asks for the pair at k and, for its growth curve, the
-        # pairs at every even index up to k: k - 1 steps of two M^2 images.
-        steps = []
+    def test_witness_command_expands_only_thue_morse_prefixes(self, monkeypatch, capsys):
+        # The words are sliced from prefixes of the Thue-Morse word: every
+        # expansion starts from a prefix of it, never from an M^2 image of a
+        # witness word.
+        words = []
         real = tms.expand_text
 
-        def counted(word, depth, *args):
-            if depth == 2:
-                steps.append(len(word))
+        def recorded(word, depth, *args):
+            words.append(word)
             return real(word, depth, *args)
 
-        monkeypatch.setattr(tms, "expand_text", counted)
-        tms._witness_step.cache_clear()
-        try:
-            assert cli.main(["witness", "--n", "8"]) == 0
-        finally:
-            tms._witness_step.cache_clear()
+        monkeypatch.setattr(tms, "expand_text", recorded)
+        assert cli.main(["witness", "--n", "8"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert [length for length, _ in report["results"]["growth_curve"]] == [6, 86, 1366, 21846]
-        assert len(steps) == 2 * 7
-        assert sorted(steps) == sorted(2 * [(4**k + 2) // 3 for k in range(1, 8)])
+        assert words and all(tm_prefix(11).startswith(word) for word in words)
+
+    @pytest.mark.parametrize(
+        "limit, served, refusal",
+        [
+            (1_000, 5, "witness pair needs 1366 characters, limit 1000"),
+            (100_000, 9, "witness pair needs 349526 characters, limit 100000"),
+        ],
+    )
+    def test_budget_boundary_is_the_word_length(self, monkeypatch, limit, served, refusal):
+        # The words are refused by their length alone, though the prefix
+        # they are sliced from is about twice as long.
+        monkeypatch.setattr(tms, "MAX_WITNESS_CHARS", limit)
+        w, wp = witness_strings(served)
+        assert len(w) == len(wp) == (4**served + 2) // 3
+        with pytest.raises(ResourceLimitError) as exc:
+            witness_strings(served + 1)
+        assert str(exc.value) == refusal
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +381,16 @@ def digit_sum_text():
 
 
 class TestWitnessPair:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_words_are_thue_morse_slices(self, digit_sum_text, k):
+        # w'_k is the prefix of length L_k, and w_k the factor at
+        # (4^(k+1) - 1) / 3, read from the digit-sum parities.
+        length, start = (4**k + 2) // 3, (4 ** (k + 1) - 1) // 3
+        assert witness_strings(k) == (
+            digit_sum_text[start : start + length],
+            digit_sum_text[:length],
+        )
+
     @pytest.mark.parametrize("k", range(1, 11))
     def test_positions_are_first_occurrences_in_the_bound_prefix(self, digit_sum_text, k):
         # d is the smallest depth with 2^d >= 24 |w| + 16 characters. Both
@@ -385,7 +407,6 @@ class TestWitnessPair:
     def test_index_ten_builds_an_eighth_of_the_certificate_prefix(self, monkeypatch):
         # Both words of index 10 end by position 1,747,627, so the positions
         # are read from 2^21 characters, not from the 2^24 of depth 24.
-        witness_strings(10)
         built = []
         real = tms.expand_text
         monkeypatch.setattr(tms, "expand_text", lambda *a: built.append(real(*a)) or built[-1])
@@ -507,6 +528,33 @@ class TestMilestones:
             )
 
 
+@st.composite
+def small_towers(draw):
+    """An eventually periodic directive of registered substitutions on one
+    to four letters: a prefix of 0-2 and a period of 1-2 of them, each
+    image up to three letters long, erasing ones and permutations among
+    them."""
+    letters = "abcd"[: draw(st.integers(1, 4))]
+    image = st.text(alphabet=letters, max_size=3)
+    names = "ABCD"[: draw(st.integers(0, 2)) + draw(st.integers(1, 2))]
+    registry = {}
+    for name in names:
+        if draw(st.booleans()):
+            images = draw(st.permutations(letters))
+        else:
+            images = [draw(image) for _ in letters]
+        spec = ";".join(f"{a}->{w}" for a, w in zip(letters, images))
+        registry[name] = Substitution.from_text(spec, Alphabet.from_text(letters))
+    cut = draw(st.integers(0, min(2, len(names) - 1)))
+    return parse_directive(f"{names[:cut]}|{names[cut:]}", registry)
+
+
+SWAP_THEN_STAY = {
+    "A": Substitution.from_text("a->b;b->a"),
+    "B": Substitution.from_text("a->a;b->b"),
+}
+
+
 class TestScanHelpers:
     def test_level_scan_texts(self):
         texts, alphabet = level_scan_texts(parse_directive("|M"), 64, 100)
@@ -579,6 +627,46 @@ class TestScanHelpers:
         texts, alphabet = level_scan_texts(d, min_chars, clip)
         assert scan._scan_depth(d, alphabet, min_chars, clip)[0] == depth
         assert spelled(texts, alphabet) == want
+
+    @given(small_towers(), st.integers(1, 300), st.integers(1, 300), st.integers(100, 400))
+    # Level 2 repeats level 1, and every odd level from 3 on is level 0: a
+    # search that held a prefix level would read a fixed point at level 1.
+    @example(parse_directive("AB|A", SWAP_THEN_STAY), 2, 2, 101)
+    def test_level_scan_matches_full_build_on_small_towers(self, d, min_chars, clip, max_depth):
+        # Bounded towers, erasing or permuting ones, walk to the cap: their
+        # lengths and texts are read from the first repeated level.
+        depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
+        with mock.patch.object(scan, "_MAX_SCAN_DEPTH", max_depth):
+            texts, alphabet = level_scan_texts(d, min_chars, clip)
+            depth_got = scan._scan_depth(d, alphabet, min_chars, clip)[0]
+        assert depth_got == depth
+        assert spelled(texts, alphabet) == want
+
+    @pytest.mark.parametrize(
+        "register",
+        [
+            "A=0->;1->01",
+            "A=" + ";".join(f"{chr(97 + i)}->{chr(97 + (i + 1) % 26)}" for i in range(26)),
+        ],
+        ids=["erasing", "permutation-26"],
+    )
+    def test_stalled_walks_stop_at_a_repeated_level(self, monkeypatch, capsys, register):
+        # Both towers reach the 32768-level cap with texts that stop
+        # changing or cycle; a walk through every level composed 32768
+        # letter maps.
+        calls = []
+        real = language._compose
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(language, "_compose", counted)
+        monkeypatch.setattr(scan, "_compose", counted)
+        argv = ["analyze", "--directive", "|A", "--register", register, "--max-length", "58"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) < 200
 
     @given(
         st.text(alphabet="LR", max_size=2),

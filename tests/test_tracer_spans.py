@@ -46,6 +46,12 @@ def test_verify_spans_reach_every_scan_layer():
 
 
 def test_witness_expansion_is_seen_by_the_expand_layer():
-    # The witness recursion builds its M^2 images with tms.expand_text, the
-    # name the tracer hooks, so its work shows in the scan.expand layer.
-    assert expanded_chars(traced_spans("witness", "--n", "4")) > 0
+    # The witness words and their certificates are read from Thue-Morse
+    # prefixes built by tms.expand_text, the name the tracer hooks, so the
+    # scan.expand layer sees at least the 2^9-letter certificate prefix.
+    sizes = [
+        span["counters"]["scan.expand_chars"]
+        for span in traced_spans("witness", "--n", "4")
+        if span["name"] == "scan.expand"
+    ]
+    assert 2**9 in sizes
