@@ -236,11 +236,14 @@ def _scan_section(
     d: DirectiveSequence, max_length: int, nmax: int
 ) -> Dict[str, Any]:
     min_chars = 24 * max_length + 16
-    texts, alphabet = level_scan_texts(d, min_chars=min_chars, clip=min_chars)
+    windows = _window_grid(max_length)
+    texts, alphabet, stops = level_scan_texts(
+        d, min_chars=min_chars, clip=min_chars, window_lens=windows
+    )
     # Texts can stay shorter than min_chars (a finite directive's last level,
     # a tower that does not grow), and no window longer than them is scanned.
     longest = max(map(len, texts), default=0)
-    grid = [m for m in _window_grid(max_length) if m <= longest]
+    grid = [m for m in windows if m <= longest]
     codes = list(_letter_codes(alphabet).values())
     # Letter codes to rendered symbols, as _decode(...).render() would.
     render = {ord(c): render_symbol(s) for c, s in zip(codes, alphabet.symbols)}
@@ -252,7 +255,7 @@ def _scan_section(
     curves: Dict[str, Any] = {}
     for n in range(1, nmax + 1):
         patterns = ["".join(p) for p in itertools.product(letters, repeat=n)]
-        curve = window_imbalance_curve(texts, patterns, grid)
+        curve = window_imbalance_curve(texts, patterns, grid, stops=stops)
         curves[str(n)] = [
             {
                 "window": m,

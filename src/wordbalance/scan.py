@@ -15,6 +15,7 @@ shortcut for deep periodic towers and the budgets they answer to.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 from typing import (
@@ -23,7 +24,9 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     NamedTuple,
+    Optional,
     Sequence,
     Tuple,
 )
@@ -55,6 +58,14 @@ _SQUARING_LETTERS = 16
 _MAX_SCAN_LETTERS = 200
 # The deepest level a scan text is built from.
 _MAX_SCAN_DEPTH = 32768
+# The start bounds of a window length read the finest level whose blocks all
+# have at least this many letters (and one less than the length). Finer
+# levels spell each text in more blocks for little gain: on the two
+# 480,016-letter texts of `analyze --max-length 20000` floors of 256, 1024
+# and 4096 scanned within 2 ms of each other.
+_STOP_FLOOR = 1024
+# The start bounds read levels at most this many below the scan depth.
+_STOP_LEVELS = 256
 
 # numpy is imported inside the functions that use it, so that commands which
 # never scan a text (exact analyze, classify) do not pay for loading it.
@@ -135,7 +146,10 @@ _CHUNK_FLOOR = 2**16
 
 
 def window_imbalance_curve(
-    texts: Sequence[str], patterns: Sequence[str], window_lens: Iterable[int]
+    texts: Sequence[str],
+    patterns: Sequence[str],
+    window_lens: Iterable[int],
+    stops: Optional[Mapping[int, Sequence[int]]] = None,
 ) -> Dict[int, ScanWitness]:
     """Largest count spread of any pattern, per window length, over all texts,
     with a witness window pair.
@@ -150,13 +164,23 @@ def window_imbalance_curve(
     then text, then start. The complement-letter skip of
     `_scanned_patterns` applies.
 
+    stops[w], where given, holds one start bound per text, as
+    level_scan_texts gives them: each window of length w from there on
+    equals one at an earlier start, so only the starts below it are
+    scanned, and no prefix entry past the last of them and its window is
+    built, nor is the text searched for the pattern past them. A skipped
+    window is never a strict improvement, so the witnesses are those of
+    the full scan.
+
     Besides the texts it holds O(chunk + longest window) entries, chunk
     being max(_CHUNK_FLOOR, longest window), each array capped at the
-    longest text's length: a prefix array of chunk + longest window
+    longest span of text read: a prefix array of chunk + longest window
     entries and a count buffer of chunk entries, each 2 bytes when every
     window length is below 2^16 and 4 bytes below 2^32, and the latin-1
     copy of the text slice being matched. `analyze --directive 'LMR|ML'
-    --max-length 200000 --nmax 3` peaks at about 48 MB of RSS.
+    --max-length 200000 --nmax 3` peaks at about 47.5 MB of RSS with its
+    bytecode cached (Python 3.11), as it did before the start bounds; most
+    of it is numpy and the texts.
 
     Each window length costs one pass over every text, so this kernel is for
     witnesses, or for a sparse length grid on long texts; `window_spreads`
@@ -171,7 +195,14 @@ def window_imbalance_curve(
     # (or half) of the memory traffic of int64.
     top = lens[-1] if lens else 0
     dtype = np.uint16 if top < 2**16 else np.uint32 if top < 2**32 else np.uint64
-    longest = max(map(len, texts), default=0)
+    # The starts scanned per text and length, and the letters they read.
+    stops = stops or {}
+    starts = [
+        {w: min(len(text) - w + 1, stops[w][ti] if w in stops else len(text)) for w in lens}
+        for ti, text in enumerate(texts)
+    ]
+    reach = [max((n + w - 1 for w, n in ns.items() if n > 0), default=0) for ns in starts]
+    longest = max(reach, default=0)
     chunk = max(_CHUNK_FLOOR, top)
     # A chunk reads prefix entries up to chunk - 1 + the longest span past
     # its first start; one prefix array and one count buffer serve every
@@ -184,7 +215,9 @@ def window_imbalance_curve(
     best: Dict[int, ScanWitness] = {}
     for pattern in _scanned_patterns(texts, patterns):
         m = len(pattern)
-        present = [pattern in text for text in texts]
+        # Where the windows a text's scan reads hold no occurrence, they all
+        # count 0, as they would if the text held none.
+        present = [text.find(pattern, 0, r) >= 0 for text, r in zip(texts, reach)]
         # A pattern that occurs nowhere has spread 0 at every length, which
         # never beats a witness already found (after the first pattern, every
         # length some text fits has one).
@@ -196,29 +229,25 @@ def window_imbalance_curve(
         hi: Dict[int, Tuple[int, int, int]] = {}
         lo: Dict[int, Tuple[int, int, int]] = {}
         for ti, text in enumerate(texts):
-            t = len(text)
-            fit = lens[: bisect.bisect_right(lens, t)]
-            # Windows shorter than the pattern, and every window of a text
-            # without it, count 0: the first start holds both extremes.
+            fit = [w for w in lens if starts[ti][w] > 0]
+            # Windows shorter than the pattern, and every scanned window of a
+            # text without it, count 0: the first start holds both extremes.
             short = bisect.bisect_left(fit, m) if m and present[ti] else len(fit)
             for window_len in fit[:short]:
                 hi.setdefault(window_len, (0, ti, 0))
                 if window_len not in lo or lo[window_len][0] > 0:
                     lo[window_len] = (0, ti, 0)
-            counted = fit[short:]
+            counted = [(w, starts[ti][w]) for w in fit[short:]]
             if not counted:
                 continue
-            for c0, cum in _chunk_prefixes(text, pattern, chunk, t - counted[0] + 1, prefix, buf):
-                for window_len in counted:
-                    starts = min(t - window_len + 1 - c0, chunk)
-                    if starts <= 0:
-                        break
-                    span = window_len - m + 1
-                    counts = np.subtract(cum[span : span + starts], cum[:starts], out=buf[:starts])
-                    # argmax/argmin return the first achiever, so reading the
-                    # extremes through them keeps the smallest-start rule.
-                    am, an = int(counts.argmax()), int(counts.argmin())
-                    mx, mn = int(counts[am]), int(counts[an])
+            stop = max(n for _, n in counted)
+            read = max(n + w - 1 for w, n in counted)
+            for c0, cum in _chunk_prefixes(text, read, pattern, chunk, stop, prefix, buf):
+                for window_len, n in counted:
+                    here = min(n - c0, chunk)
+                    if here <= 0:
+                        continue
+                    (mx, am), (mn, an) = _window_extremes(cum, window_len - m + 1, here, buf)
                     if window_len not in hi or mx > hi[window_len][0]:
                         hi[window_len] = (mx, ti, c0 + am)
                     if window_len not in lo or mn < lo[window_len][0]:
@@ -238,13 +267,34 @@ def window_imbalance_curve(
     return {m: best[m] for m in lens if m in best}
 
 
+def _window_extremes(
+    cum: np.ndarray, span: int, starts: int, buf: np.ndarray
+) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """(largest, k) and (smallest, k) over the window counts
+    cum[k + span] - cum[k] for k < starts, each k the first achiever; the
+    counts are written into buf."""
+    import numpy as np
+
+    counts = np.subtract(cum[span : span + starts], cum[:starts], out=buf[:starts])
+    # argmax/argmin return the first achiever, so reading the extremes
+    # through them keeps the smallest-start rule.
+    am, an = int(counts.argmax()), int(counts.argmin())
+    return (int(counts[am]), am), (int(counts[an]), an)
+
+
 def _chunk_prefixes(
-    text: str, pattern: str, chunk: int, stop: int, prefix: np.ndarray, buf: np.ndarray
+    text: str,
+    read: int,
+    pattern: str,
+    chunk: int,
+    stop: int,
+    prefix: np.ndarray,
+    buf: np.ndarray,
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """(c0, cum) for the chunk starts c0 = 0, chunk, 2 chunk, ... below stop:
-    cum[k] is the number of occurrences of pattern in text that start before
-    c0 + k, modulo the range of prefix's dtype, for k up to
-    min(len(prefix) - 1, n - c0), n = len(text) - len(pattern) + 1.
+    cum[k] is the number of occurrences of pattern in text[:read] that start
+    before c0 + k, modulo the range of prefix's dtype, for k up to
+    min(len(prefix) - 1, n - c0), n = read - len(pattern) + 1.
 
     cum is a view of prefix, overwritten by the next chunk's. Each chunk
     matches only the text its predecessor did not: the entries from chunk
@@ -254,7 +304,7 @@ def _chunk_prefixes(
     import numpy as np
 
     m = len(pattern)
-    n = len(text) - m + 1
+    n = read - m + 1
     reach = len(prefix) - 1
     # The indicator's scratch takes prefix's last bytes: the carried and the
     # new entries number at most len(prefix), at 2 or more bytes each, so
@@ -278,10 +328,18 @@ def _chunk_prefixes(
 
 
 def window_spreads(
-    texts: Sequence[str], patterns: Sequence[str], window_lens: Iterable[int]
+    texts: Sequence[str],
+    patterns: Sequence[str],
+    window_lens: Iterable[int],
+    stops: Optional[Mapping[int, Sequence[int]]] = None,
 ) -> Dict[int, int]:
     """The spreads of window_imbalance_curve, {length: imbalance}, without
     witnesses, read from occurrence-span tables.
+
+    With start bounds from level_scan_texts, each text is read only up to
+    its bound for the longest length W plus W - 1 letters. That bound is
+    read at a level whose blocks hold at least W - 1 letters, so it bounds
+    every shorter length too.
 
     For a pattern of length m with occurrence starts pos[0] < pos[1] < ...
     in a text of length t, every window count is the number of starts in
@@ -317,6 +375,10 @@ def window_spreads(
     ws = np.array([w for w in lens if w <= longest], dtype=np.int64)
     if not len(ws) or not patterns:
         return {}
+    top = int(ws[-1])
+    bounds = (stops or {}).get(top)
+    if bounds is not None:
+        texts = [text[: b + top - 1] if b else "" for text, b in zip(texts, bounds)]
     best = np.zeros(len(ws), dtype=np.int64)
     for pattern in _scanned_patterns(texts, patterns):
         # A pattern that occurs nowhere has spread 0 at every length.
@@ -324,6 +386,8 @@ def window_spreads(
             continue
         hi = np.full(len(ws), -1, dtype=np.int64)
         lo = np.full(len(ws), longest + 1, dtype=np.int64)
+        # The text holding a length's first window reads that window, so
+        # hi and lo are set.
         for text in texts:
             fit = int(np.searchsorted(ws, len(text), side="right"))
             if not fit:
@@ -331,7 +395,6 @@ def window_spreads(
             most, least = _count_extremes(text, pattern, ws[:fit])
             np.maximum(hi[:fit], most, out=hi[:fit])
             np.minimum(lo[:fit], least, out=lo[:fit])
-        # The longest text fits every length in ws, so hi and lo are set.
         np.maximum(best, hi - lo, out=best)
     return dict(zip(ws.tolist(), best.tolist()))
 
@@ -394,8 +457,11 @@ def _span_table(a, shift, count, reduce, stop, side, buf) -> np.ndarray:
     return np.concatenate(table or [a[:0]]).astype(np.int64)
 
 
-def level_scan_texts(d: DirectiveSequence, min_chars: int, clip: int) -> Tuple[List[str], Alphabet]:
-    """Clipped level-0 letter expansions, in letter codes, and their alphabet.
+def level_scan_texts(
+    d: DirectiveSequence, min_chars: int, clip: int, window_lens: Iterable[int] = ()
+) -> Tuple[List[str], Alphabet, Dict[int, List[int]]]:
+    """Clipped level-0 letter expansions, in letter codes, their alphabet and
+    their start bounds for each of window_lens.
 
     Every factor of an expansion of a letter through the directive tower is
     a level-0 language member by definition, so any equal-length window
@@ -408,12 +474,18 @@ def level_scan_texts(d: DirectiveSequence, min_chars: int, clip: int) -> Tuple[L
     the lengths and texts come from powers of the composed period instead
     of a walk. The lengths walk, and a text walk to _MAX_SCAN_DEPTH, stop
     at a repeated level (see _levels_at).
+
+    The bounds map each window length w to one start per text: every
+    window of length w that starts at or past it equals a window at an
+    earlier start of that text or of an earlier text (see _start_stops).
+    The kernels scan only the starts below them and find the same extremes
+    and first achievers.
     """
     if min_chars < 1 or clip < 1:
         raise ValueError("min_chars and clip must be positive")
     alphabet = d.level_alphabet(0)
     check_budget("text codec", len(alphabet), _MAX_SCAN_LETTERS, "symbols")
-    depth, squared = _scan_depth(d, alphabet, min_chars, clip)
+    depth, squared, walked = _scan_depth(d, alphabet, min_chars, clip)
     if squared:
         texts = _periodic_tower_texts(d, depth, clip)
     else:
@@ -422,7 +494,99 @@ def level_scan_texts(d: DirectiveSequence, min_chars: int, clip: int) -> Tuple[L
         # tower, where the earlier level a cycle search holds is long.
         period = d.period_length if depth >= _MAX_SCAN_DEPTH else 0
         texts = next(_levels_at(levels, [depth], d.prefix_length, period))
-    return [t for t in texts.values() if t], alphabet
+    kept = {c: t for c, t in texts.items() if t}
+    return list(kept.values()), alphabet, _start_stops(d, depth, walked, kept, clip, window_lens)
+
+
+def _start_stops(
+    d: DirectiveSequence,
+    depth: int,
+    walked: Sequence[Tuple[int, Dict[Symbol, int]]],
+    texts: Dict[int, str],
+    clip: int,
+    window_lens: Iterable[int],
+) -> Dict[int, List[int]]:
+    """Per window length, the start past which each text's windows repeat.
+
+    At a level j below the depth, the text of the level-depth letter c is
+    A(B(c)) cut to clip, where A = sigma_[0,j) and B(c) = sigma_[j,depth)(c):
+    a string of level-j blocks A(b). When every block has at least w - 1
+    letters, a window of length w that starts in block i ends in block
+    i + 1, so the pair (B(c)[i], B(c)[i+1]) and the offset fix it, and a
+    window in the last block, which may be clipped, is fixed by its letter
+    and the offset. So a block whose pair occurred whole earlier, in this
+    text or an earlier one, starts only windows seen before, and so does a
+    last block whose letter began an earlier whole block. The bound is the
+    end of the last block that is not such a block, capped at the text's
+    length, and 0 when there is none.
+
+    A length reads the finest walked level whose blocks all have at least
+    max(w - 1, _STOP_FLOOR) letters. It is the text's length where there is
+    no such level: a letter that is erased or never grows, a lengths walk
+    that took the squaring shortcut or stopped at a repeated level, or a
+    level more than _STOP_LEVELS below the depth. The level words come
+    from a walk down from the depth, each cut to the blocks that reach
+    clip, so no level text is built.
+    """
+    full = [len(t) for t in texts.values()]
+    # The finest level whose blocks all reach each running record minimum.
+    records: List[Tuple[int, int]] = []
+    if walked and walked[-1][0] == depth:
+        for j, lengths in walked:
+            least = min(lengths.values(), default=0)
+            if j < depth and least >= _STOP_FLOOR and (not records or least > records[-1][0]):
+                records.append((least, j))
+    need = {w: bisect.bisect_left(records, (max(w - 1, _STOP_FLOOR),)) for w in window_lens}
+    levels = {records[i][1] for i in need.values() if i < len(records)}
+    lengths_at = dict(walked)
+    stops = {}
+    words = {c: chr(c) for c in texts}
+    for j in range(depth - 1, min(levels, default=depth) - 1, -1):
+        table = _image_table(d.substitution_at(j))
+        lengths = list(lengths_at[j].values())
+        words = {c: _reaching(w.translate(table), lengths, clip) for c, w in words.items()}
+        if j in levels:
+            stops[j] = _block_stops(list(words.values()), lengths, full)
+    return {
+        w: stops[records[i][1]] if i < len(records) else full for w, i in need.items()
+    }
+
+
+def _reaching(word: str, lengths: Sequence[int], clip: int) -> str:
+    """The shortest prefix of a level word whose blocks, of lengths[code]
+    letters each, reach clip letters; the whole word when none does."""
+    total = 0
+    for i, c in enumerate(word):
+        total += lengths[ord(c)]
+        if total >= clip:
+            return word[: i + 1]
+    return word
+
+
+def _block_stops(words: List[str], lengths: Sequence[int], full: List[int]) -> List[int]:
+    """The start bounds of _start_stops for the level words of the texts,
+    whose lengths are full; see there."""
+    pairs: set = set()  # pairs of whole blocks so far
+    letters: set = set()  # letters of whole blocks so far
+    stops = []
+    for word, t in zip(words, full):
+        new = {word[i : i + 2] for i in range(len(word) - 1)} - pairs
+        # Block find(p) holds the first occurrence of the pair p in word.
+        last = max(map(word.find, new), default=-1)
+        stop = _spelled_length(word[: last + 1], lengths)
+        if word[-1] not in letters and word[-1] not in word[:-1]:
+            stop = t
+        stops.append(min(stop, t))
+        # Every block but the last ends before the clip.
+        whole = word if _spelled_length(word, lengths) <= t else word[:-1]
+        pairs.update(whole[i : i + 2] for i in range(len(whole) - 1))
+        letters.update(whole)
+    return stops
+
+
+def _spelled_length(word: str, lengths: Sequence[int]) -> int:
+    """The letters in the blocks of a level word, of lengths[code] each."""
+    return sum(n * word.count(chr(c)) for c, n in enumerate(lengths) if n)
 
 
 def _squared(d: DirectiveSequence, clip: int, depth: int) -> bool:
@@ -447,10 +611,11 @@ def _squared(d: DirectiveSequence, clip: int, depth: int) -> bool:
 
 def _scan_depth(
     d: DirectiveSequence, alphabet: Alphabet, min_chars: int, clip: int
-) -> Tuple[int, bool]:
-    """The depth level_scan_texts builds, from letter-text lengths only, and
-    whether _squared holds there. A finite directive's depth starts at
-    min(8, its last level) and never passes that level.
+) -> Tuple[int, bool, Sequence[Tuple[int, Dict[Symbol, int]]]]:
+    """The depth level_scan_texts builds, from letter-text lengths only,
+    whether _squared holds there, and the last _STOP_LEVELS + 1 levels the
+    lengths walk read, as (level, lengths). A finite directive's depth
+    starts at min(8, its last level) and never passes that level.
 
     Refused when some level up to that depth would keep more than
     MAX_TEXT_CHARS characters, counting each letter text up to clip. Where
@@ -465,13 +630,15 @@ def _scan_depth(
     probes = [depth]
     while probes[-1] < max_depth:
         probes.append(min(max_depth, probes[-1] + max(1, probes[-1] // 2)))
+    walked: collections.deque = collections.deque(maxlen=_STOP_LEVELS + 1)
+    read = (walked.append(level) or level[1] for level in enumerate(_checked_lengths(d, alphabet, clip)))
     # _squared holds from some probe on, so the walk serves a prefix of them.
-    walk = _levels_at(_checked_lengths(d, alphabet, clip), probes, d.prefix_length, d.period_length)
+    walk = _levels_at(read, probes, d.prefix_length, d.period_length)
     for depth in probes:
         squared = _squared(d, clip, depth)
         lengths = _periodic_tower_lengths(d, depth) if squared else next(walk)
         if max(lengths.values()) >= min_chars or depth >= max_depth:
-            return depth, squared
+            return depth, squared, walked
 
 
 def _levels_at(levels: Iterable, depths: Iterable[int], p: int, q: int) -> Iterator:

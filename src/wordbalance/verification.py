@@ -420,8 +420,9 @@ def check_letter_balance_sweep() -> CheckResult:
     passed = True
     for text in directives:
         d = parse_directive(text)
-        texts, _ = level_scan_texts(d, min_chars=4800, clip=20000)
-        spreads = window_spreads(texts, list(_letter_codes(BINARY).values()), range(1, 201))
+        windows = range(1, 201)
+        texts, _, stops = level_scan_texts(d, min_chars=4800, clip=20000, window_lens=windows)
+        spreads = window_spreads(texts, list(_letter_codes(BINARY).values()), windows, stops=stops)
         spread = max(spreads.values(), default=0)
         if spread > worst:
             worst, worst_directive = spread, text
@@ -785,15 +786,19 @@ def check_classifier_sweep() -> CheckResult:
         ok = verdict == want
         entry: Dict[str, Any] = {"period": period, "verdict": verdict}
         if set(period) == {"M"}:
-            texts, _ = level_scan_texts(d, min_chars=24 * 1366 + 16, clip=60000)
-            curve = window_imbalance_curve(texts, _BLOCK_CODES, [6, 86, 1366])
+            windows = [6, 86, 1366]
+            texts, _, stops = level_scan_texts(
+                d, min_chars=24 * 1366 + 16, clip=60000, window_lens=windows
+            )
+            curve = window_imbalance_curve(texts, _BLOCK_CODES, windows, stops=stops)
             vals = [curve[n].imbalance for n in (6, 86, 1366) if n in curve]
             growing = len(vals) == 3 and vals[0] < vals[1] < vals[2]
             ok = ok and growing
             entry["milestones"] = vals
         else:
-            texts, _ = level_scan_texts(d, min_chars=9600, clip=24000)
-            spreads = window_spreads(texts, _BLOCK_CODES, range(2, 401))
+            windows = range(2, 401)
+            texts, _, stops = level_scan_texts(d, min_chars=9600, clip=24000, window_lens=windows)
+            spreads = window_spreads(texts, _BLOCK_CODES, windows, stops=stops)
             head = max((v for m, v in spreads.items() if m <= 300), default=0)
             tail = max((v for m, v in spreads.items() if m > 300), default=0)
             ok = ok and tail <= head

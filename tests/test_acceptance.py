@@ -238,7 +238,7 @@ def test_criterion_06_letter_balance_sweep(capsys):
             prefix = "".join(rng.choice("LMR") for _ in range(rng.randint(0, 8)))
             period = "".join(rng.choice("LMR") for _ in range(rng.randint(1, 3)))
             d = parse_directive(f"{prefix}|{period}")
-            texts, alphabet = level_scan_texts(d, 4800, 20000)
+            texts, alphabet, _ = level_scan_texts(d, 4800, 20000)
             assert alphabet.symbols == ("0", "1")
             texts = [t.translate(dict(enumerate(alphabet.symbols))) for t in texts]
             curve = window_imbalance_curve(texts, ["0", "1"], range(1, 201))
@@ -436,7 +436,7 @@ def test_criterion_12_classifier_exactness(capsys):
             if set(period) == {"M"}:
                 continue
             d = parse_directive(f"|{period}")
-            texts, alphabet = level_scan_texts(d, 9600, 24000)
+            texts, alphabet, _ = level_scan_texts(d, 9600, 24000)
             assert alphabet.symbols == ("0", "1")
             texts = [t.translate(dict(enumerate(alphabet.symbols))) for t in texts]
             curve = window_imbalance_curve(texts, patterns, range(2, 401))

@@ -568,10 +568,10 @@ class TestSizeGuards:
         assert wide or '"pattern": "xx"' in want
         real = cli.window_imbalance_curve
 
-        def full_product(texts, patterns, lens):
+        def full_product(texts, patterns, lens, **kwargs):
             codes = map(chr, range(letters))
             patterns = ["".join(p) for p in itertools.product(codes, repeat=len(patterns[0]))]
-            return real(texts, patterns, lens)
+            return real(texts, patterns, lens, **kwargs)
 
         monkeypatch.setattr(cli, "window_imbalance_curve", full_product)
         assert run(capsys, *argv) == (EXIT_SUCCESS, want, "")
@@ -582,9 +582,9 @@ class TestSizeGuards:
         sizes = {}
         real = cli.window_imbalance_curve
 
-        def counted(texts, patterns, lens):
+        def counted(texts, patterns, lens, **kwargs):
             sizes[len(patterns[0])] = len(patterns)
-            return real(texts, patterns, lens)
+            return real(texts, patterns, lens, **kwargs)
 
         monkeypatch.setattr(cli, "window_imbalance_curve", counted)
         run_json(capsys, "analyze", *self._wide_directive(30), "--max-length", "49", "--nmax", "4")

@@ -1,14 +1,16 @@
 """String-level scanning: scan texts, expansion, and sliding-window counts."""
 
+import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wordbalance import scan
+from wordbalance import cli, scan
 from wordbalance.tms import expand_text
 from wordbalance.language import (
     ResourceLimitError,
@@ -25,6 +27,7 @@ from wordbalance.scan import (
     window_spreads,
 )
 from wordbalance.substitution import Substitution
+from wordbalance.words import Alphabet
 
 
 def brute_count(text: str, pattern: str) -> int:
@@ -58,11 +61,11 @@ class TestScanTexts:
     )
     def test_texts_are_letter_codes(self, directive, registry):
         d = parse_directive(directive, registry)
-        texts, alphabet = level_scan_texts(d, 100, 100)
+        texts, alphabet, _ = level_scan_texts(d, 100, 100)
         assert alphabet == d.level_alphabet(0)
         assert set("".join(texts)) == {"\0", "\1"}
         code = _letter_codes(alphabet)
-        depth, _ = scan._scan_depth(d, alphabet, 100, 100)
+        depth = scan._scan_depth(d, alphabet, 100, 100)[0]
         want = symbol_expansions(d, depth)
         assert texts == ["".join(map(code.__getitem__, w))[:100] for w in want.values()]
 
@@ -659,7 +662,7 @@ class TestWindowSpreads:
     def test_dense_range_on_scan_texts(self, directive):
         # The classifier sweep's inputs: clipped tower texts, every block of
         # two letters, all window lengths 2..400.
-        texts, _ = level_scan_texts(parse_directive(directive), 9600, 24000)
+        texts, _, _ = level_scan_texts(parse_directive(directive), 9600, 24000)
         patterns = ["\0\0", "\0\1", "\1\0", "\1\1"]
         lens = range(2, 401)
         assert window_spreads(texts, patterns, lens) == spreads_of(
@@ -686,6 +689,150 @@ class TestWindowSpreads:
         )
         window_spreads(["0110100110010110", "1001"], ["0", "1", "2", "11"], [1, 3])
         assert calls == ["0", "0", "11"]
+
+
+@st.composite
+def registered_towers(draw):
+    """A directive of registered substitutions on one to four letters, each
+    image up to three letters long, in half of the draws erasing ones among
+    them: a prefix of 0-2 and a period of 1-2 of them, or a finite prefix
+    of 1-3."""
+    letters = "abcd"[: draw(st.integers(1, 4))]
+    image = st.text(alphabet=letters, min_size=draw(st.integers(0, 1)), max_size=3)
+    finite = draw(st.booleans())
+    count = draw(st.integers(1, 3)) if finite else draw(st.integers(0, 2)) + draw(st.integers(1, 2))
+    names = "ABCD"[:count]
+    registry = {
+        name: Substitution.from_text(
+            ";".join(f"{a}->{draw(image)}" for a in letters), Alphabet.from_text(letters)
+        )
+        for name in names
+    }
+    cut = count if finite else draw(st.integers(0, min(2, count - 1)))
+    return parse_directive(f"{names[:cut]}|{names[cut:]}", registry)
+
+
+def repeats_earlier(texts, ti, start, w):
+    """Does the window of length w at start in texts[ti] occur at an earlier
+    start of that text or in an earlier text?"""
+    window = texts[ti][start : start + w]
+    return any(window in text for text in texts[:ti]) or texts[ti].find(window) < start
+
+
+def block_patterns(texts):
+    """Every letter and every two-letter block over the texts' letters."""
+    letters = sorted(set("".join(texts)))
+    return letters + ["".join(p) for p in itertools.product(letters, repeat=2)]
+
+
+ERASING = {"A": Substitution.from_text("0->;1->01")}
+CLIPPED_PAIR = {"A": Substitution.from_text("a->aba;b->cbc;c->bca")}
+
+
+class TestStartStops:
+    """level_scan_texts's start bounds: every window at or past a text's
+    bound for its length occurs at an earlier start of that text or of an
+    earlier text, so both kernels find the full scans' curves."""
+
+    @settings(max_examples=300)
+    @given(
+        registered_towers(),
+        st.integers(1, 400),
+        st.integers(1, 400),
+        st.integers(1, 6),
+        st.integers(1, 40),
+        st.lists(st.integers(1, 30), min_size=1, max_size=6),
+        st.sampled_from([1, 2, 5]),
+    )
+    # A letter that never grows: 0 keeps one letter at every level of L.
+    @example(parse_directive("R|L"), 300, 300, 1, 256, [1, 2, 3, 7], 1)
+    @example(parse_directive("|L"), 300, 300, 2, 256, [1, 3, 4], 2)
+    @example(parse_directive("|A", ERASING), 300, 300, 1, 256, [1, 2, 5], 1)
+    @example(parse_directive("LM|"), 300, 300, 1, 256, [1, 2, 3], 1)
+    # The first text's last pair of 9-letter blocks is cut after 4 letters
+    # of its second block, so it lacks windows that the same pair holds
+    # whole in the second text.
+    @example(parse_directive("|A", CLIPPED_PAIR), 1, 58, 1, 256, [9], 1)
+    # Deep enough that the finest level falls out of the levels kept.
+    @example(parse_directive("|M"), 400, 400, 1, 4, [1, 2, 3, 9], 5)
+    def test_windows_past_a_bound_repeat(self, d, min_chars, clip, floor, levels, lens, chunk):
+        with mock.patch.multiple(
+            scan, _STOP_FLOOR=floor, _STOP_LEVELS=levels, _MAX_SCAN_DEPTH=200
+        ):
+            texts, _, stops = level_scan_texts(d, min_chars, clip, lens)
+        assert sorted(stops) == sorted(set(lens))
+        for w in lens:
+            assert len(stops[w]) == len(texts)
+            for ti, text in enumerate(texts):
+                assert 0 <= stops[w][ti] <= len(text)
+                for start in range(stops[w][ti], len(text) - w + 1):
+                    assert repeats_earlier(texts, ti, start, w)
+        patterns = block_patterns(texts)
+        full = window_imbalance_curve(texts, patterns, lens)
+        with mock.patch.object(scan, "_CHUNK_FLOOR", chunk):
+            assert window_imbalance_curve(texts, patterns, lens, stops=stops) == full
+        assert window_spreads(texts, patterns, lens, stops=stops) == spreads_of(full)
+
+    @pytest.mark.parametrize(
+        "directive, registry",
+        [("R|L", {}), ("|L", {}), ("|A", ERASING), ("LM|", {})],
+    )
+    def test_full_range_without_a_level_of_long_blocks(self, directive, registry):
+        # A letter that never grows or is erased, and a finite directive
+        # whose blocks stay short: every start is scanned.
+        texts, _, stops = level_scan_texts(parse_directive(directive, registry), 3000, 3000, [1, 9])
+        assert stops == {w: [len(t) for t in texts] for w in (1, 9)}
+
+    def test_bounds_bite_on_a_growing_tower(self):
+        # Thue-Morse blocks of 2^k letters: past the first blocks of each
+        # pair, every window repeats.
+        with mock.patch.object(scan, "_STOP_FLOOR", 4):
+            texts, _, stops = level_scan_texts(parse_directive("|M"), 400, 400, [1, 5, 9])
+        assert [len(t) for t in texts] == [400, 400]
+        assert all(stop < 100 for w in (1, 5, 9) for stop in stops[w])
+
+    @pytest.mark.parametrize("directive", ["LMR|ML", "|RLR"])
+    def test_long_texts_of_the_max_length_20000_scan(self, directive):
+        # analyze --max-length 20000's texts, bounds and window grid. Every
+        # window past a bound would be too many to check, so each length
+        # checks the starts at the bound, the last one and 20 drawn between.
+        grid = cli._window_grid(20000)
+        texts, _, stops = level_scan_texts(parse_directive(directive), 480016, 480016, grid)
+        rng = random.Random(directive)
+        for w in grid:
+            for ti, text in enumerate(texts):
+                last = len(text) - w
+                if stops[w][ti] > last:
+                    continue
+                starts = [stops[w][ti], last] + [rng.randint(stops[w][ti], last) for _ in range(20)]
+                assert all(repeats_earlier(texts, ti, start, w) for start in starts)
+        scanned = sum(min(stops[w][ti], len(t) - w + 1) for w in grid for ti, t in enumerate(texts))
+        assert scanned < 0.05 * sum(len(t) - w + 1 for w in grid for t in texts)
+        patterns = ["\0", "\0\0", "\0\1", "\1\0", "\1\1"]
+        full = window_imbalance_curve(texts, patterns, grid)
+        assert window_imbalance_curve(texts, patterns, grid, stops=stops) == full
+        assert window_spreads(texts, patterns, grid, stops=stops) == spreads_of(full)
+
+    def test_long_scan_reads_few_window_starts(self, capsys, monkeypatch):
+        # The work guard: the bounded scan of analyze '|RLR' at --max-length
+        # 20000 reads at most 5% of the window starts that the full scan
+        # reads, and reports the same.
+        argv = ["analyze", "--directive", "|RLR", "--max-length", "20000", "--nmax", "3"]
+        starts = []
+        real = scan._window_extremes
+        monkeypatch.setattr(
+            scan, "_window_extremes", lambda *args: starts.append(args[2]) or real(*args)
+        )
+        assert cli.main(argv) == 0
+        bounded, report = sum(starts), capsys.readouterr().out
+        starts.clear()
+        curve = cli.window_imbalance_curve
+        monkeypatch.setattr(
+            cli, "window_imbalance_curve", lambda texts, patterns, lens, **_: curve(texts, patterns, lens)
+        )
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == report
+        assert bounded <= 0.05 * sum(starts)
 
 
 class TestSpanTableEdges:

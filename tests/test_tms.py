@@ -557,7 +557,7 @@ SWAP_THEN_STAY = {
 
 class TestScanHelpers:
     def test_level_scan_texts(self):
-        texts, alphabet = level_scan_texts(parse_directive("|M"), 64, 100)
+        texts, alphabet, _ = level_scan_texts(parse_directive("|M"), 64, 100)
         assert alphabet.symbols == ("0", "1")
         assert len(texts) == 2
         assert all(64 <= len(t) <= 100 for t in texts)
@@ -573,7 +573,7 @@ class TestScanHelpers:
         # At depth 27 the longest text has 191,861 characters, so the
         # schedule goes on to depth 40, where the two letter texts hold
         # 80,198,051 in all; only the first 480,016 of each are built.
-        texts, alphabet = level_scan_texts(parse_directive("|RLR"), 480016, 480016)
+        texts, alphabet, _ = level_scan_texts(parse_directive("|RLR"), 480016, 480016)
         assert [len(t) for t in texts] == [480016, 480016]
         assert alphabet.symbols == ("0", "1")
 
@@ -600,7 +600,7 @@ class TestScanHelpers:
         d = parse_directive(f"{prefix}|{period}")
         depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
         with mock.patch.object(scan, "_MAX_SCAN_DEPTH", max_depth):
-            texts, alphabet = level_scan_texts(d, min_chars, clip)
+            texts, alphabet, _ = level_scan_texts(d, min_chars, clip)
             depth_got = scan._scan_depth(d, alphabet, min_chars, clip)[0]
         assert alphabet.symbols == ("0", "1")
         assert depth_got == depth
@@ -624,7 +624,7 @@ class TestScanHelpers:
         # are scanned more than 4000 levels deep.
         d = parse_directive(text)
         depth, want = reference_scan_texts(d, min_chars, clip, 32768)
-        texts, alphabet = level_scan_texts(d, min_chars, clip)
+        texts, alphabet, _ = level_scan_texts(d, min_chars, clip)
         assert scan._scan_depth(d, alphabet, min_chars, clip)[0] == depth
         assert spelled(texts, alphabet) == want
 
@@ -637,7 +637,7 @@ class TestScanHelpers:
         # lengths and texts are read from the first repeated level.
         depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
         with mock.patch.object(scan, "_MAX_SCAN_DEPTH", max_depth):
-            texts, alphabet = level_scan_texts(d, min_chars, clip)
+            texts, alphabet, _ = level_scan_texts(d, min_chars, clip)
             depth_got = scan._scan_depth(d, alphabet, min_chars, clip)[0]
         assert depth_got == depth
         assert spelled(texts, alphabet) == want
@@ -683,7 +683,7 @@ class TestScanHelpers:
         d = parse_directive(f"{prefix}|{period}")
         depth, want = reference_scan_texts(d, min_chars, clip, max_depth)
         with mock.patch.object(scan, "_MAX_SCAN_DEPTH", max_depth):
-            texts, alphabet = level_scan_texts(d, min_chars, clip)
+            texts, alphabet, _ = level_scan_texts(d, min_chars, clip)
             depth_got = scan._scan_depth(d, alphabet, min_chars, clip)[0]
         assert depth_got == depth
         assert spelled(texts, alphabet) == want
@@ -699,7 +699,7 @@ class TestScanHelpers:
         d = parse_directive("P|Q", registry)
         depth, want = reference_scan_texts(d, 30000, 5000, 32768)
         assert depth > 256
-        texts, alphabet = level_scan_texts(d, 30000, 5000)
+        texts, alphabet, _ = level_scan_texts(d, 30000, 5000)
         assert scan._scan_depth(d, alphabet, 30000, 5000)[0] == depth
         assert spelled(texts, alphabet) == want
 
@@ -739,7 +739,7 @@ class TestScanHelpers:
         monkeypatch.setattr(
             scan, "_periodic_tower_lengths", lambda *args: powers.append(args) or real(*args)
         )
-        texts, alphabet = level_scan_texts(d, 400, 300)
+        texts, alphabet, _ = level_scan_texts(d, 400, 300)
         assert spelled(texts, alphabet) == want
         assert scan._scan_depth(d, alphabet, 400, 300)[0] == depth == 454
         assert bool(powers) == (letters <= scan._SQUARING_LETTERS)
@@ -750,8 +750,8 @@ class TestScanHelpers:
         # the level walk.
         d = parse_directive("|S", {"S": Substitution.from_text("0->0;1->01;2->")})
         depth, want = reference_scan_texts(d, 400, 300, 32768)
-        texts, alphabet = level_scan_texts(d, 400, 300)
-        assert scan._scan_depth(d, alphabet, 400, 300) == (depth, False) == (454, False)
+        texts, alphabet, _ = level_scan_texts(d, 400, 300)
+        assert scan._scan_depth(d, alphabet, 400, 300)[:2] == (depth, False) == (454, False)
         assert not scan._squared(d, 300, depth)
         assert spelled(texts, alphabet) == want
 
@@ -796,7 +796,7 @@ class TestSturmianOracle:
 
     @pytest.mark.parametrize("period", ["LR", "RL", "LLR", "LRL", "RLL", "LRR", "RLR", "RRL"])
     def test_scan_texts_are_sturmian(self, period):
-        texts = spelled(*level_scan_texts(parse_directive("|" + period), 9600, 24000))
+        texts = spelled(*level_scan_texts(parse_directive("|" + period), 9600, 24000)[:2])
         # Every factor of length n <= 40 is a prefix of some window of 40.
         windows = {t[i : i + 40] for t in texts for i in range(len(t))}
         for n in range(1, 41):

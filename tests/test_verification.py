@@ -81,10 +81,10 @@ class TestSweepKernels:
             monkeypatch.setattr(
                 verification,
                 name,
-                lambda texts, patterns, lens, name=name, real=real: calls.append(
+                lambda texts, patterns, lens, name=name, real=real, **kwargs: calls.append(
                     (name, list(lens))
                 )
-                or real(texts, patterns, lens),
+                or real(texts, patterns, lens, **kwargs),
             )
         assert verification.check_letter_balance_sweep().passed
         assert calls == [("window_spreads", list(range(1, 201)))] * 50
