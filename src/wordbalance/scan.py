@@ -18,6 +18,7 @@ import bisect
 import collections
 import functools
 import itertools
+import math
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -58,11 +59,11 @@ _SQUARING_LETTERS = 16
 _MAX_SCAN_LETTERS = 200
 # The deepest level a scan text is built from.
 _MAX_SCAN_DEPTH = 32768
-# The start bounds of a window length read the finest level whose blocks all
-# have at least this many letters (and one less than the length). Finer
-# levels spell each text in more blocks for little gain: on the two
-# 480,016-letter texts of `analyze --max-length 20000` floors of 256, 1024
-# and 4096 scanned within 2 ms of each other.
+# The start bounds read the finest level whose blocks all have at least this
+# many letters. On the two 480,016-letter texts of `analyze --max-length
+# 20000`, floors of 256, 1024 and 4096 took 8-15, 1.4-1.6 and 0.6-0.8 ms for
+# the texts and bounds, and left 0.42M/0.18M, 0.58M/0.35M and 1.13M/1.03M
+# window starts to scan.
 _STOP_FLOOR = 1024
 # The start bounds read levels at most this many below the scan depth.
 _STOP_LEVELS = 256
@@ -337,9 +338,9 @@ def window_spreads(
     witnesses, read from occurrence-span tables.
 
     With start bounds from level_scan_texts, each text is read only up to
-    its bound for the longest length W plus W - 1 letters. That bound is
-    read at a level whose blocks hold at least W - 1 letters, so it bounds
-    every shorter length too.
+    its bound for the longest length W plus W - 1 letters. A text's bound
+    never falls as the length grows (see _start_stops), so that bound
+    covers every shorter length too.
 
     For a pattern of length m with occurrence starts pos[0] < pos[1] < ...
     in a text of length t, every window count is the number of starts in
@@ -509,84 +510,80 @@ def _start_stops(
     """Per window length, the start past which each text's windows repeat.
 
     At a level j below the depth, the text of the level-depth letter c is
-    A(B(c)) cut to clip, where A = sigma_[0,j) and B(c) = sigma_[j,depth)(c):
-    a string of level-j blocks A(b). When every block has at least w - 1
-    letters, a window of length w that starts in block i ends in block
-    i + 1, so the pair (B(c)[i], B(c)[i+1]) and the offset fix it, and a
-    window in the last block, which may be clipped, is fixed by its letter
-    and the offset. So a block whose pair occurred whole earlier, in this
-    text or an earlier one, starts only windows seen before, and so does a
-    last block whose letter began an earlier whole block. The bound is the
-    end of the last block that is not such a block, capped at the text's
-    length, and 0 when there is none.
+    A(B(c)) cut to clip, A = sigma_[0,j) and B(c) = sigma_[j,depth)(c): a
+    string of level-j blocks A(b). For a length w, block i's span runs to
+    the first block e >= i such that blocks i+1..e hold at least w - 1
+    letters, or to the last block, which may be clipped. Every window of
+    length w that starts in block i lies in its span, so block i starts
+    only windows seen before when its span occurs as whole blocks at an
+    earlier start of this text or in an earlier text. The bound is the end
+    of the last other block, capped at the text's length, or 0. Spans only
+    grow with w, so no bound falls as w grows.
 
-    A length reads the finest walked level whose blocks all have at least
-    max(w - 1, _STOP_FLOOR) letters. It is the text's length where there is
-    no such level: a letter that is erased or never grows, a lengths walk
-    that took the squaring shortcut or stopped at a repeated level, or a
-    level more than _STOP_LEVELS below the depth. The level words come
-    from a walk down from the depth, each cut to the blocks that reach
-    clip, so no level text is built.
+    j is the finest walked level whose blocks all have at least
+    _STOP_FLOOR letters. With none (a letter erased or never growing, the
+    squaring shortcut, a walk stopped at a repeated level, no such level
+    within _STOP_LEVELS of the depth) every bound is the text's length.
+    The level words are translated down from the depth, each cut to the
+    blocks that reach clip, so no level text is built.
     """
+    lens = set(window_lens)
     full = [len(t) for t in texts.values()]
-    # The finest level whose blocks all reach each running record minimum.
-    records: List[Tuple[int, int]] = []
-    if walked and walked[-1][0] == depth:
-        for j, lengths in walked:
-            least = min(lengths.values(), default=0)
-            if j < depth and least >= _STOP_FLOOR and (not records or least > records[-1][0]):
-                records.append((least, j))
-    need = {w: bisect.bisect_left(records, (max(w - 1, _STOP_FLOOR),)) for w in window_lens}
-    levels = {records[i][1] for i in need.values() if i < len(records)}
+    coarse = [j for j, n in walked if j < depth and min(n.values(), default=0) >= _STOP_FLOOR]
+    if not (lens and coarse and walked[-1][0] == depth):
+        return {w: full for w in lens}
     lengths_at = dict(walked)
-    stops = {}
     words = {c: chr(c) for c in texts}
-    for j in range(depth - 1, min(levels, default=depth) - 1, -1):
+    for j in range(depth - 1, coarse[0] - 1, -1):
         table = _image_table(d.substitution_at(j))
         lengths = list(lengths_at[j].values())
         words = {c: _reaching(w.translate(table), lengths, clip) for c, w in words.items()}
-        if j in levels:
-            stops[j] = _block_stops(list(words.values()), lengths, full)
-    return {
-        w: stops[records[i][1]] if i < len(records) else full for w, i in need.items()
-    }
+    return _block_stops(list(words.values()), lengths, full, lens)
 
 
 def _reaching(word: str, lengths: Sequence[int], clip: int) -> str:
     """The shortest prefix of a level word whose blocks, of lengths[code]
     letters each, reach clip letters; the whole word when none does."""
-    total = 0
-    for i, c in enumerate(word):
-        total += lengths[ord(c)]
-        if total >= clip:
-            return word[: i + 1]
-    return word
+    ends = itertools.accumulate(lengths[ord(c)] for c in word)
+    return word[: next((i + 1 for i, end in enumerate(ends) if end >= clip), len(word))]
 
 
-def _block_stops(words: List[str], lengths: Sequence[int], full: List[int]) -> List[int]:
-    """The start bounds of _start_stops for the level words of the texts,
-    whose lengths are full; see there."""
-    pairs: set = set()  # pairs of whole blocks so far
-    letters: set = set()  # letters of whole blocks so far
-    stops = []
+def _block_stops(
+    words: List[str], lengths: Sequence[int], full: List[int], lens: Iterable[int]
+) -> Dict[int, List[int]]:
+    """The bounds of _start_stops from the level words of texts of lengths
+    full; see there. Block i is new for w when w exceeds its cap: one more
+    than the letters after block i in its longest old span, unbounded when
+    that span reaches the last block, and 0 when block i alone is new. A
+    span that occurs earlier still does without its first block, so the
+    longest old span's end never moves back as i grows: one pass finds
+    every cap."""
+    earlier = ""  # the whole blocks of the texts so far
+    steps = []  # per text, its caps' suffix minima, and 0 and its block ends
     for word, t in zip(words, full):
-        new = {word[i : i + 2] for i in range(len(word) - 1)} - pairs
-        # Block find(p) holds the first occurrence of the pair p in word.
-        last = max(map(word.find, new), default=-1)
-        stop = _spelled_length(word[: last + 1], lengths)
-        if word[-1] not in letters and word[-1] not in word[:-1]:
-            stop = t
-        stops.append(min(stop, t))
-        # Every block but the last ends before the clip.
-        whole = word if _spelled_length(word, lengths) <= t else word[:-1]
-        pairs.update(whole[i : i + 2] for i in range(len(whole) - 1))
-        letters.update(whole)
+        ends = list(itertools.accumulate(lengths[ord(b)] for b in word))
+        n, caps, o = len(word), [], 0
+        for i in range(n):
+            # word[i:o] is old; extend it while it stays old.
+            o = max(o, i)
+            while o < n and (word[i : o + 1] in earlier or word.find(word[i : o + 1]) < i):
+                o += 1
+            caps.append(math.inf if o == n else ends[o - 1] - ends[i] + 1 if o > i else 0)
+        least = list(itertools.accumulate(reversed(caps), min))[::-1]
+        steps.append((least, [0] + [min(end, t) for end in ends]))
+        # Every block but the last ends before the clip; chr(len(lengths))
+        # is no level letter, so no span runs across two texts.
+        earlier += (word if ends[-1] <= t else word[:-1]) + chr(len(lengths))
+    # Lengths between the same two caps share one list of bounds.
+    cuts = sorted({cap for least, _ in steps for cap in least})
+    rows: Dict[int, List[int]] = {}
+    stops = {}
+    for w in lens:
+        k = bisect.bisect_left(cuts, w)
+        if k not in rows:
+            rows[k] = [bounds[bisect.bisect_left(least, w)] for least, bounds in steps]
+        stops[w] = rows[k]
     return stops
-
-
-def _spelled_length(word: str, lengths: Sequence[int]) -> int:
-    """The letters in the blocks of a level word, of lengths[code] each."""
-    return sum(n * word.count(chr(c)) for c, n in enumerate(lengths) if n)
 
 
 def _squared(d: DirectiveSequence, clip: int, depth: int) -> bool:

@@ -952,7 +952,8 @@ def check_sampler_fixed_points() -> CheckResult:
         and len(sm) == 93
     )
 
-    sw = sample_level_language(parse_directive("RL|LR"), 0, 8)
+    # An explicit depth keeps RL|LR on the windowed sampler.
+    sw = sample_level_language(parse_directive("RL|LR"), 0, 8, depth=6)
     w_ok = (not sw.meta.exact) and sw.meta.saturated and is_factorial(sw)
 
     passed = l_ok and r_ok and m_ok and w_ok
